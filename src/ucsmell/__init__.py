@@ -1,6 +1,6 @@
 """ucsmell: a bad-smell linter for structured use case descriptions."""
 
-from .catalogue import catalogue, smell_space_cell
+from .catalogue import smell_space_cell
 from .engine import DetectorConfig, detect, distribution
 from .model import Finding, SectionKind, UseCaseDescription
 from .parser import parse_json, parse_text, serialize, split_sentences
@@ -14,7 +14,6 @@ __all__ = [
     "Lexicon",
     "SectionKind",
     "UseCaseDescription",
-    "catalogue",
     "detect",
     "distribution",
     "load_lexicon",

@@ -64,12 +64,7 @@ def _load_detector_config(args) -> engine.DetectorConfig:
     if args.min_sentences_for_distribution is not None:
         overrides["min_sentences_for_distribution"] = args.min_sentences_for_distribution
     if args.disable:
-        enabled = cfg.enabled_smells
-        if enabled is None:
-            from .catalogue import detectable_ids
-
-            enabled = detectable_ids()
-        overrides["enabled_smells"] = frozenset(enabled) - set(args.disable)
+        overrides["enabled_smells"] = cfg.enabled_ids() - set(args.disable)
     if overrides:
         from dataclasses import replace
 
@@ -99,18 +94,20 @@ def _cmd_lint(args) -> int:
     fmt = report.ReportFormat(args.format)
     options = report.ReportOptions(format=fmt, fail_threshold=args.fail_threshold)
 
+    # A file that fails to parse is reported on stderr and skipped; the
+    # others are still linted and reported, and the exit code becomes 2.
     per_file: list[tuple[str, list]] = []
+    parse_failed = False
     for path in args.inputs:
         doc, diags = _parse_file(path)
         _report_diagnostics(path, diags)
         if doc is None:
-            return report.EXIT_PARSE_ERROR
+            parse_failed = True
+            continue
         per_file.append((path, engine.detect(doc, cfg, lex)))
 
     if fmt is report.ReportFormat.JSON:
-        if len(per_file) == 1:
-            sys.stdout.write(report.emit_json(per_file[0][1]) + "\n")
-        else:
+        if len(args.inputs) > 1:
             import json
 
             obj = {
@@ -118,10 +115,14 @@ def _cmd_lint(args) -> int:
                 for path, findings in per_file
             }
             sys.stdout.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+        elif per_file:
+            sys.stdout.write(report.emit_json(per_file[0][1]) + "\n")
     else:
         for path, findings in per_file:
             sys.stdout.write(report.emit_pretty(findings, source_name=path))
 
+    if parse_failed:
+        return report.EXIT_PARSE_ERROR
     total = sum(len(f) for _, f in per_file)
     return report.exit_code(total, options)
 

@@ -54,13 +54,21 @@ class DetectorConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
-    def enabled(self, smell_id: str) -> bool:
+    def enabled_ids(self) -> frozenset[str]:
+        """The smells this config runs: enabled_smells, or all detectable."""
         if self.enabled_smells is None:
-            return smell_id in detectable_ids()
-        return smell_id in self.enabled_smells
+            return detectable_ids()
+        return self.enabled_smells
+
+    def enabled(self, smell_id: str) -> bool:
+        return smell_id in self.enabled_ids()
 
 
 _BOOL_KEYS = {"suppress_actor_word_when_single_actor", "count_los_in_tokens"}
+_BOOL_VALUES = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 _INT_KEYS = {
     "min_sentences_for_distribution",
     "multi_action_verb_threshold",
@@ -84,7 +92,12 @@ def parse_config(text: str) -> DetectorConfig:
         elif key in _INT_KEYS:
             kwargs[key] = int(value)
         elif key in _BOOL_KEYS:
-            kwargs[key] = value.lower() in ("1", "true", "yes", "on")
+            try:
+                kwargs[key] = _BOOL_VALUES[value.lower()]
+            except KeyError:
+                raise ValueError(
+                    f"config line {lineno}: {key} must be a boolean, got {value!r}"
+                ) from None
         elif key == "enabled_smells":
             kwargs[key] = frozenset(
                 s.strip() for s in value.split(",") if s.strip()
@@ -168,12 +181,13 @@ def detect(
     if any(not s.tokens and s.text for _, s in d.iter_sentences()):
         analyze_document(d, lex)
 
+    enabled = cfg.enabled_ids()
     findings: list[Finding] = []
     add = findings.append
 
     # Lack/Section: missing sections.
     for smell_id, kind, predicate in _MISSING_SECTION_SMELLS:
-        if cfg.enabled(smell_id) and not d.section_present(kind):
+        if smell_id in enabled and not d.section_present(kind):
             add(
                 Finding(
                     smell_id=smell_id,
@@ -194,7 +208,7 @@ def detect(
         else:
             flows = d.branch_flows(kind)
         for flow in flows:
-            if cfg.enabled("unordered-flow"):
+            if "unordered-flow" in enabled:
                 failing = None
                 if metrics.flow_numbered(flow):
                     failing = f"{prefix}Numbered?"
@@ -211,7 +225,7 @@ def detect(
             if kind is SectionKind.ALTERNATE_FLOWS
             else "origin-free-exception-flow"
         )
-        if cfg.enabled(smell):
+        if smell in enabled:
             for flow in d.branch_flows(kind):
                 if not metrics.branch_origin_described(flow):
                     add(
@@ -235,9 +249,7 @@ def detect(
     ):
         prefix = _SECTION_PREFIX[kind]
         for flow in d.branch_flows(kind):
-            if cfg.enabled(without_return) and not metrics.branch_return_exists(
-                flow
-            ):
+            if without_return in enabled and not metrics.branch_return_exists(flow):
                 sent = _last_sentence(flow)
                 add(
                     Finding(
@@ -249,7 +261,7 @@ def detect(
                         span=sent.span if sent else flow.span,
                     )
                 )
-            if cfg.enabled(unexplained) and not metrics.branch_reason_exists(flow):
+            if unexplained in enabled and not metrics.branch_reason_exists(flow):
                 sent = _first_sentence(flow)
                 add(
                     Finding(
@@ -277,7 +289,7 @@ def detect(
             "NOEFR",
         ),
     ):
-        if not cfg.enabled(smell):
+        if smell not in enabled:
             continue
         for _, flows in metrics.reason_groups(d.branch_flows(kind)):
             if len(flows) < cfg.same_reason_threshold:
@@ -308,7 +320,7 @@ def detect(
     )
     for kind, s in sentences:
         line = _rel_line(d, kind, s.line)
-        if cfg.enabled("pronoun"):
+        if "pronoun" in enabled:
             for tok in s.tokens:
                 if tok.pos is PosTag.PRONOUN:
                     add(
@@ -321,7 +333,7 @@ def detect(
                             span=tok.span,
                         )
                     )
-        if cfg.enabled("actor-actor") and not suppress_actor:
+        if "actor-actor" in enabled and not suppress_actor:
             for tok in s.tokens:
                 if (
                     tok.pos is PosTag.NOUN
@@ -338,11 +350,11 @@ def detect(
                         )
                     )
         if (
-            cfg.enabled("sentence-with-multiple-actions")
+            "sentence-with-multiple-actions" in enabled
             and metrics.NOV(s) >= cfg.multi_action_verb_threshold
         ):
             add(_sentence_finding("sentence-with-multiple-actions", kind, s, "NOV", line))
-        if cfg.enabled("repeating-the-same-noun"):
+        if "repeating-the-same-noun" in enabled:
             counts: dict[str, int] = {}
             for tok in s.tokens:
                 if tok.pos is PosTag.NOUN:
@@ -356,7 +368,7 @@ def detect(
                     )
 
     # Granularity/Sentence: distribution-based thresholds.
-    findings.extend(_distribution_findings(d, cfg, sentences))
+    findings.extend(_distribution_findings(d, cfg, enabled, sentences))
 
     findings.sort(
         key=lambda f: (_item_order(f.item_name), f.line, f.smell_id, f.span.start)
@@ -364,7 +376,7 @@ def detect(
     return findings
 
 
-def _distribution_findings(d, cfg, sentences) -> list[Finding]:
+def _distribution_findings(d, cfg, enabled, sentences) -> list[Finding]:
     out: list[Finding] = []
     if len(sentences) < cfg.min_sentences_for_distribution:
         return out
@@ -387,9 +399,9 @@ def _distribution_findings(d, cfg, sentences) -> list[Finding]:
         lo = dist.mean - cfg.stddev_k * dist.stddev
         for (kind, s), v in zip(sentences, values):
             line = _rel_line(d, kind, s.line)
-            if v > hi and cfg.enabled(high_smell):
+            if v > hi and high_smell in enabled:
                 out.append(_sentence_finding(high_smell, kind, s, metric_name, line))
-            elif v < lo and cfg.enabled(low_smell):
+            elif v < lo and low_smell in enabled:
                 out.append(_sentence_finding(low_smell, kind, s, metric_name, line))
     return out
 

@@ -4,13 +4,19 @@ human-annotated oracle.
 A finding matches an oracle entry when both name the same smell and
 section and their line numbers differ by at most one (annotations made
 on printed sheets are only approximately line-aligned). Matching is
-one-to-one and greedy over line-sorted entries, which yields a maximum
-matching for the +/-1 interval criterion.
+one-to-one and greedy: within each (smell, section) group, oracle entries
+are taken in line order, and each is paired with the first unmatched
+compatible finding in (line, span start) order. An entry with an
+evidence_hint is compatible only with findings whose evidence text
+contains the hint. Without hints this greedy choice is a maximum
+matching for the +/-1 interval criterion; with hints it need not be, and
+the result can depend on the order of entries that share a line.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,6 +122,8 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
 
     # Group both sides by (smell, section); match within each group by
     # pairing line-sorted oracle entries to the earliest compatible finding.
+    # Only findings within LINE_TOLERANCE of an entry can match it, and they
+    # form one contiguous window of the line-sorted candidates.
     findings_by_key: dict[tuple[str, str], list[Finding]] = {}
     for f in findings:
         findings_by_key.setdefault((f.smell_id, f.item_name), []).append(f)
@@ -128,11 +136,12 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
         candidates = sorted(
             findings_by_key.get(key, []), key=lambda f: (f.line, f.span.start)
         )
+        lines = [f.line for f in candidates]
         for entry in sorted(entries, key=lambda e: e.line):
-            for f in candidates:
+            lo = bisect_left(lines, entry.line - LINE_TOLERANCE)
+            hi = bisect_right(lines, entry.line + LINE_TOLERANCE)
+            for f in candidates[lo:hi]:
                 if id(f) in matched_findings:
-                    continue
-                if abs(f.line - entry.line) > LINE_TOLERANCE:
                     continue
                 if (
                     entry.evidence_hint is not None

@@ -9,7 +9,7 @@ and lexicon, same tags.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional
 
@@ -34,6 +34,11 @@ class Lexicon:
     modifiers: frozenset[str]
     stopwords: frozenset[str]
     verb_suffix_rules: tuple[tuple[str, PosTag], ...] = DEFAULT_VERB_SUFFIX_RULES
+    # word -> whether some _verb_stems(word) candidate is in verbs. Kept per
+    # instance, so a lexicon never sees another lexicon's answers.
+    _verb_memo: dict[str, bool] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
 
 _TAG_FIELDS = {
@@ -84,11 +89,22 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
 def tokenize(sentence_text: str, base_offset: int = 0, line: int = 0) -> list[Token]:
     """Split on whitespace/punctuation, keeping intra-word hyphens and
     apostrophes. Tokens come back untagged (pos OTHER)."""
+    # Spans are UTF-8 byte offsets; for ASCII text they equal the
+    # character offsets.
+    ascii_only = sentence_text.isascii()
     tokens = []
     for m in _WORD_RE.finditer(sentence_text):
-        start = base_offset + len(sentence_text[: m.start()].encode("utf-8"))
-        end = base_offset + len(sentence_text[: m.end()].encode("utf-8"))
-        tokens.append(Token(m.group(), PosTag.OTHER, SourceSpan(start, end, line)))
+        start, end = m.span()
+        if not ascii_only:
+            start = len(sentence_text[:start].encode("utf-8"))
+            end = start + len(m.group().encode("utf-8"))
+        tokens.append(
+            Token(
+                m.group(),
+                PosTag.OTHER,
+                SourceSpan(base_offset + start, base_offset + end, line),
+            )
+        )
     return tokens
 
 
@@ -107,6 +123,14 @@ def _verb_stems(word: str) -> Iterable[str]:
         yield word[:-3] + "y"
 
 
+def _known_verb(word: str, lex: Lexicon) -> bool:
+    known = lex._verb_memo.get(word)
+    if known is None:
+        known = any(stem in lex.verbs for stem in _verb_stems(word))
+        lex._verb_memo[word] = known
+    return known
+
+
 # A determiner introduces a noun phrase, so the word right after one is
 # never read as a verb ("the search page", "a display case").
 _DETERMINERS = frozenset({"the", "a", "an"})
@@ -122,7 +146,7 @@ def _classify(
     if word in lex.pronouns:
         return PosTag.PRONOUN
     after_determiner = prev_word in _DETERMINERS
-    if not after_determiner and any(stem in lex.verbs for stem in _verb_stems(word)):
+    if not after_determiner and _known_verb(word, lex):
         return PosTag.VERB
     # Suffix fallback for verbs missing from the lexicon: only directly
     # after a noun/pronoun (the subject slot) and only for the first verb

@@ -76,3 +76,12 @@ def test_catalogue_sorted_by_cell():
     entries = catalogue()
     keys = [(e.characteristic.value, e.scope.value, e.name) for e in entries]
     assert keys == sorted(keys)
+
+
+def test_catalogue_submodule_is_not_shadowed():
+    import ucsmell.catalogue as c
+
+    assert c.by_id("pronoun").id == "pronoun"
+    from ucsmell import catalogue as module
+
+    assert module is c

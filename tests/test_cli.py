@@ -84,6 +84,32 @@ def test_lint_missing_file_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_lint_batch_reports_every_parsable_file(tmp_path, capsys, fixtures_dir):
+    atm = str(fixtures_dir / "atm.ucd")
+    clean = str(fixtures_dir / "clean.ucd")
+    bad = tmp_path / "bad.ucd"
+    bad.write_text("no structure at all\n")
+    code = run(["lint", atm, str(bad), clean, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    obj = json.loads(captured.out)
+    assert list(obj) == [atm, clean]
+    assert len(obj[atm]) == 12
+    assert obj[clean] == []
+    assert f"{bad}:" in captured.err
+
+
+def test_lint_batch_pretty_keeps_findings_of_parsed_files(tmp_path, capsys,
+                                                          fixtures_dir):
+    atm = str(fixtures_dir / "atm.ucd")
+    missing = str(tmp_path / "missing.ucd")
+    code = run(["lint", missing, atm])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "[pronoun]" in captured.out
+    assert missing in captured.err
+
+
 def test_config_file_flag(tmp_path, capsys, fixtures_dir):
     cfg = tmp_path / "ucsmell.cfg"
     cfg.write_text("enabled_smells = pronoun\n")

@@ -59,6 +59,23 @@ def test_parse_config_rejects_unknown_key():
         parse_config("just a line\n")
 
 
+@pytest.mark.parametrize(
+    "spelling, value",
+    [("1", True), ("YES", True), ("On", True), ("True", True),
+     ("0", False), ("no", False), ("OFF", False), ("False", False)],
+)
+def test_parse_config_boolean_spellings(spelling, value):
+    cfg = parse_config(f"count_los_in_tokens = {spelling}\n")
+    assert cfg.count_los_in_tokens is value
+
+
+@pytest.mark.parametrize("spelling", ["ture", "", "2", "y", "enabled"])
+def test_parse_config_rejects_unknown_boolean(spelling):
+    text = f"# comment\ncount_los_in_tokens = {spelling}\n"
+    with pytest.raises(ValueError, match="config line 2"):
+        parse_config(text)
+
+
 def test_load_config(tmp_path):
     p = tmp_path / "cfg"
     p.write_text("stddev_k = 3.0\n")
@@ -253,6 +270,18 @@ def test_disable_rule(lexicon):
     assert not any(
         f.smell_id == "actor-actor" for f in findings_for(text, lexicon, cfg)
     )
+
+
+def test_each_detect_honours_its_own_config(atm_doc, lexicon):
+    default = Counter(f.smell_id for f in detect(atm_doc, DetectorConfig(), lexicon))
+    assert {"pronoun", "actor-actor"} <= set(default)
+    subset = DetectorConfig(enabled_smells=frozenset({"pronoun"}))
+    for cfg, want in (
+        (DetectorConfig(), default),
+        (subset, Counter({"pronoun": default["pronoun"]})),
+        (DetectorConfig(), default),
+    ):
+        assert Counter(f.smell_id for f in detect(atm_doc, cfg, lexicon)) == want
 
 
 # --- distribution rules ---------------------------------------------------

@@ -1,15 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucsmell.evaluation import (
+    LINE_TOLERANCE,
     OracleEntry,
     Tally,
+    _category,
+    _evidence_text,
     load_oracle,
     match,
     render_table,
 )
-from ucsmell.model import Finding, WordEvidence
+from ucsmell.model import Finding, SourceSpan, WordEvidence
 
 
 def finding(smell_id="pronoun", item="Basic Flow", line=1, word="it"):
@@ -134,3 +138,91 @@ def test_render_table_shape():
 def test_render_table_na_for_empty_denominator():
     rep = match([], [entry()])
     assert "N/A" in render_table(rep)
+
+
+# --- windowed matching equals the plain greedy scan ------------------------
+
+
+def greedy_match_reference(findings, oracle):
+    """The greedy loop that scans every candidate of a group for each entry.
+
+    Returns the matched (finding, entry) pairs and the tallies as tuples.
+    """
+    findings_by_key = {}
+    for f in findings:
+        findings_by_key.setdefault((f.smell_id, f.item_name), []).append(f)
+    oracle_by_key = {}
+    for e in oracle:
+        oracle_by_key.setdefault((e.smell_id, e.item_name), []).append(e)
+    matched, pairs = set(), []
+    for key, entries in oracle_by_key.items():
+        candidates = sorted(
+            findings_by_key.get(key, []), key=lambda f: (f.line, f.span.start)
+        )
+        for e in sorted(entries, key=lambda e: e.line):
+            for f in candidates:
+                if id(f) in matched or abs(f.line - e.line) > LINE_TOLERANCE:
+                    continue
+                if e.evidence_hint is not None and e.evidence_hint not in (
+                    _evidence_text(f)
+                ):
+                    continue
+                matched.add(id(f))
+                pairs.append((f, e))
+                break
+    matched_entries = {id(e) for _, e in pairs}
+    per_category, totals = {}, [0, 0, 0]
+    for f in findings:
+        slot = 0 if id(f) in matched else 1
+        per_category.setdefault(_category(f.smell_id), [0, 0, 0])[slot] += 1
+        totals[slot] += 1
+    for e in oracle:
+        if id(e) not in matched_entries:
+            per_category.setdefault(_category(e.smell_id), [0, 0, 0])[2] += 1
+            totals[2] += 1
+    return pairs, {k: tuple(v) for k, v in per_category.items()}, tuple(totals)
+
+
+_SMELLS = ["pronoun", "actor-actor", "long-sentence"]
+_ITEMS = ["Basic Flow", "Alternate Flows"]
+_WORDS = ["it", "them", "Actor", "its"]
+
+finding_st = st.builds(
+    lambda smell, item, line, word, start: Finding(
+        smell_id=smell,
+        item_name=item,
+        metric="M",
+        line=line,
+        evidence=WordEvidence(word),
+        span=SourceSpan(start, start + len(word), line),
+    ),
+    st.sampled_from(_SMELLS),
+    st.sampled_from(_ITEMS),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from(_WORDS),
+    st.integers(min_value=0, max_value=3),
+)
+entry_st = st.builds(
+    OracleEntry,
+    smell_id=st.sampled_from(_SMELLS),
+    item_name=st.sampled_from(_ITEMS),
+    line=st.integers(min_value=-1, max_value=7),
+    evidence_hint=st.one_of(st.none(), st.sampled_from(_WORDS + ["t", "x"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    findings=st.lists(finding_st, max_size=25),
+    oracle=st.lists(entry_st, max_size=25),
+)
+def test_windowed_match_equals_greedy_scan(findings, oracle):
+    pairs, per_category, totals = greedy_match_reference(findings, oracle)
+    rep = match(findings, oracle)
+    assert [(id(f), id(e)) for f, e in rep.matched_pairs] == [
+        (id(f), id(e)) for f, e in pairs
+    ]
+    assert {k: (t.tp, t.fp, t.fn) for k, t in rep.per_category.items()} == (
+        per_category
+    )
+    assert (rep.totals.tp, rep.totals.fp, rep.totals.fn) == totals

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucsmell.model import PosTag, Sentence
 from ucsmell.textanalysis import (
@@ -41,6 +42,17 @@ def test_tokenize_spans_are_utf8_byte_offsets():
     raw = text.encode("utf-8")
     for t in tokens:
         assert raw[t.span.start : t.span.end].decode("utf-8") == t.surface
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text(alphabet=st.sampled_from("ab-' .éü€😀\t"), max_size=30),
+    base=st.integers(min_value=0, max_value=50),
+)
+def test_tokenize_spans_match_utf8_slices(text, base):
+    raw = text.encode("utf-8")
+    for t in tokenize(text, base_offset=base):
+        assert raw[t.span.start - base : t.span.end - base].decode() == t.surface
 
 
 def test_tokenize_base_offset_shifts_spans():
@@ -168,3 +180,30 @@ def test_custom_lexicon_type():
         stopwords=frozenset({"the"}),
     )
     assert pos_of("It frobs the gadget.", "frobs", lex) is PosTag.VERB
+
+
+def _lexicon_with_verbs(*verbs):
+    return Lexicon(
+        pronouns=frozenset({"it"}),
+        verbs=frozenset(verbs),
+        modifiers=frozenset(),
+        stopwords=frozenset({"the", "then"}),
+    )
+
+
+def test_verb_lookup_is_per_lexicon():
+    # Same words, lexicons that disagree about them, interleaved in one
+    # process: each tagging must follow its own lexicon. The verbs follow
+    # a stopword, so the suffix fallback cannot tag them either way.
+    text = "Then frobs the gadget, then blorks."
+    lex_a = _lexicon_with_verbs("frob")
+    lex_b = _lexicon_with_verbs("blork")
+    assert lex_a == _lexicon_with_verbs("frob")  # the memo is not compared
+    for lex, verb, other in (
+        (lex_a, "frobs", "blorks"),
+        (lex_b, "blorks", "frobs"),
+        (lex_a, "frobs", "blorks"),
+    ):
+        tags = dict(tags_of(text, lex))
+        assert tags[verb] is PosTag.VERB
+        assert tags[other] is not PosTag.VERB
