@@ -177,9 +177,9 @@ def _rel_line(d: UseCaseDescription, kind: SectionKind, line: int) -> int:
 def detect(
     d: UseCaseDescription, cfg: DetectorConfig, lex: Lexicon
 ) -> list[Finding]:
-    """Run every enabled detection rule and return the ordered findings."""
-    if any(not s.tokens and s.text for _, s in d.iter_sentences()):
-        analyze_document(d, lex)
+    """Tag d with lex, then run every enabled detection rule and return
+    the ordered findings. Tags from an earlier analysis are replaced."""
+    analyze_document(d, lex)
 
     enabled = cfg.enabled_ids()
     findings: list[Finding] = []

@@ -5,13 +5,17 @@ the text analyzer fills in tokens, and the metrics/engine modules read it.
 Position data (spans, line numbers, section order) is excluded from
 equality so that documents loaded from different serializations of the
 same content compare equal.
+
+Token and SourceSpan are built once per word, so they are named tuples:
+immutable, hashable and cheap to create. Unlike the dataclasses here they
+compare equal to plain tuples with the same fields and can be unpacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class PosTag(Enum):
@@ -84,17 +88,26 @@ def section_index(kind: SectionKind) -> int:
     return CANONICAL_SECTIONS.index(kind)
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Byte offsets into the source text plus the 1-based line number."""
-
+class _SpanFields(NamedTuple):
     start: int
     end: int
     line: int = 0
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} > end {self.end}")
+
+class SourceSpan(_SpanFields):
+    """Byte offsets into the source text plus the 1-based line number."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, line: int = 0) -> SourceSpan:
+        if start > end:
+            raise ValueError(f"span start {start} > end {end}")
+        return tuple.__new__(cls, (start, end, line))
+
+    @classmethod
+    def _make(cls, iterable) -> SourceSpan:
+        # _replace builds through _make; keep the check on that path too.
+        return cls(*iterable)
 
 
 EMPTY_SPAN = SourceSpan(0, 0, 0)
@@ -121,8 +134,7 @@ END = EndMarker()
 ReturnTarget = Union[StepRef, EndMarker]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     pos: PosTag
     span: SourceSpan

@@ -105,12 +105,18 @@ class _Lines:
     def __init__(self, source: str):
         self.lines: list[str] = source.split("\n")
         self.offsets: list[int] = []
+        self.ascii: list[bool] = []
         off = 0
         for ln in self.lines:
             self.offsets.append(off)
-            off += len(ln.encode("utf-8")) + 1
+            size = len(ln.encode("utf-8"))
+            self.ascii.append(size == len(ln))
+            off += size + 1
 
     def span(self, lineno: int, text: str, col: int = 0) -> SourceSpan:
+        """Span of text found at character column col of line lineno."""
+        if not self.ascii[lineno - 1]:
+            col = len(self.lines[lineno - 1][:col].encode("utf-8"))
         start = self.offsets[lineno - 1] + col
         return SourceSpan(start, start + len(text.encode("utf-8")), lineno)
 

@@ -27,6 +27,13 @@ DEFAULT_VERB_SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
 )
 
 
+# What a lexicon says about one word by itself: whether it is a known verb
+# (through _verb_stems), the suffix-rule tag it may take in the subject
+# slot (None when no rule applies), and its tag when no verb reading
+# applies. A pronoun is (False, None, PRONOUN), so it is never a verb.
+_WordFacts = tuple[bool, Optional[PosTag], PosTag]
+
+
 @dataclass(frozen=True)
 class Lexicon:
     pronouns: frozenset[str]
@@ -34,9 +41,9 @@ class Lexicon:
     modifiers: frozenset[str]
     stopwords: frozenset[str]
     verb_suffix_rules: tuple[tuple[str, PosTag], ...] = DEFAULT_VERB_SUFFIX_RULES
-    # word -> whether some _verb_stems(word) candidate is in verbs. Kept per
-    # instance, so a lexicon never sees another lexicon's answers.
-    _verb_memo: dict[str, bool] = field(
+    # lowercased word -> its _WordFacts. Kept per instance, so a lexicon
+    # never sees another lexicon's answers.
+    _word_facts: dict[str, _WordFacts] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
@@ -86,26 +93,36 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
     return parse_lexicon(text)
 
 
+def _words(text: str, base_offset: int) -> list[tuple[str, int, int]]:
+    """(surface, byte start, byte end) of every word in text.
+
+    Words are runs of ASCII letters and digits, keeping intra-word hyphens and
+    apostrophes. Offsets index the UTF-8 encoding of text, shifted by
+    base_offset; for ASCII text they equal the character offsets.
+    """
+    if text.isascii():
+        return [
+            (m.group(), base_offset + m.start(), base_offset + m.end())
+            for m in _WORD_RE.finditer(text)
+        ]
+    words = []
+    char = byte = 0
+    for m in _WORD_RE.finditer(text):
+        surface = m.group()
+        byte += len(text[char : m.start()].encode("utf-8"))
+        end = byte + len(surface.encode("utf-8"))
+        words.append((surface, base_offset + byte, base_offset + end))
+        char, byte = m.end(), end
+    return words
+
+
 def tokenize(sentence_text: str, base_offset: int = 0, line: int = 0) -> list[Token]:
     """Split on whitespace/punctuation, keeping intra-word hyphens and
     apostrophes. Tokens come back untagged (pos OTHER)."""
-    # Spans are UTF-8 byte offsets; for ASCII text they equal the
-    # character offsets.
-    ascii_only = sentence_text.isascii()
-    tokens = []
-    for m in _WORD_RE.finditer(sentence_text):
-        start, end = m.span()
-        if not ascii_only:
-            start = len(sentence_text[:start].encode("utf-8"))
-            end = start + len(m.group().encode("utf-8"))
-        tokens.append(
-            Token(
-                m.group(),
-                PosTag.OTHER,
-                SourceSpan(base_offset + start, base_offset + end, line),
-            )
-        )
-    return tokens
+    return [
+        Token(surface, PosTag.OTHER, SourceSpan(start, end, line))
+        for surface, start, end in _words(sentence_text, base_offset)
+    ]
 
 
 def _verb_stems(word: str) -> Iterable[str]:
@@ -123,69 +140,67 @@ def _verb_stems(word: str) -> Iterable[str]:
         yield word[:-3] + "y"
 
 
-def _known_verb(word: str, lex: Lexicon) -> bool:
-    known = lex._verb_memo.get(word)
-    if known is None:
-        known = any(stem in lex.verbs for stem in _verb_stems(word))
-        lex._verb_memo[word] = known
-    return known
+def _facts_of(word: str, lex: Lexicon) -> _WordFacts:
+    if word in lex.pronouns:
+        return False, None, PosTag.PRONOUN
+    known_verb = any(stem in lex.verbs for stem in _verb_stems(word))
+    # Suffix fallback for verbs missing from the lexicon; _tags applies it
+    # only in the subject slot.
+    suffix_tag = None
+    if word not in lex.stopwords and word not in lex.modifiers:
+        for suffix, tag in lex.verb_suffix_rules:
+            if word.endswith(suffix) and len(word) > len(suffix) + 2:
+                suffix_tag = tag
+                break
+    if word in lex.modifiers or (
+        word.endswith("ly") and len(word) > 4 and word not in lex.stopwords
+    ):
+        other = PosTag.MODIFIER
+    elif word in lex.stopwords or word.isdigit():
+        other = PosTag.OTHER
+    else:
+        other = PosTag.NOUN
+    return known_verb, suffix_tag, other
 
 
 # A determiner introduces a noun phrase, so the word right after one is
 # never read as a verb ("the search page", "a display case").
 _DETERMINERS = frozenset({"the", "a", "an"})
+_SUBJECT_TAGS = (PosTag.NOUN, PosTag.PRONOUN)
 
 
-def _classify(
-    word: str,
-    prev_word: Optional[str],
-    prev_tag: Optional[PosTag],
-    verb_seen: bool,
-    lex: Lexicon,
-) -> PosTag:
-    if word in lex.pronouns:
-        return PosTag.PRONOUN
-    after_determiner = prev_word in _DETERMINERS
-    if not after_determiner and _known_verb(word, lex):
-        return PosTag.VERB
-    # Suffix fallback for verbs missing from the lexicon: only directly
-    # after a noun/pronoun (the subject slot) and only for the first verb
-    # of the sentence, so object nouns like "found products" stay nouns.
-    if (
-        not after_determiner
-        and not verb_seen
-        and prev_tag in (PosTag.NOUN, PosTag.PRONOUN)
-        and word not in lex.stopwords
-        and word not in lex.modifiers
-    ):
-        for suffix, tag in lex.verb_suffix_rules:
-            if word.endswith(suffix) and len(word) > len(suffix) + 2:
-                return tag
-    if word in lex.modifiers:
-        return PosTag.MODIFIER
-    if word.endswith("ly") and len(word) > 4 and word not in lex.stopwords:
-        return PosTag.MODIFIER
-    if word in lex.stopwords:
-        return PosTag.OTHER
-    if word.isdigit():
-        return PosTag.OTHER
-    return PosTag.NOUN
+def _tags(surfaces: Iterable[str], lex: Lexicon) -> list[PosTag]:
+    """The PosTag of each word of one sentence, in order."""
+    memo = lex._word_facts
+    tags = []
+    prev_word: Optional[str] = None
+    prev_tag: Optional[PosTag] = None
+    verb_seen = False
+    for surface in surfaces:
+        word = surface.lower()
+        facts = memo.get(word)
+        if facts is None:
+            facts = memo[word] = _facts_of(word, lex)
+        known_verb, suffix_tag, pos = facts
+        if prev_word not in _DETERMINERS:
+            if known_verb:
+                pos = PosTag.VERB
+            # The suffix rule fires only directly after a noun/pronoun (the
+            # subject slot) and only for the first verb of the sentence, so
+            # object nouns like "found products" stay nouns.
+            elif suffix_tag and not verb_seen and prev_tag in _SUBJECT_TAGS:
+                pos = suffix_tag
+        tags.append(pos)
+        prev_word = word
+        prev_tag = pos
+        verb_seen = verb_seen or pos is PosTag.VERB
+    return tags
 
 
 def tag(tokens: list[Token], lex: Lexicon) -> list[Token]:
     """Assign a PosTag to each token; lookup is lowercased, surfaces kept."""
-    tagged: list[Token] = []
-    prev_word: Optional[str] = None
-    prev_tag: Optional[PosTag] = None
-    verb_seen = False
-    for tok in tokens:
-        word = tok.surface.lower()
-        pos = _classify(word, prev_word, prev_tag, verb_seen, lex)
-        tagged.append(Token(tok.surface, pos, tok.span))
-        prev_word = word
-        prev_tag = pos
-        verb_seen = verb_seen or pos is PosTag.VERB
-    return tagged
+    tags = _tags([t.surface for t in tokens], lex)
+    return [Token(t.surface, pos, t.span) for t, pos in zip(tokens, tags)]
 
 
 def count_pos(tokens: list[Token], pos: PosTag) -> int:
@@ -194,9 +209,13 @@ def count_pos(tokens: list[Token], pos: PosTag) -> int:
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     """Fill in sentence.tokens (tokenized and tagged) in place."""
-    sentence.tokens = tag(
-        tokenize(sentence.text, sentence.span.start, sentence.line), lex
-    )
+    words = _words(sentence.text, sentence.span.start)
+    tags = _tags([surface for surface, _, _ in words], lex)
+    line = sentence.line
+    sentence.tokens = [
+        Token(surface, pos, SourceSpan(start, end, line))
+        for (surface, start, end), pos in zip(words, tags)
+    ]
 
 
 def analyze_document(doc, lex: Lexicon) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from ucsmell.engine import (
 )
 from ucsmell.model import WordEvidence
 from ucsmell.parser import parse_text
+
+from conftest import parse_fixture
 
 
 def findings_for(text, lexicon, cfg=None):
@@ -282,6 +285,20 @@ def test_each_detect_honours_its_own_config(atm_doc, lexicon):
         (DetectorConfig(), default),
     ):
         assert Counter(f.smell_id for f in detect(atm_doc, cfg, lexicon)) == want
+
+
+def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
+    no_pronouns = dataclasses.replace(lexicon, pronouns=frozenset())
+    fresh_doc = parse_fixture("atm.ucd")[0]
+
+    def pronouns(doc, lex):
+        return sum(f.smell_id == "pronoun" for f in detect(doc, DetectorConfig(), lex))
+
+    assert pronouns(atm_doc, lexicon) == 1
+    assert pronouns(fresh_doc, no_pronouns) == 0
+    # The same document again: its tags must follow the new lexicon.
+    assert pronouns(atm_doc, no_pronouns) == 0
+    assert pronouns(atm_doc, lexicon) == 1
 
 
 # --- distribution rules ---------------------------------------------------

@@ -10,6 +10,7 @@ from ucsmell.parser import (
     serialize,
     split_sentences,
 )
+from ucsmell.textanalysis import analyze_document
 
 from conftest import parse_fixture
 
@@ -126,6 +127,28 @@ def test_sentence_spans_point_into_source(atm_doc):
     raw = open("fixtures/atm.ucd", "rb").read()
     for _, s in atm_doc.iter_sentences():
         assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
+
+
+NON_ASCII_DOCS = [
+    "Basic Flow:\n1. Der Kunde wählt café. Er zahlt.\n",
+    "Preconditions:\n  Ünïcödé précondition holds. Then ok.\n"
+    "Basic Flow:\n1. Señor José pays 5 €. The system prints it.\n"
+    "Alternate Flows:\nA1 Wenn der Bär kommt at step 1\n"
+    "A1.1 Dér Bär isst. Alles gut.\n",
+    "Basic Flow:\r\n\t1. 😀 emoji first. Then ascii words.\r\n"
+    "2. Plain ascii line.\r\n",
+]
+
+
+@pytest.mark.parametrize("source", NON_ASCII_DOCS, ids=["german", "mixed", "emoji-crlf"])
+def test_non_ascii_spans_slice_the_utf8_source(source, lexicon):
+    doc, _ = parse_text(source)
+    analyze_document(doc, lexicon)
+    raw = source.encode("utf-8")
+    for _, s in doc.iter_sentences():
+        assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
+        for tok in s.tokens:
+            assert raw[tok.span.start : tok.span.end].decode("utf-8") == tok.surface
 
 
 @pytest.mark.parametrize("name", ["atm.ucd", "clean.ucd", "search.ucd"])

@@ -1,0 +1,121 @@
+"""analyze_sentence against a brute-force copy of the two-pass tagger it
+replaced: tokenize the sentence, then classify each word from scratch
+with the previous word, its tag and whether a verb was seen."""
+
+import re
+
+from hypothesis import given, settings, strategies as st
+
+from ucsmell.model import PosTag, Sentence, SourceSpan
+from ucsmell.textanalysis import Lexicon, _verb_stems, analyze_sentence, load_lexicon
+
+_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
+_DETERMINERS = {"the", "a", "an"}
+
+
+def ref_tokenize(text, base_offset):
+    words = []
+    for m in _WORD_RE.finditer(text):
+        start = base_offset + len(text[: m.start()].encode("utf-8"))
+        words.append((m.group(), start, start + len(m.group().encode("utf-8"))))
+    return words
+
+
+def ref_classify(word, prev_word, prev_tag, verb_seen, lex):
+    if word in lex.pronouns:
+        return PosTag.PRONOUN
+    after_determiner = prev_word in _DETERMINERS
+    if not after_determiner and any(s in lex.verbs for s in _verb_stems(word)):
+        return PosTag.VERB
+    if (
+        not after_determiner
+        and not verb_seen
+        and prev_tag in (PosTag.NOUN, PosTag.PRONOUN)
+        and word not in lex.stopwords
+        and word not in lex.modifiers
+    ):
+        for suffix, tag in lex.verb_suffix_rules:
+            if word.endswith(suffix) and len(word) > len(suffix) + 2:
+                return tag
+    if word in lex.modifiers:
+        return PosTag.MODIFIER
+    if word.endswith("ly") and len(word) > 4 and word not in lex.stopwords:
+        return PosTag.MODIFIER
+    if word in lex.stopwords:
+        return PosTag.OTHER
+    if word.isdigit():
+        return PosTag.OTHER
+    return PosTag.NOUN
+
+
+def ref_analyze(text, base_offset, line, lex):
+    out = []
+    prev_word, prev_tag, verb_seen = None, None, False
+    for surface, start, end in ref_tokenize(text, base_offset):
+        word = surface.lower()
+        pos = ref_classify(word, prev_word, prev_tag, verb_seen, lex)
+        out.append((surface, pos, start, end, line))
+        prev_word, prev_tag = word, pos
+        verb_seen = verb_seen or pos is PosTag.VERB
+    return out
+
+
+BUNDLED = load_lexicon()
+# Overlapping classes (a pronoun that is also a verb, a modifier that is
+# also a stopword) and suffix rules with non-verb tags, which the bundled
+# lexicon never has.
+CUSTOM = Lexicon(
+    pronouns=frozenset({"it", "they", "frob"}),
+    verbs=frozenset({"frob", "show", "carry", "glow", "it"}),
+    modifiers=frozenset({"big", "only", "shows"}),
+    stopwords=frozenset({"the", "to", "only", "lonely"}),
+    verb_suffix_rules=(
+        ("ize", PosTag.VERB),
+        ("ous", PosTag.MODIFIER),
+        ("s", PosTag.VERB),
+        ("er", PosTag.OTHER),
+    ),
+)
+
+_VOCAB = sorted(
+    {w for lex in (BUNDLED, CUSTOM)
+     for group in (lex.pronouns, lex.verbs, lex.modifiers, lex.stopwords)
+     for w in group}
+)
+_stem = st.text(alphabet="abcdefghijklmnopqrstuvwxyzéü", min_size=1, max_size=7)
+_word = st.one_of(
+    st.sampled_from(_VOCAB),
+    st.sampled_from(["the", "a", "an", "The", "A", "AN"]),
+    st.builds(
+        str.__add__,
+        _stem,
+        st.sampled_from(["", "s", "es", "ies", "ed", "ied", "ly", "ize", "ous", "er"]),
+    ),
+    st.integers(min_value=0, max_value=9999).map(str),
+    st.sampled_from(["log-in", "user's", "café", "naïve", "straße", "日本", "ÉTÉ"]),
+)
+_case = st.sampled_from([str, str.capitalize, str.upper])
+_sep = st.sampled_from([" ", ", ", ". ", " - ", "  ", "\t", " — ", "'", "€"])
+
+
+@st.composite
+def _sentences(draw):
+    parts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        parts.append(draw(_case)(draw(_word)))
+        parts.append(draw(_sep))
+    return "".join(parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=_sentences(),
+    base=st.integers(min_value=0, max_value=10_000),
+    line=st.integers(min_value=0, max_value=500),
+    lex=st.sampled_from([BUNDLED, CUSTOM]),
+)
+def test_analyze_sentence_matches_reference(text, base, line, lex):
+    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
+    analyze_sentence(s, lex)
+    got = [(t.surface, t.pos, t.span.start, t.span.end, t.span.line) for t in s.tokens]
+    assert got == ref_analyze(text, base, line, lex)
