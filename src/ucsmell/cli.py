@@ -92,7 +92,7 @@ def _cmd_lint(args) -> int:
     cfg = _load_detector_config(args)
     lex = load_lexicon(args.lexicon)
     fmt = report.ReportFormat(args.format)
-    options = report.ReportOptions(format=fmt, fail_threshold=args.fail_threshold)
+    options = report.ReportOptions(fail_threshold=args.fail_threshold)
 
     # A file that fails to parse is reported on stderr and skipped; the
     # others are still linted and reported, and the exit code becomes 2.

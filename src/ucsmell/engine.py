@@ -1,5 +1,10 @@
 """Detection engine: maps metric/predicate outputs to Finding records.
 
+RULES holds one rule per detectable smell. detect calls each enabled rule
+with the context shared by all rules, its smell id and the function that
+collects findings. A rule reads the document through the checks and
+predicates of the metrics module, whose names label its findings.
+
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is
 smelly when it lies more than k standard deviations from the mean. The
@@ -10,11 +15,13 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import metrics
 from .catalogue import detectable_ids
 from .model import (
+    CANONICAL_SECTIONS,
+    EMPTY_SPAN,
     BranchFlow,
     Finding,
     FlowEvidence,
@@ -22,10 +29,8 @@ from .model import (
     SectionKind,
     Sentence,
     SentenceEvidence,
-    SourceSpan,
     UseCaseDescription,
     WordEvidence,
-    section_index,
 )
 from .textanalysis import Lexicon, analyze_document
 
@@ -127,51 +132,45 @@ def distribution(values: list[int]) -> Distribution:
     return Distribution(n=len(values), mean=mean, stddev=stddev)
 
 
-_MISSING_SECTION_SMELLS = [
-    ("missing-actor-section", SectionKind.ACTORS, "ActorSectionExist?"),
-    (
-        "missing-exception-flows-section",
-        SectionKind.EXCEPTION_FLOWS,
-        "ExceptionFlowsSectionExist?",
-    ),
-    (
-        "missing-alternate-flows-section",
-        SectionKind.ALTERNATE_FLOWS,
-        "AlternateFlowsSectionExist?",
-    ),
-    (
-        "missing-preconditions-section",
-        SectionKind.PRECONDITIONS,
-        "PreconditionsSectionExist?",
-    ),
-    (
-        "missing-postconditions-section",
-        SectionKind.POSTCONDITIONS,
-        "PostconditionsSectionExist?",
-    ),
-    ("missing-description-section", SectionKind.OVERVIEW, "OverviewSectionExist?"),
-    ("missing-name-section", SectionKind.NAME, "NameSectionExist?"),
-]
+class _Context:
+    """What the rules share about one document, built once per detect."""
 
-_FLOW_SECTIONS = [
-    SectionKind.BASIC_FLOW,
-    SectionKind.ALTERNATE_FLOWS,
-    SectionKind.EXCEPTION_FLOWS,
-]
+    def __init__(self, d: UseCaseDescription, cfg: DetectorConfig) -> None:
+        self.d = d
+        self.cfg = cfg
+        # (section, sentence, line within the section) for every sentence.
+        self.sentences = [
+            (kind, s, self.rel_line(kind, s.line)) for kind, s in d.iter_sentences()
+        ]
+        self._limits: dict[str, tuple[list[int], float, float]] = {}
 
-_SECTION_PREFIX = {
-    SectionKind.BASIC_FLOW: "BasicFlow",
-    SectionKind.ALTERNATE_FLOWS: "AlternateFlows",
-    SectionKind.EXCEPTION_FLOWS: "ExceptionFlows",
-}
+    def rel_line(self, kind: SectionKind, line: int) -> int:
+        """Line number within the section (1 = first content line)."""
+        header = self.d.section_header_lines.get(kind, 0)
+        if header and line > header:
+            return line - header
+        return line
+
+    def limits(self, metric_name: str) -> tuple[list[int], float, float]:
+        """A sentence measure's values and its mean -/+ k·stddev, computed
+        once per document for the high and the low rule."""
+        if metric_name not in self._limits:
+            if metric_name == "NOM":
+                values = [metrics.NOM(s) for _, s, _ in self.sentences]
+            elif self.cfg.count_los_in_tokens:
+                values = [len(s.tokens) for _, s, _ in self.sentences]
+            else:
+                values = [metrics.LOS(s) for _, s, _ in self.sentences]
+            dist = distribution(values)
+            spread = self.cfg.stddev_k * dist.stddev
+            self._limits[metric_name] = (values, dist.mean - spread, dist.mean + spread)
+        return self._limits[metric_name]
 
 
-def _rel_line(d: UseCaseDescription, kind: SectionKind, line: int) -> int:
-    """Line number within the section (1 = first content line)."""
-    header = d.section_header_lines.get(kind, 0)
-    if header and line > header:
-        return line - header
-    return line
+Rule = Callable[[_Context, str, Callable[[Finding], None]], None]
+
+_ALT = SectionKind.ALTERNATE_FLOWS
+_EXC = SectionKind.EXCEPTION_FLOWS
 
 
 def detect(
@@ -180,283 +179,200 @@ def detect(
     """Tag d with lex, then run every enabled detection rule and return
     the ordered findings. Tags from an earlier analysis are replaced."""
     analyze_document(d, lex)
-
+    ctx = _Context(d, cfg)
     enabled = cfg.enabled_ids()
     findings: list[Finding] = []
-    add = findings.append
-
-    # Lack/Section: missing sections.
-    for smell_id, kind, predicate in _MISSING_SECTION_SMELLS:
-        if smell_id in enabled and not d.section_present(kind):
-            add(
-                Finding(
-                    smell_id=smell_id,
-                    item_name=kind.title,
-                    metric=predicate,
-                    line=0,
-                    evidence=SentenceEvidence(kind.title),
-                )
-            )
-
-    # Ambiguity/Section: unordered flows and origin-free branch flows.
-    for kind in _FLOW_SECTIONS:
-        if not d.section_present(kind):
-            continue
-        prefix = _SECTION_PREFIX[kind]
-        if kind is SectionKind.BASIC_FLOW:
-            flows = [d.basic_flow]
-        else:
-            flows = d.branch_flows(kind)
-        for flow in flows:
-            if "unordered-flow" in enabled:
-                failing = None
-                if metrics.flow_numbered(flow):
-                    failing = f"{prefix}Numbered?"
-                elif metrics.flow_ordered(flow):
-                    failing = f"{prefix}Ordered?"
-                elif metrics.flow_starts_with_1(flow):
-                    failing = f"{prefix}StartWith1?"
-                if failing is not None:
-                    add(_flow_finding(d, "unordered-flow", kind, flow, failing))
-        if kind is SectionKind.BASIC_FLOW:
-            continue
-        smell = (
-            "origin-free-alternate-flow"
-            if kind is SectionKind.ALTERNATE_FLOWS
-            else "origin-free-exception-flow"
-        )
-        if smell in enabled:
-            for flow in d.branch_flows(kind):
-                if not metrics.branch_origin_described(flow):
-                    add(
-                        _flow_finding(
-                            d, smell, kind, flow, f"{prefix}OriginDescribed?"
-                        )
-                    )
-
-    # Lack/Sentence: branch flows without return or reason.
-    for kind, without_return, unexplained in (
-        (
-            SectionKind.ALTERNATE_FLOWS,
-            "alternate-flow-without-return",
-            "unexplained-alternate-flow",
-        ),
-        (
-            SectionKind.EXCEPTION_FLOWS,
-            "exception-flow-without-return",
-            "unexplained-exception-flow",
-        ),
-    ):
-        prefix = _SECTION_PREFIX[kind]
-        for flow in d.branch_flows(kind):
-            if without_return in enabled and not metrics.branch_return_exists(flow):
-                sent = _last_sentence(flow)
-                add(
-                    Finding(
-                        smell_id=without_return,
-                        item_name=kind.title,
-                        metric=f"{prefix}ReturnExist?",
-                        line=_rel_line(d, kind, sent.line if sent else 0),
-                        evidence=SentenceEvidence(sent.text if sent else flow.id),
-                        span=sent.span if sent else flow.span,
-                    )
-                )
-            if unexplained in enabled and not metrics.branch_reason_exists(flow):
-                sent = _first_sentence(flow)
-                add(
-                    Finding(
-                        smell_id=unexplained,
-                        item_name=kind.title,
-                        metric=f"{prefix}ReasonExist?",
-                        line=_rel_line(
-                            d, kind, sent.line if sent else flow.span.line
-                        ),
-                        evidence=SentenceEvidence(sent.text if sent else flow.id),
-                        span=sent.span if sent else flow.span,
-                    )
-                )
-
-    # Granularity/Section: several flows sharing one branch condition.
-    for kind, smell, metric_name in (
-        (
-            SectionKind.ALTERNATE_FLOWS,
-            "multiple-alternate-flows-at-an-alternate-branch-condition",
-            "NOAFR",
-        ),
-        (
-            SectionKind.EXCEPTION_FLOWS,
-            "multiple-exception-flows-at-an-exception-branch-condition",
-            "NOEFR",
-        ),
-    ):
-        if smell not in enabled:
-            continue
-        for _, flows in metrics.reason_groups(d.branch_flows(kind)):
-            if len(flows) < cfg.same_reason_threshold:
-                continue
-            items = [f.id for f in flows]
-            for f in flows:
-                items.extend(
-                    s.text for step in f.steps for s in step.sentences
-                )
-            first = flows[0]
-            add(
-                Finding(
-                    smell_id=smell,
-                    item_name=kind.title,
-                    metric=metric_name,
-                    line=_rel_line(d, kind, first.span.line),
-                    evidence=FlowEvidence(tuple(items)),
-                    span=first.span,
-                )
-            )
-
-    # Word- and sentence-scope rules over every sentence.
-    sentences = list(d.iter_sentences())
-    suppress_actor = (
-        cfg.suppress_actor_word_when_single_actor
-        and d.actors is not None
-        and len(d.actors) == 1
-    )
-    for kind, s in sentences:
-        line = _rel_line(d, kind, s.line)
-        if "pronoun" in enabled:
-            for tok in s.tokens:
-                if tok.pos is PosTag.PRONOUN:
-                    add(
-                        Finding(
-                            smell_id="pronoun",
-                            item_name=kind.title,
-                            metric="NOP",
-                            line=line,
-                            evidence=WordEvidence(tok.surface),
-                            span=tok.span,
-                        )
-                    )
-        if "actor-actor" in enabled and not suppress_actor:
-            for tok in s.tokens:
-                if (
-                    tok.pos is PosTag.NOUN
-                    and tok.surface.lower() == ACTOR_WORD
-                ):
-                    add(
-                        Finding(
-                            smell_id="actor-actor",
-                            item_name=kind.title,
-                            metric=f'NON("{ACTOR_WORD}")',
-                            line=line,
-                            evidence=WordEvidence(tok.surface),
-                            span=tok.span,
-                        )
-                    )
-        if (
-            "sentence-with-multiple-actions" in enabled
-            and metrics.NOV(s) >= cfg.multi_action_verb_threshold
-        ):
-            add(_sentence_finding("sentence-with-multiple-actions", kind, s, "NOV", line))
-        if "repeating-the-same-noun" in enabled:
-            counts: dict[str, int] = {}
-            for tok in s.tokens:
-                if tok.pos is PosTag.NOUN:
-                    counts[tok.surface.lower()] = counts.get(tok.surface.lower(), 0) + 1
-            for noun, n in counts.items():
-                if n >= cfg.repeated_noun_threshold:
-                    add(
-                        _sentence_finding(
-                            "repeating-the-same-noun", kind, s, f'NON("{noun}")', line
-                        )
-                    )
-
-    # Granularity/Sentence: distribution-based thresholds.
-    findings.extend(_distribution_findings(d, cfg, enabled, sentences))
-
+    for smell_id, rule in RULES.items():
+        if smell_id in enabled:
+            rule(ctx, smell_id, findings.append)
     findings.sort(
-        key=lambda f: (_item_order(f.item_name), f.line, f.smell_id, f.span.start)
+        key=lambda f: (_ITEM_ORDER[f.item_name], f.line, f.smell_id, f.span.start)
     )
     return findings
 
 
-def _distribution_findings(d, cfg, enabled, sentences) -> list[Finding]:
-    out: list[Finding] = []
-    if len(sentences) < cfg.min_sentences_for_distribution:
-        return out
-    for values, high_smell, low_smell, metric_name in (
-        (
-            [len(s.tokens) if cfg.count_los_in_tokens else metrics.LOS(s) for _, s in sentences],
-            "long-sentence",
-            "short-sentence",
-            "LOS",
-        ),
-        (
-            [metrics.NOM(s) for _, s in sentences],
-            "relatively-over-qualified-sentence",
-            "relatively-under-qualified-sentence",
-            "NOM",
-        ),
-    ):
-        dist = distribution(values)
-        hi = dist.mean + cfg.stddev_k * dist.stddev
-        lo = dist.mean - cfg.stddev_k * dist.stddev
-        for (kind, s), v in zip(sentences, values):
-            line = _rel_line(d, kind, s.line)
-            if v > hi and high_smell in enabled:
-                out.append(_sentence_finding(high_smell, kind, s, metric_name, line))
-            elif v < lo and low_smell in enabled:
-                out.append(_sentence_finding(low_smell, kind, s, metric_name, line))
-    return out
+# --- section and flow rules -------------------------------------------------
 
 
-def _sentence_finding(smell_id, kind, s: Sentence, metric_name, line) -> Finding:
-    return Finding(
-        smell_id=smell_id,
-        item_name=kind.title,
-        metric=metric_name,
-        line=line,
-        evidence=SentenceEvidence(s.text),
-        span=s.span,
-    )
+def _missing_section(kind: SectionKind) -> Rule:
+    name = metrics.SECTION_EXIST[kind]
+
+    def rule(ctx, smell_id, add):
+        if not ctx.d.section_present(kind):  # the check PREDICATES[name] runs
+            add(Finding(smell_id, kind.title, name, 0, SentenceEvidence(kind.title)))
+
+    return rule
 
 
-def _flow_finding(d, smell_id, kind, flow, metric_name) -> Finding:
-    texts = [s.text for step in flow.steps for s in step.sentences]
+def _unordered_flow(ctx, smell_id, add):
+    """One finding per flow, naming the first ordering check it fails."""
+    for kind in (SectionKind.BASIC_FLOW, _ALT, _EXC):
+        for flow in metrics.section_flows(ctx.d, kind):
+            for suffix, check in metrics.ORDERING_CHECKS.items():
+                if check(flow):
+                    name = metrics.predicate_name(kind, suffix)
+                    add(_flow_finding(ctx, smell_id, kind, flow, name))
+                    break
+
+
+def _per_flow(kind: SectionKind, suffix: str, finding) -> Rule:
+    """One finding per branch flow of the section that fails the check."""
+    check = metrics.FLOW_CHECKS[suffix]
+    name = metrics.predicate_name(kind, suffix)
+
+    def rule(ctx, smell_id, add):
+        for flow in ctx.d.branch_flows(kind):
+            if check(flow):
+                add(finding(ctx, smell_id, kind, flow, name))
+
+    return rule
+
+
+def _shared_reason(kind: SectionKind, metric_name: str) -> Rule:
+    """One finding per group of flows sharing one branch condition."""
+
+    def rule(ctx, smell_id, add):
+        for _, flows in metrics.reason_groups(ctx.d.branch_flows(kind)):
+            if len(flows) < ctx.cfg.same_reason_threshold:
+                continue
+            items = [f.id for f in flows]
+            for f in flows:
+                items.extend(s.text for s in _sentences(f))
+            first = flows[0]
+            line = ctx.rel_line(kind, first.span.line)
+            evidence = FlowEvidence(tuple(items))
+            add(Finding(smell_id, kind.title, metric_name, line, evidence, first.span))
+
+    return rule
+
+
+def _sentences(flow) -> list[Sentence]:
+    return [s for step in flow.steps for s in step.sentences]
+
+
+def _flow_finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
+    texts = [s.text for s in _sentences(flow)]
     if isinstance(flow, BranchFlow):
         items = (flow.id, *texts)
         span = flow.span
     else:
         items = tuple(texts)
-        span = flow.steps[0].span if flow.steps else SourceSpan(0, 0, 0)
-    return Finding(
-        smell_id=smell_id,
-        item_name=kind.title,
-        metric=metric_name,
-        line=_rel_line(d, kind, span.line),
-        evidence=FlowEvidence(items),
-        span=span,
-    )
+        span = flow.steps[0].span if flow.steps else EMPTY_SPAN
+    line = ctx.rel_line(kind, span.line)
+    return Finding(smell_id, kind.title, metric_name, line, FlowEvidence(items), span)
 
 
-def _first_sentence(flow: BranchFlow) -> Optional[Sentence]:
-    for step in flow.steps:
-        for s in step.sentences:
-            return s
-    return None
+def _quote_sentence(index: int, line_without_sentences):
+    """A finding builder quoting the flow's sentence at index, or its id
+    when the flow has no sentence."""
+
+    def finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
+        sents = _sentences(flow)
+        if sents:
+            s = sents[index]
+            line = ctx.rel_line(kind, s.line)
+            return _sentence_finding(smell_id, kind, s, metric_name, line)
+        line = ctx.rel_line(kind, line_without_sentences(flow))
+        evidence = SentenceEvidence(flow.id)
+        return Finding(smell_id, kind.title, metric_name, line, evidence, flow.span)
+
+    return finding
 
 
-def _last_sentence(flow: BranchFlow) -> Optional[Sentence]:
-    sent = None
-    for step in flow.steps:
-        for s in step.sentences:
-            sent = s
-    return sent
+_first_sentence = _quote_sentence(0, lambda flow: flow.span.line)
+_last_sentence = _quote_sentence(-1, lambda flow: 0)
 
 
-_ITEM_ORDER = {
-    kind.title: i
-    for i, kind in enumerate(
-        sorted(SectionKind, key=section_index), start=0
-    )
+# --- word and sentence rules ------------------------------------------------
+
+
+def _pronoun(ctx, smell_id, add):
+    for kind, s, line in ctx.sentences:
+        for tok in s.tokens:
+            if tok.pos is PosTag.PRONOUN:
+                evidence = WordEvidence(tok.surface)
+                add(Finding(smell_id, kind.title, "NOP", line, evidence, tok.span))
+
+
+def _actor_word(ctx, smell_id, add):
+    actors = ctx.d.actors
+    if ctx.cfg.suppress_actor_word_when_single_actor and actors and len(actors) == 1:
+        return
+    metric_name = f'NON("{ACTOR_WORD}")'
+    for kind, s, line in ctx.sentences:
+        for tok in s.tokens:
+            if tok.pos is PosTag.NOUN and tok.surface.lower() == ACTOR_WORD:
+                evidence = WordEvidence(tok.surface)
+                add(Finding(smell_id, kind.title, metric_name, line, evidence, tok.span))
+
+
+def _multiple_actions(ctx, smell_id, add):
+    for kind, s, line in ctx.sentences:
+        if metrics.NOV(s) >= ctx.cfg.multi_action_verb_threshold:
+            add(_sentence_finding(smell_id, kind, s, "NOV", line))
+
+
+def _repeated_noun(ctx, smell_id, add):
+    for kind, s, line in ctx.sentences:
+        counts: dict[str, int] = {}
+        for tok in s.tokens:
+            if tok.pos is PosTag.NOUN:
+                noun = tok.surface.lower()
+                counts[noun] = counts.get(noun, 0) + 1
+        for noun, n in counts.items():
+            if n >= ctx.cfg.repeated_noun_threshold:
+                add(_sentence_finding(smell_id, kind, s, f'NON("{noun}")', line))
+
+
+def _outlier(metric_name: str, high: bool) -> Rule:
+    """Sentences whose value lies beyond the document's mean ± k·stddev."""
+
+    def rule(ctx, smell_id, add):
+        if len(ctx.sentences) < ctx.cfg.min_sentences_for_distribution:
+            return
+        values, lo, hi = ctx.limits(metric_name)
+        for (kind, s, line), v in zip(ctx.sentences, values):
+            if (v > hi) if high else (v < lo):
+                add(_sentence_finding(smell_id, kind, s, metric_name, line))
+
+    return rule
+
+
+def _sentence_finding(smell_id, kind, s: Sentence, metric_name, line) -> Finding:
+    evidence = SentenceEvidence(s.text)
+    return Finding(smell_id, kind.title, metric_name, line, evidence, s.span)
+
+
+RULES: dict[str, Rule] = {
+    "missing-actor-section": _missing_section(SectionKind.ACTORS),
+    "missing-exception-flows-section": _missing_section(_EXC),
+    "missing-alternate-flows-section": _missing_section(_ALT),
+    "missing-preconditions-section": _missing_section(SectionKind.PRECONDITIONS),
+    "missing-postconditions-section": _missing_section(SectionKind.POSTCONDITIONS),
+    "missing-description-section": _missing_section(SectionKind.OVERVIEW),
+    "missing-name-section": _missing_section(SectionKind.NAME),
+    "unordered-flow": _unordered_flow,
+    "origin-free-alternate-flow": _per_flow(_ALT, "OriginDescribed?", _flow_finding),
+    "origin-free-exception-flow": _per_flow(_EXC, "OriginDescribed?", _flow_finding),
+    "alternate-flow-without-return": _per_flow(_ALT, "ReturnExist?", _last_sentence),
+    "exception-flow-without-return": _per_flow(_EXC, "ReturnExist?", _last_sentence),
+    "unexplained-alternate-flow": _per_flow(_ALT, "ReasonExist?", _first_sentence),
+    "unexplained-exception-flow": _per_flow(_EXC, "ReasonExist?", _first_sentence),
+    "multiple-alternate-flows-at-an-alternate-branch-condition": _shared_reason(
+        _ALT, "NOAFR"
+    ),
+    "multiple-exception-flows-at-an-exception-branch-condition": _shared_reason(
+        _EXC, "NOEFR"
+    ),
+    "pronoun": _pronoun,
+    "actor-actor": _actor_word,
+    "sentence-with-multiple-actions": _multiple_actions,
+    "repeating-the-same-noun": _repeated_noun,
+    "long-sentence": _outlier("LOS", high=True),
+    "short-sentence": _outlier("LOS", high=False),
+    "relatively-over-qualified-sentence": _outlier("NOM", high=True),
+    "relatively-under-qualified-sentence": _outlier("NOM", high=False),
 }
 
-
-def _item_order(item_name: str) -> int:
-    return _ITEM_ORDER.get(item_name, len(_ITEM_ORDER))
+# Findings sort by section in canonical order.
+_ITEM_ORDER = {kind.title: i for i, kind in enumerate(CANONICAL_SECTIONS)}

@@ -2,8 +2,11 @@
 
 The numeric metrics (NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count
 features of single sentences or flow groups; the 22 predicates check
-structural properties of flows and sections. All are pure functions;
-the output names are the bit-exact strings the report format uses.
+structural properties of flows and sections. A flow predicate is named
+after its section and the suffix of its per-flow check in FLOW_CHECKS,
+a section predicate comes from SECTION_EXIST; the engine's rules call
+the same checks. All are pure functions; the output names are the
+bit-exact strings the report format uses.
 """
 
 from __future__ import annotations
@@ -21,27 +24,9 @@ from .model import (
     SourceSpan,
     UseCaseDescription,
 )
-
-RETURN_PHRASES = [
-    re.compile(
-        r"\breturns?\s+to\s+(?:step\s+\d+|(?:the\s+)?basic\s+flow|end)\b",
-        re.IGNORECASE,
-    ),
-    re.compile(r"\buse\s+case\s+ends\b", re.IGNORECASE),
-]
+from .parser import RETURN_RE
 
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    metric: str
-    target: SourceSpan
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("metric values are counts; got a negative")
 
 
 @dataclass(frozen=True)
@@ -148,15 +133,12 @@ def branch_origin_described(flow: BranchFlow) -> bool:
     )
 
 
-def branch_return_exists(flow: BranchFlow, patterns=None) -> bool:
+def branch_return_exists(flow: BranchFlow) -> bool:
     if flow.return_to is not None:
         return True
-    pats = patterns or RETURN_PHRASES
-    for step in flow.steps:
-        for s in step.sentences:
-            if any(p.search(s.text) for p in pats):
-                return True
-    return False
+    return any(
+        RETURN_RE.search(s.text) for step in flow.steps for s in step.sentences
+    )
 
 
 def branch_reason_exists(flow: BranchFlow) -> bool:
@@ -166,97 +148,74 @@ def branch_reason_exists(flow: BranchFlow) -> bool:
 # --- the 22 predicates ----------------------------------------------------
 
 
-def _target_flows(d: UseCaseDescription, kind: SectionKind) -> list:
+def _flow_span_unless(holds: Callable[[BranchFlow], bool]):
+    return lambda flow: [] if holds(flow) else [flow.span]
+
+
+# Per-flow checks keyed by predicate suffix. Each gives the spans where
+# one flow fails the check, empty when it holds. The ordering checks
+# apply to every flow section, the others to branch flows only.
+ORDERING_CHECKS: dict[str, Callable[[Flow], list[SourceSpan]]] = {
+    "Numbered?": flow_numbered,
+    "Ordered?": flow_ordered,
+    "StartWith1?": flow_starts_with_1,
+}
+FLOW_CHECKS: dict[str, Callable[[Flow], list[SourceSpan]]] = {
+    **ORDERING_CHECKS,
+    "OriginDescribed?": _flow_span_unless(branch_origin_described),
+    "ReturnExist?": _flow_span_unless(branch_return_exists),
+    "ReasonExist?": _flow_span_unless(branch_reason_exists),
+}
+
+SECTION_EXIST = {
+    SectionKind.ACTORS: "ActorSectionExist?",
+    SectionKind.EXCEPTION_FLOWS: "ExceptionFlowsSectionExist?",
+    SectionKind.ALTERNATE_FLOWS: "AlternateFlowsSectionExist?",
+    SectionKind.PRECONDITIONS: "PreconditionsSectionExist?",
+    SectionKind.POSTCONDITIONS: "PostconditionsSectionExist?",
+    SectionKind.OVERVIEW: "OverviewSectionExist?",
+    SectionKind.NAME: "NameSectionExist?",
+}
+
+
+def predicate_name(kind: SectionKind, suffix: str) -> str:
+    """Name of a flow predicate: (BASIC_FLOW, "Numbered?") gives
+    "BasicFlowNumbered?"."""
+    return kind.title.replace(" ", "") + suffix
+
+
+def section_flows(d: UseCaseDescription, kind: SectionKind) -> list:
+    """The flows of a flow section; none when the section is absent."""
+    if not d.section_present(kind):
+        return []
     if kind is SectionKind.BASIC_FLOW:
-        return [d.basic_flow] if d.basic_flow is not None else []
+        return [d.basic_flow]
     return d.branch_flows(kind)
 
 
-def _numbered(d, kind, name) -> PredicateResult:
-    if not d.section_present(kind):
-        return PredicateResult(name, True)
-    witnesses = [w for f in _target_flows(d, kind) for w in flow_numbered(f)]
-    return PredicateResult(name, not witnesses, tuple(witnesses))
+def _flow_predicate(kind: SectionKind, suffix: str):
+    name = predicate_name(kind, suffix)
+    check = FLOW_CHECKS[suffix]
+
+    def predicate(d: UseCaseDescription) -> PredicateResult:
+        witnesses = tuple(w for f in section_flows(d, kind) for w in check(f))
+        return PredicateResult(name, not witnesses, witnesses)
+
+    return name, predicate
 
 
-def _ordered(d, kind, name) -> PredicateResult:
-    if not d.section_present(kind):
-        return PredicateResult(name, True)
-    witnesses = [w for f in _target_flows(d, kind) for w in flow_ordered(f)]
-    return PredicateResult(name, not witnesses, tuple(witnesses))
+def _section_predicate(kind: SectionKind):
+    name = SECTION_EXIST[kind]
+    return name, lambda d: PredicateResult(name, d.section_present(kind))
 
 
-def _starts_with_1(d, kind, name) -> PredicateResult:
-    if not d.section_present(kind):
-        return PredicateResult(name, True)
-    witnesses = [w for f in _target_flows(d, kind) for w in flow_starts_with_1(f)]
-    return PredicateResult(name, not witnesses, tuple(witnesses))
+_BRANCH_SECTIONS = (SectionKind.EXCEPTION_FLOWS, SectionKind.ALTERNATE_FLOWS)
 
-
-def _origin_described(d, kind, name) -> PredicateResult:
-    if not d.section_present(kind):
-        return PredicateResult(name, True)
-    witnesses = [
-        f.span for f in d.branch_flows(kind) if not branch_origin_described(f)
-    ]
-    return PredicateResult(name, not witnesses, tuple(witnesses))
-
-
-def _section_exists(d, kind, name) -> PredicateResult:
-    return PredicateResult(name, d.section_present(kind))
-
-
-def _return_exists(d, kind, name) -> PredicateResult:
-    if not d.section_present(kind):
-        return PredicateResult(name, True)
-    witnesses = [
-        f.span for f in d.branch_flows(kind) if not branch_return_exists(f)
-    ]
-    return PredicateResult(name, not witnesses, tuple(witnesses))
-
-
-def _reason_exists(d, kind, name) -> PredicateResult:
-    if not d.section_present(kind):
-        return PredicateResult(name, True)
-    witnesses = [
-        f.span for f in d.branch_flows(kind) if not branch_reason_exists(f)
-    ]
-    return PredicateResult(name, not witnesses, tuple(witnesses))
-
-
-_BASIC = SectionKind.BASIC_FLOW
-_ALT = SectionKind.ALTERNATE_FLOWS
-_EXC = SectionKind.EXCEPTION_FLOWS
-
-_PREDICATE_SPECS: list[tuple[str, Callable, SectionKind]] = [
-    ("BasicFlowNumbered?", _numbered, _BASIC),
-    ("ExceptionFlowsNumbered?", _numbered, _EXC),
-    ("AlternateFlowsNumbered?", _numbered, _ALT),
-    ("BasicFlowOrdered?", _ordered, _BASIC),
-    ("ExceptionFlowsOrdered?", _ordered, _EXC),
-    ("AlternateFlowsOrdered?", _ordered, _ALT),
-    ("BasicFlowStartWith1?", _starts_with_1, _BASIC),
-    ("ExceptionFlowsStartWith1?", _starts_with_1, _EXC),
-    ("AlternateFlowsStartWith1?", _starts_with_1, _ALT),
-    ("ExceptionFlowsOriginDescribed?", _origin_described, _EXC),
-    ("AlternateFlowsOriginDescribed?", _origin_described, _ALT),
-    ("ActorSectionExist?", _section_exists, SectionKind.ACTORS),
-    ("ExceptionFlowsSectionExist?", _section_exists, _EXC),
-    ("AlternateFlowsSectionExist?", _section_exists, _ALT),
-    ("PreconditionsSectionExist?", _section_exists, SectionKind.PRECONDITIONS),
-    ("PostconditionsSectionExist?", _section_exists, SectionKind.POSTCONDITIONS),
-    ("OverviewSectionExist?", _section_exists, SectionKind.OVERVIEW),
-    ("NameSectionExist?", _section_exists, SectionKind.NAME),
-    ("ExceptionFlowsReturnExist?", _return_exists, _EXC),
-    ("AlternateFlowsReturnExist?", _return_exists, _ALT),
-    ("ExceptionFlowsReasonExist?", _reason_exists, _EXC),
-    ("AlternateFlowsReasonExist?", _reason_exists, _ALT),
-]
-
-PREDICATES: dict[str, Callable[[UseCaseDescription], PredicateResult]] = {
-    name: (lambda d, fn=fn, kind=kind, name=name: fn(d, kind, name))
-    for name, fn, kind in _PREDICATE_SPECS
-}
+PREDICATES: dict[str, Callable[[UseCaseDescription], PredicateResult]] = dict(
+    [_flow_predicate(SectionKind.BASIC_FLOW, suffix) for suffix in ORDERING_CHECKS]
+    + [_flow_predicate(k, suffix) for suffix in FLOW_CHECKS for k in _BRANCH_SECTIONS]
+    + [_section_predicate(kind) for kind in SECTION_EXIST]
+)
 
 
 def evaluate_predicate(name: str, d: UseCaseDescription) -> PredicateResult:

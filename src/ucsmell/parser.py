@@ -66,7 +66,7 @@ _BRANCH_HEADER_RE = re.compile(r"^([AE])(\d+)(?!\.\d)\b[\s.:\-]*(.*)$")
 _CONDITION_RE = re.compile(r"^(if|when)\b", re.IGNORECASE)
 _AT_STEP_RE = re.compile(r"\bat step\s+(\d+)\b", re.IGNORECASE)
 _ORIGIN_RE = re.compile(r"^origin\s*:\s*(?:step\s+)?(\d+)\s*$", re.IGNORECASE)
-_RETURN_RE = re.compile(
+RETURN_RE = re.compile(
     r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?basic\s+flow|(end))\b"
     r"|\buse\s+case\s+ends\b",
     re.IGNORECASE,
@@ -256,7 +256,7 @@ def parse_text(
 
 
 def _note_return(flow: BranchFlow, text: str) -> None:
-    m = _RETURN_RE.search(text)
+    m = RETURN_RE.search(text)
     if m is None:
         return
     if m.group(1):
@@ -278,7 +278,7 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
         if am:
             flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
         return
-    rm = _RETURN_RE.search(text)
+    rm = RETURN_RE.search(text)
     if rm is not None:
         _note_return(flow, text)
         if rm.start() == 0 and rm.end() >= len(text.rstrip(" .!?")):
@@ -364,7 +364,16 @@ def parse_json(
         doc = _doc_from_obj(obj, name)
     except _SchemaError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, str(exc), 0)]
-    return doc, []
+    # Like parse_text, keep every flow and warn about each repeated id.
+    diags = []
+    for flows in (doc.alternate_flows, doc.exception_flows):
+        seen: set[str] = set()
+        for flow in flows:
+            if flow.id in seen:
+                msg = f"duplicate flow id '{flow.id}'"
+                diags.append(ParseDiagnostic(Severity.WARNING, msg, 0))
+            seen.add(flow.id)
+    return doc, diags
 
 
 def _doc_from_obj(obj, name: SourceRef) -> UseCaseDescription:
@@ -413,12 +422,7 @@ def _doc_from_obj(obj, name: SourceRef) -> UseCaseDescription:
     ):
         if key in obj:
             _expect(isinstance(obj[key], list), f"'{key}' must be an array")
-            flows = [_branch_from_obj(f) for f in obj[key]]
-            ids = [f.id for f in flows]
-            _expect(
-                len(ids) == len(set(ids)), f"duplicate flow id in '{key}'"
-            )
-            setattr(doc, key, flows)
+            setattr(doc, key, [_branch_from_obj(f) for f in obj[key]])
             doc.section_order.append(kind)
     return doc
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .catalogue import by_id, catalogue
+from .catalogue import by_id
 from .model import (
     Characteristic,
     Finding,
@@ -33,16 +33,8 @@ class ReportFormat(Enum):
     PRETTY = "pretty"
 
 
-class GroupBy(Enum):
-    SMELL = "smell"
-    SECTION = "section"
-    LINE = "line"
-
-
 @dataclass(frozen=True)
 class ReportOptions:
-    format: ReportFormat = ReportFormat.PRETTY
-    group_by: GroupBy = GroupBy.LINE
     fail_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -98,18 +90,9 @@ def _excerpt(f: Finding, limit: int = 60) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def emit_pretty(
-    findings: list[Finding],
-    source_name: str = "",
-    group_by: GroupBy = GroupBy.LINE,
-) -> str:
+def emit_pretty(findings: list[Finding], source_name: str = "") -> str:
     lines: list[str] = []
-    ordered = list(findings)
-    if group_by is GroupBy.SMELL:
-        ordered.sort(key=lambda f: (f.smell_id, f.line))
-    elif group_by is GroupBy.SECTION:
-        ordered.sort(key=lambda f: (f.item_name, f.line, f.smell_id))
-    for f in ordered:
+    for f in findings:
         smell = by_id(f.smell_id)
         lines.append(
             f"{source_name}:{f.line}: [{f.smell_id}] {smell.name} - {_excerpt(f)}"
@@ -145,19 +128,10 @@ def _grid_lines(findings: list[Finding]) -> list[str]:
     return lines
 
 
-def render(
-    findings: list[Finding], options: ReportOptions, source_name: str = ""
-) -> str:
-    if options.format is ReportFormat.JSON:
-        return emit_json(findings) + "\n"
-    return emit_pretty(findings, source_name, options.group_by)
-
-
 __all__ = [
     "EXIT_FINDINGS",
     "EXIT_OK",
     "EXIT_PARSE_ERROR",
-    "GroupBy",
     "ReportFormat",
     "ReportOptions",
     "emit_json",
@@ -165,5 +139,4 @@ __all__ = [
     "exit_code",
     "finding_record",
     "parse_report",
-    "render",
 ]

@@ -203,10 +203,6 @@ def tag(tokens: list[Token], lex: Lexicon) -> list[Token]:
     return [Token(t.surface, pos, t.span) for t, pos in zip(tokens, tags)]
 
 
-def count_pos(tokens: list[Token], pos: PosTag) -> int:
-    return sum(1 for t in tokens if t.pos is pos)
-
-
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     """Fill in sentence.tokens (tokenized and tagged) in place."""
     words = _words(sentence.text, sentence.span.start)

@@ -2,18 +2,22 @@ import dataclasses
 from collections import Counter
 
 import pytest
+import seeding
 
+from ucsmell import metrics
+from ucsmell.catalogue import detectable_ids
 from ucsmell.engine import (
+    RULES,
     DetectorConfig,
     detect,
     distribution,
     load_config,
     parse_config,
 )
-from ucsmell.model import WordEvidence
-from ucsmell.parser import parse_text
+from ucsmell.model import SectionKind, WordEvidence
+from ucsmell.parser import parse_json, parse_text, serialize
 
-from conftest import parse_fixture
+from conftest import FIXTURES, parse_fixture
 
 
 def findings_for(text, lexicon, cfg=None):
@@ -355,3 +359,91 @@ def test_stddev_k_configurable(lexicon):
     ) + "\n"
     loose = findings_for(text, lexicon, DetectorConfig(stddev_k=10.0))
     assert not any(f.smell_id == "long-sentence" for f in loose)
+
+
+# --- one rule per smell, one implementation per predicate ----------------
+
+
+def test_rule_table_has_one_rule_per_detectable_smell():
+    assert set(RULES) == detectable_ids()
+    assert len(RULES) == len(detectable_ids()) == 24
+
+
+_ORDERING_SECTIONS = {
+    metrics.predicate_name(kind, suffix): kind
+    for kind in (
+        SectionKind.BASIC_FLOW,
+        SectionKind.ALTERNATE_FLOWS,
+        SectionKind.EXCEPTION_FLOWS,
+    )
+    for suffix in metrics.ORDERING_CHECKS
+}
+
+
+# Branch flows that skip a step, start at 2, or hold an unnumbered step
+# next to a skipped one; the fixtures and seeded suites break only the
+# basic flow's numbering.
+_BROKEN_BRANCH_NUMBERING = (
+    "Name: Pay bill\n"
+    "Overview: The customer pays a bill.\n"
+    "Actors:\n"
+    "Customer\n"
+    "Basic Flow:\n"
+    "1. The customer opens the bill.\n"
+    "2. The customer pays the bill.\n"
+    "Alternate Flows:\n"
+    "A1 If the bill is late at step 1\n"
+    "A1.1 The system adds a fee.\n"
+    "A1.3 The flow returns to step 2.\n"
+    "A2 If the bill is disputed at step 1\n"
+    "A2.2 The system flags the bill.\n"
+    "A2.3 The use case ends.\n"
+    "A3 If the bill is split at step 2\n"
+    "The system asks for the parts.\n"
+    "A3.1 The system records the parts.\n"
+    "A3.4 The flow returns to step 2.\n"
+    "Exception Flows:\n"
+    "E1 If the network fails at step 2\n"
+    "E1.2 The system shows an error.\n"
+    "E1.3 The use case ends.\n"
+    "E2 If the card is refused at step 2\n"
+    "E2.1 The system shows a refusal.\n"
+    "E2.3 The use case ends.\n"
+    "E3 If the bank is closed at step 2\n"
+    "The system waits.\n"
+    "E3.1 The use case ends.\n"
+)
+
+
+def _agreement_corpus():
+    texts = [p.read_text("utf-8") for p in sorted(FIXTURES.glob("*.ucd"))]
+    texts.append(_BROKEN_BRANCH_NUMBERING)
+    texts += [
+        d.text for d in seeding.seeded_documents() + seeding.clean_documents()
+    ]
+    for text in texts:
+        doc, _ = parse_text(text)
+        yield doc
+        again, diags = parse_json(serialize(doc))
+        assert again is not None, diags
+        yield again
+
+
+def test_predicates_and_findings_agree(lexicon):
+    failed_somewhere = set()
+    for doc in _agreement_corpus():
+        findings = detect(doc, DetectorConfig(), lexicon)
+        results = {name: p(doc) for name, p in metrics.PREDICATES.items()}
+        failing = {name for name, r in results.items() if not r.holds}
+        failed_somewhere |= failing
+        labels = {f.metric for f in findings}
+        for name in results.keys() - _ORDERING_SECTIONS.keys():
+            assert (name in failing) == (name in labels), name
+        unordered = [f for f in findings if f.smell_id == "unordered-flow"]
+        for f in unordered:
+            assert f.metric in _ORDERING_SECTIONS and f.metric in failing, f
+        for name in failing & _ORDERING_SECTIONS.keys():
+            title = _ORDERING_SECTIONS[name].title
+            assert any(f.item_name == title for f in unordered), name
+    # The corpus makes every predicate fail somewhere, so no check is vacuous.
+    assert failed_somewhere == set(metrics.PREDICATES)

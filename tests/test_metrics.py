@@ -1,5 +1,3 @@
-import pytest
-
 from ucsmell import metrics
 from ucsmell.metrics import (
     LOS,
@@ -11,7 +9,6 @@ from ucsmell.metrics import (
     NOV,
     NOW,
     PREDICATES,
-    MetricValue,
     evaluate_predicate,
     normalize_reason,
     reason_groups,
@@ -65,11 +62,6 @@ def test_los_counts_characters():
     assert LOS(Sentence(text="abcd")) == 4
     assert LOS(Sentence(text="  abcd  ")) == 4
     assert LOS(Sentence(text="café")) == 4  # scalar values, not bytes
-
-
-def test_metric_value_rejects_negative():
-    with pytest.raises(ValueError):
-        MetricValue("LOS", SourceSpan(0, 0), -1)
 
 
 def test_normalize_reason():

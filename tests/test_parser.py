@@ -179,7 +179,7 @@ def test_parse_json_rejects_invalid_json():
     assert "invalid JSON" in diags[0].message
 
 
-def test_parse_json_rejects_duplicate_flow_ids():
+def test_parse_json_keeps_duplicate_flow_ids_with_a_warning():
     src = json.dumps(
         {
             "basic_flow": [{"label": "1", "text": "A does B."}],
@@ -190,8 +190,26 @@ def test_parse_json_rejects_duplicate_flow_ids():
         }
     )
     doc, diags = parse_json(src)
-    assert doc is None
-    assert "duplicate flow id" in diags[0].message
+    assert [f.id for f in doc.alternate_flows] == ["A1", "A1"]
+    assert [(d.severity, d.message) for d in diags] == [
+        (Severity.WARNING, "duplicate flow id 'A1'")
+    ]
+
+
+def test_duplicate_flow_ids_round_trip_with_the_same_warning():
+    text = (
+        "Basic Flow:\n1. A does B.\nAlternate Flows:\n"
+        "A1 If x at step 1\nA1.1 B happens.\n"
+        "A1 If y at step 1\nA1.1 C happens.\n"
+        "Exception Flows:\nE1 If z at step 1\nE1.1 D fails.\n"
+        "E1 If w at step 1\nE1.1 E fails.\nE1 If v at step 1\nE1.1 F fails.\n"
+    )
+    doc, text_diags = parse_text(text)
+    again, json_diags = parse_json(serialize(doc))
+    assert again == doc
+    messages = ["duplicate flow id 'A1'"] + ["duplicate flow id 'E1'"] * 2
+    assert [d.message for d in text_diags] == messages
+    assert [d.message for d in json_diags] == messages
 
 
 def test_parse_json_rederives_origin_and_return():

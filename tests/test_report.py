@@ -125,18 +125,6 @@ def test_emit_pretty_grid_totals():
     assert ambiguity_row.split()[-1] == "3"
 
 
-def test_emit_pretty_group_by_smell():
-    findings = [sentence_finding(), word_finding()]
-    out = report.emit_pretty(findings, group_by=report.GroupBy.SMELL)
-    first, second = [ln for ln in out.splitlines() if ln.startswith(":")][:2]
-    assert "[long-sentence]" in first and "[pronoun]" in second
-
-
-def test_render_json_ends_with_newline():
-    opts = report.ReportOptions(format=report.ReportFormat.JSON)
-    assert report.render([], opts).endswith("\n")
-
-
 def test_golden_files_byte_identical(lexicon, fixtures_dir):
     from ucsmell.parser import parse_text
 

@@ -5,7 +5,6 @@ from ucsmell.model import PosTag, Sentence
 from ucsmell.textanalysis import (
     Lexicon,
     analyze_sentence,
-    count_pos,
     load_lexicon,
     parse_lexicon,
     tag,
@@ -152,12 +151,6 @@ def test_stopwords_and_digits_are_other(lexicon):
 
 def test_unknown_words_default_to_noun(lexicon):
     assert pos_of("The frobnicator hums.", "frobnicator", lexicon) is PosTag.NOUN
-
-
-def test_count_pos(lexicon):
-    tokens = tag(tokenize("System shows the page and saves the data."), lexicon)
-    assert count_pos(tokens, PosTag.VERB) == 2
-    assert count_pos(tokens, PosTag.NOUN) == 3
 
 
 def test_analyze_sentence_fills_tokens(lexicon):
