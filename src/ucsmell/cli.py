@@ -8,7 +8,7 @@ import re
 import sys
 from typing import Optional
 
-from . import engine, evaluation, report
+from . import engine, report
 from .catalogue import catalogue, smell_space_cell
 from .model import Characteristic, Scope, SourceRef, UseCaseDescription
 from .parser import parse_json, parse_text
@@ -66,10 +66,13 @@ def _load_detector_config(args) -> engine.DetectorConfig:
     if args.disable:
         overrides["enabled_smells"] = cfg.enabled_ids() - set(args.disable)
     if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+        cfg = cfg._replace(**overrides)
     return cfg
+
+
+def _usage_error(reason) -> int:
+    print(f"ucsmell: {reason}", file=sys.stderr)
+    return report.EXIT_PARSE_ERROR
 
 
 def _parse_file(path: str) -> tuple[Optional[UseCaseDescription], list]:
@@ -89,10 +92,13 @@ def _report_diagnostics(path: str, diags) -> None:
 
 
 def _cmd_lint(args) -> int:
-    cfg = _load_detector_config(args)
-    lex = load_lexicon(args.lexicon)
+    try:
+        cfg = _load_detector_config(args)
+        lex = load_lexicon(args.lexicon)
+        options = report.ReportOptions(fail_threshold=args.fail_threshold)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     fmt = report.ReportFormat(args.format)
-    options = report.ReportOptions(fail_threshold=args.fail_threshold)
 
     # A file that fails to parse is reported on stderr and skipped; the
     # others are still linted and reported, and the exit code becomes 2.
@@ -161,9 +167,21 @@ def _cmd_catalogue(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_detector_config(args)
-    lex = load_lexicon(args.lexicon)
+    from . import evaluation  # only eval needs it; lint starts faster without
+
     path = args.inputs[0]
+    if path.endswith(".json"):
+        # Findings on JSON input all sit on line 0, so matching them to
+        # the oracle's lines would mean nothing.
+        return _usage_error(
+            f"{path}: eval needs line numbers, which JSON input does not "
+            "carry; evaluate the .ucd text instead"
+        )
+    try:
+        cfg = _load_detector_config(args)
+        lex = load_lexicon(args.lexicon)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     doc, diags = _parse_file(path)
     _report_diagnostics(path, diags)
     if doc is None:

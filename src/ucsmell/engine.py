@@ -13,9 +13,8 @@ distribution rules stay inert on documents with too few sentences.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import Callable, Optional
+import math
+from typing import Callable, NamedTuple, Optional
 
 from . import metrics
 from .catalogue import detectable_ids
@@ -37,8 +36,7 @@ from .textanalysis import Lexicon, analyze_document
 ACTOR_WORD = "actor"
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class _ConfigFields(NamedTuple):
     stddev_k: float = 2.0
     min_sentences_for_distribution: int = 5
     multi_action_verb_threshold: int = 2
@@ -48,7 +46,12 @@ class DetectorConfig:
     count_los_in_tokens: bool = False
     enabled_smells: Optional[frozenset[str]] = None  # None = all detectable
 
-    def __post_init__(self) -> None:
+
+class DetectorConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DetectorConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.stddev_k <= 0:
             raise ValueError("stddev_k must be positive")
         for name in (
@@ -58,6 +61,12 @@ class DetectorConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DetectorConfig:
+        # _replace builds through _make; keep the checks on that path too.
+        return cls(*iterable)
 
     def enabled_ids(self) -> frozenset[str]:
         """The smells this config runs: enabled_smells, or all detectable."""
@@ -117,19 +126,44 @@ def load_config(path: str) -> DetectorConfig:
         return parse_config(fh.read())
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     n: int
     mean: float
     stddev: float  # sample standard deviation, 0 when n == 1
 
 
 def distribution(values: list[int]) -> Distribution:
-    if not values:
+    """Mean and sample standard deviation of integer values, each the
+    float nearest to the exact result (as statistics.fmean and, from
+    Python 3.11, statistics.stdev give them)."""
+    n = len(values)
+    if not n:
         raise ValueError("distribution of an empty value list is undefined")
-    mean = statistics.fmean(values)
-    stddev = statistics.stdev(values) if len(values) > 1 else 0.0
-    return Distribution(n=len(values), mean=mean, stddev=stddev)
+    total = sum(values)
+    if n == 1:
+        return Distribution(1, total / n, 0.0)
+    # The sample variance is exactly num / den.
+    num = n * sum(v * v for v in values) - total * total
+    den = n * (n - 1)
+    return Distribution(n, total / n, _sqrt_of_fraction(num, den))
+
+
+def _sqrt_of_fraction(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for integers num >= 0, den > 0.
+
+    The integer root keeps at least 2·53 + 3 = 109 bits and is rounded to
+    odd (its last bit is set when it is inexact), so the one rounding to a
+    53-bit float that follows is the correct one. This is how CPython 3.11+
+    computes statistics.stdev.
+    """
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return math.ldexp(root, shift)
 
 
 class _Context:
@@ -328,7 +362,8 @@ def _outlier(metric_name: str, high: bool) -> Rule:
     """Sentences whose value lies beyond the document's mean ± k·stddev."""
 
     def rule(ctx, smell_id, add):
-        if len(ctx.sentences) < ctx.cfg.min_sentences_for_distribution:
+        n = len(ctx.sentences)
+        if n == 0 or n < ctx.cfg.min_sentences_for_distribution:
             return
         values, lo, hi = ctx.limits(metric_name)
         for (kind, s, line), v in zip(ctx.sentences, values):

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalogue import by_id
 from .model import (
@@ -28,6 +27,7 @@ from .model import (
     Scope,
     SentenceEvidence,
     WordEvidence,
+    _Record,
 )
 
 LINE_TOLERANCE = 1
@@ -35,19 +35,21 @@ LINE_TOLERANCE = 1
 Category = tuple[Characteristic, Scope]
 
 
-@dataclass(frozen=True)
-class OracleEntry:
+class OracleEntry(NamedTuple):
     smell_id: str
     item_name: str
     line: int
     evidence_hint: Optional[str] = None
 
 
-@dataclass
-class Tally:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+class Tally(_Record):
+    __slots__ = ("tp", "fp", "fn")
+    _fields = _compared = ("tp", "fp", "fn")
+
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0) -> None:
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
 
     @property
     def precision(self) -> Optional[float]:
@@ -60,11 +62,19 @@ class Tally:
         return self.tp / total if total else None
 
 
-@dataclass
-class EvalReport:
-    per_category: dict[Category, Tally] = field(default_factory=dict)
-    totals: Tally = field(default_factory=Tally)
-    matched_pairs: list[tuple[Finding, OracleEntry]] = field(default_factory=list)
+class EvalReport(_Record):
+    __slots__ = ("per_category", "totals", "matched_pairs")
+    _fields = _compared = ("per_category", "totals", "matched_pairs")
+
+    def __init__(
+        self,
+        per_category: Optional[dict[Category, Tally]] = None,
+        totals: Optional[Tally] = None,
+        matched_pairs: Optional[list[tuple[Finding, OracleEntry]]] = None,
+    ) -> None:
+        self.per_category = {} if per_category is None else per_category
+        self.totals = Tally() if totals is None else totals
+        self.matched_pairs = [] if matched_pairs is None else matched_pairs
 
 
 def load_oracle(source: str) -> list[OracleEntry]:

@@ -12,8 +12,7 @@ bit-exact strings the report format uses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import (
     BranchFlow,
@@ -29,8 +28,7 @@ from .parser import RETURN_RE
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class PredicateResult:
+class PredicateResult(NamedTuple):
     predicate: str
     holds: bool
     witnesses: tuple[SourceSpan, ...] = ()

@@ -6,14 +6,19 @@ Position data (spans, line numbers, section order) is excluded from
 equality so that documents loaded from different serializations of the
 same content compare equal.
 
-Token and SourceSpan are built once per word, so they are named tuples:
-immutable, hashable and cheap to create. Unlike the dataclasses here they
-compare equal to plain tuples with the same fields and can be unpacked.
+The immutable value records (SourceSpan, Token, Finding, ...) are named
+tuples: hashable and cheap to create, and, like any tuple, equal to a
+plain tuple with the same fields. The records the parser and the analyzer
+fill in (Sentence, Step, Flow, BranchFlow, UseCaseDescription) are
+__slots__ classes whose equality reads only the fields in _compared. The
+evidence kinds are frozen __slots__ classes, so evidence of one kind never
+equals evidence of another. No record is a dataclass: importing
+dataclasses and generating each class's methods would cost a cold lint
+process more than the rest of this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -113,20 +118,67 @@ class SourceSpan(_SpanFields):
 EMPTY_SPAN = SourceSpan(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class SourceRef:
+class _Record:
+    """Equality and repr over the fields a subclass names.
+
+    repr shows the fields in _fields; equality compares the fields in
+    _compared, and only between records of the same class. A record is
+    mutable, so it is unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose __init__ sets each field once, through
+    object.__setattr__, and takes the compared fields in order. It is
+    hashable over those fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__.
+        return self.__class__, self._key()
+
+
+class SourceRef(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class StepRef:
+class StepRef(NamedTuple):
     section: SectionKind
     label: str
 
 
-@dataclass(frozen=True)
-class EndMarker:
+class EndMarker(_FrozenRecord):
     """Return destination meaning "the use case ends here"."""
+
+    __slots__ = ()
 
 
 END = EndMarker()
@@ -140,60 +192,123 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
-@dataclass
-class Sentence:
-    text: str
-    line: int = field(default=0, compare=False)
-    span: SourceSpan = field(default=EMPTY_SPAN, compare=False)
-    tokens: list[Token] = field(default_factory=list, compare=False, repr=False)
+class Sentence(_Record):
+    __slots__ = ("text", "line", "span", "tokens")
+    _fields = ("text", "line", "span")
+    _compared = ("text",)
+
+    def __init__(
+        self,
+        text: str,
+        line: int = 0,
+        span: SourceSpan = EMPTY_SPAN,
+        tokens: Optional[list[Token]] = None,
+    ) -> None:
+        self.text = text
+        self.line = line
+        self.span = span
+        self.tokens = [] if tokens is None else tokens
 
 
-@dataclass
-class Step:
-    label: Optional[str]
-    number: Optional[int]
-    sentences: list[Sentence]
-    span: SourceSpan = field(default=EMPTY_SPAN, compare=False)
+class Step(_Record):
+    __slots__ = ("label", "number", "sentences", "span")
+    _fields = ("label", "number", "sentences", "span")
+    _compared = ("label", "number", "sentences")
+
+    def __init__(
+        self,
+        label: Optional[str],
+        number: Optional[int],
+        sentences: list[Sentence],
+        span: SourceSpan = EMPTY_SPAN,
+    ) -> None:
+        self.label = label
+        self.number = number
+        self.sentences = sentences
+        self.span = span
 
 
-@dataclass
-class Flow:
-    steps: list[Step]
+class Flow(_Record):
+    __slots__ = ("steps",)
+    _fields = _compared = ("steps",)
+
+    def __init__(self, steps: list[Step]) -> None:
+        self.steps = steps
 
 
-@dataclass
-class BranchFlow:
-    id: str
-    condition: Optional[Sentence] = None
-    origin: Optional[StepRef] = None
-    return_to: Optional[ReturnTarget] = None
-    steps: list[Step] = field(default_factory=list)
-    span: SourceSpan = field(default=EMPTY_SPAN, compare=False)
+class BranchFlow(_Record):
+    __slots__ = ("id", "condition", "origin", "return_to", "steps", "span")
+    _fields = ("id", "condition", "origin", "return_to", "steps", "span")
+    _compared = ("id", "condition", "origin", "return_to", "steps")
+
+    def __init__(
+        self,
+        id: str,
+        condition: Optional[Sentence] = None,
+        origin: Optional[StepRef] = None,
+        return_to: Optional[ReturnTarget] = None,
+        steps: Optional[list[Step]] = None,
+        span: SourceSpan = EMPTY_SPAN,
+    ) -> None:
+        self.id = id
+        self.condition = condition
+        self.origin = origin
+        self.return_to = return_to
+        self.steps = [] if steps is None else steps
+        self.span = span
 
 
-@dataclass(frozen=True)
-class ActorDecl:
+class ActorDecl(NamedTuple):
     name: str
     description: Optional[str] = None
 
 
-@dataclass
-class UseCaseDescription:
-    name: Optional[str] = None
-    overview: Optional[str] = None
-    actors: Optional[list[ActorDecl]] = None
-    preconditions: Optional[list[Sentence]] = None
-    postconditions: Optional[list[Sentence]] = None
-    basic_flow: Optional[Flow] = None
-    alternate_flows: list[BranchFlow] = field(default_factory=list)
-    exception_flows: list[BranchFlow] = field(default_factory=list)
-    source: SourceRef = field(default=SourceRef("<memory>"), compare=False)
-    section_order: list[SectionKind] = field(default_factory=list, compare=False)
-    # 1-based line of each section header; lets findings report
-    # section-relative line numbers. Zero/absent when unknown.
-    section_header_lines: dict[SectionKind, int] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+_DOCUMENT_CONTENT = (
+    "name",
+    "overview",
+    "actors",
+    "preconditions",
+    "postconditions",
+    "basic_flow",
+    "alternate_flows",
+    "exception_flows",
+)
+
+
+class UseCaseDescription(_Record):
+    __slots__ = (*_DOCUMENT_CONTENT, "source", "section_order", "section_header_lines")
+    _fields = (*_DOCUMENT_CONTENT, "source", "section_order")
+    _compared = _DOCUMENT_CONTENT
+
+    def __init__(
+        self,
+        name: Optional[str] = None,
+        overview: Optional[str] = None,
+        actors: Optional[list[ActorDecl]] = None,
+        preconditions: Optional[list[Sentence]] = None,
+        postconditions: Optional[list[Sentence]] = None,
+        basic_flow: Optional[Flow] = None,
+        alternate_flows: Optional[list[BranchFlow]] = None,
+        exception_flows: Optional[list[BranchFlow]] = None,
+        source: SourceRef = SourceRef("<memory>"),
+        section_order: Optional[list[SectionKind]] = None,
+        section_header_lines: Optional[dict[SectionKind, int]] = None,
+    ) -> None:
+        self.name = name
+        self.overview = overview
+        self.actors = actors
+        self.preconditions = preconditions
+        self.postconditions = postconditions
+        self.basic_flow = basic_flow
+        self.alternate_flows = [] if alternate_flows is None else alternate_flows
+        self.exception_flows = [] if exception_flows is None else exception_flows
+        self.source = source
+        self.section_order = [] if section_order is None else section_order
+        # 1-based line of each section header; lets findings report
+        # section-relative line numbers. Zero/absent when unknown.
+        self.section_header_lines = (
+            {} if section_header_lines is None else section_header_lines
+        )
 
     def section_present(self, kind: SectionKind) -> bool:
         if kind is SectionKind.NAME:
@@ -245,8 +360,7 @@ class UseCaseDescription:
                         yield kind, s
 
 
-@dataclass(frozen=True)
-class SmellType:
+class SmellType(NamedTuple):
     """One catalogue entry describing a kind of bad smell."""
 
     id: str
@@ -263,26 +377,34 @@ class SmellType:
         return (self.characteristic, self.scope)
 
 
-@dataclass(frozen=True)
-class WordEvidence:
-    text: str
+class _TextEvidence(_FrozenRecord):
+    __slots__ = ("text",)
+    _fields = _compared = ("text",)
+
+    def __init__(self, text: str) -> None:
+        object.__setattr__(self, "text", text)
 
 
-@dataclass(frozen=True)
-class SentenceEvidence:
-    text: str
+class WordEvidence(_TextEvidence):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FlowEvidence:
-    items: tuple[str, ...]
+class SentenceEvidence(_TextEvidence):
+    __slots__ = ()
+
+
+class FlowEvidence(_FrozenRecord):
+    __slots__ = ("items",)
+    _fields = _compared = ("items",)
+
+    def __init__(self, items: tuple[str, ...]) -> None:
+        object.__setattr__(self, "items", items)
 
 
 Evidence = Union[WordEvidence, SentenceEvidence, FlowEvidence]
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One detected smell occurrence.
 
     line is 1-based within the section named by item_name; section-absence

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     END,
@@ -36,8 +35,7 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: Severity
     message: str
     line: int

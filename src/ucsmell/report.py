@@ -9,9 +9,8 @@ and array ordering are fixed so golden-file tests stay byte-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalogue import by_id
 from .model import (
@@ -33,13 +32,22 @@ class ReportFormat(Enum):
     PRETTY = "pretty"
 
 
-@dataclass(frozen=True)
-class ReportOptions:
+class _OptionFields(NamedTuple):
     fail_threshold: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.fail_threshold is not None and self.fail_threshold < 0:
+
+class ReportOptions(_OptionFields):
+    __slots__ = ()
+
+    def __new__(cls, fail_threshold: Optional[int] = None) -> ReportOptions:
+        if fail_threshold is not None and fail_threshold < 0:
             raise ValueError("fail_threshold must be >= 0")
+        return tuple.__new__(cls, (fail_threshold,))
+
+    @classmethod
+    def _make(cls, iterable) -> ReportOptions:
+        # _replace builds through _make; keep the check on that path too.
+        return cls(*iterable)
 
 
 def exit_code(findings_count: int, options: ReportOptions) -> int:

@@ -8,12 +8,11 @@ and lexicon, same tags.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Optional
 
-from .model import PosTag, Sentence, SourceSpan, Token
+from .model import PosTag, Sentence, SourceSpan, Token, _FrozenRecord
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 
@@ -34,18 +33,39 @@ DEFAULT_VERB_SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
 _WordFacts = tuple[bool, Optional[PosTag], PosTag]
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    pronouns: frozenset[str]
-    verbs: frozenset[str]
-    modifiers: frozenset[str]
-    stopwords: frozenset[str]
-    verb_suffix_rules: tuple[tuple[str, PosTag], ...] = DEFAULT_VERB_SUFFIX_RULES
-    # lowercased word -> its _WordFacts. Kept per instance, so a lexicon
-    # never sees another lexicon's answers.
-    _word_facts: dict[str, _WordFacts] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
+class Lexicon(_FrozenRecord):
+    __slots__ = (
+        "pronouns",
+        "verbs",
+        "modifiers",
+        "stopwords",
+        "verb_suffix_rules",
+        "_word_facts",
     )
+    _fields = _compared = (
+        "pronouns",
+        "verbs",
+        "modifiers",
+        "stopwords",
+        "verb_suffix_rules",
+    )
+
+    def __init__(
+        self,
+        pronouns: frozenset[str],
+        verbs: frozenset[str],
+        modifiers: frozenset[str],
+        stopwords: frozenset[str],
+        verb_suffix_rules: tuple[tuple[str, PosTag], ...] = DEFAULT_VERB_SUFFIX_RULES,
+    ) -> None:
+        object.__setattr__(self, "pronouns", pronouns)
+        object.__setattr__(self, "verbs", verbs)
+        object.__setattr__(self, "modifiers", modifiers)
+        object.__setattr__(self, "stopwords", stopwords)
+        object.__setattr__(self, "verb_suffix_rules", verb_suffix_rules)
+        # lowercased word -> its _WordFacts. Kept per instance, so a lexicon
+        # never sees another lexicon's answers.
+        object.__setattr__(self, "_word_facts", {})
 
 
 _TAG_FIELDS = {
@@ -84,9 +104,11 @@ def parse_lexicon(text: str) -> Lexicon:
 def load_lexicon(path: Optional[str] = None) -> Lexicon:
     """Load a lexicon file, or the bundled default when path is None."""
     if path is None:
-        text = (
-            resources.files("ucsmell").joinpath("data/lexicon.txt").read_text("utf-8")
-        )
+        # Read through this package's own loader, as pkgutil.get_data
+        # does; importlib.resources would cost a cold start more than the
+        # lexicon, since it imports pathlib, tempfile and, from 3.12, inspect.
+        data_path = os.path.join(os.path.dirname(__file__), "data", "lexicon.txt")
+        text = __spec__.loader.get_data(data_path).decode("utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

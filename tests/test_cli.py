@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ucsmell
 from ucsmell.cli import run
 
 
@@ -198,3 +203,75 @@ def test_custom_lexicon_flag(tmp_path, capsys, fixtures_dir):
          "--format", "json"])
     records = json.loads(capsys.readouterr().out)
     assert not any(r["metric"] == "NOP" for r in records)
+
+
+def _eval_argv(tmp_path, fixtures_dir):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("[]")
+    return ["eval", str(fixtures_dir / "atm.ucd"), "--oracle", str(oracle)]
+
+
+def _bad_options(tmp_path):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("no_such_key = 1\n")
+    missing = str(tmp_path / "missing.txt")
+    return {
+        "stddev-k": ["--stddev-k", "0"],
+        "missing-config": ["--config", missing],
+        "missing-lexicon": ["--lexicon", missing],
+        "rejected-config": ["--config", str(bad_config)],
+    }
+
+
+@pytest.mark.parametrize("subcommand", ["lint", "eval"])
+@pytest.mark.parametrize(
+    "case", ["stddev-k", "missing-config", "missing-lexicon", "rejected-config"]
+)
+def test_bad_option_exits_two_with_a_message(tmp_path, capsys, fixtures_dir,
+                                             subcommand, case):
+    if subcommand == "lint":
+        argv = ["lint", str(fixtures_dir / "atm.ucd")]
+    else:
+        argv = _eval_argv(tmp_path, fixtures_dir)
+    assert run(argv + _bad_options(tmp_path)[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ucsmell: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_negative_fail_threshold_exits_two_with_a_message(capsys, fixtures_dir):
+    code = run(["lint", str(fixtures_dir / "atm.ucd"), "--fail-threshold", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "ucsmell: fail_threshold must be >= 0\n"
+
+
+def test_eval_rejects_json_input(tmp_path, capsys, fixtures_dir):
+    from ucsmell.parser import parse_text, serialize
+
+    doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
+    p = tmp_path / "atm.json"
+    p.write_text(serialize(doc))
+    argv = _eval_argv(tmp_path, fixtures_dir)
+    argv[1] = str(p)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line numbers" in captured.err
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    src = str(Path(ucsmell.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_import_cli_loads_no_costly_modules():
+    costly = {"dataclasses", "inspect", "statistics", "fractions", "decimal",
+              "ucsmell.evaluation"}
+    loaded = _modules_loaded_by("import ucsmell.cli") - _modules_loaded_by("pass")
+    assert "ucsmell.cli" in loaded
+    assert not costly & loaded

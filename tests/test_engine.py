@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -16,6 +15,7 @@ from ucsmell.engine import (
 )
 from ucsmell.model import SectionKind, WordEvidence
 from ucsmell.parser import parse_json, parse_text, serialize
+from ucsmell.textanalysis import Lexicon
 
 from conftest import FIXTURES, parse_fixture
 
@@ -292,7 +292,13 @@ def test_each_detect_honours_its_own_config(atm_doc, lexicon):
 
 
 def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
-    no_pronouns = dataclasses.replace(lexicon, pronouns=frozenset())
+    no_pronouns = Lexicon(
+        frozenset(),
+        lexicon.verbs,
+        lexicon.modifiers,
+        lexicon.stopwords,
+        lexicon.verb_suffix_rules,
+    )
     fresh_doc = parse_fixture("atm.ucd")[0]
 
     def pronouns(doc, lex):
@@ -307,6 +313,13 @@ def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
 
 # --- distribution rules ---------------------------------------------------
 
+DISTRIBUTION_SMELLS = {
+    "long-sentence",
+    "short-sentence",
+    "relatively-over-qualified-sentence",
+    "relatively-under-qualified-sentence",
+}
+
 
 def constant_length_doc():
     steps = [f"{i}. The system reads the value {i:02d} now." for i in range(1, 7)]
@@ -318,6 +331,13 @@ def test_zero_stddev_produces_no_length_findings(lexicon):
     ids = {f.smell_id for f in findings}
     assert "long-sentence" not in ids
     assert "short-sentence" not in ids
+
+
+def test_distribution_rules_inert_without_sentences(lexicon):
+    cfg = DetectorConfig(min_sentences_for_distribution=0)
+    findings = findings_for(MINIMAL, lexicon, cfg)
+    assert findings
+    assert not {f.smell_id for f in findings} & DISTRIBUTION_SMELLS
 
 
 def test_distribution_rules_inert_below_min_sentences(lexicon):

@@ -1,6 +1,27 @@
+import copy
+import pickle
+
 import pytest
 
-from ucsmell.model import Finding, PosTag, SourceSpan, Token, WordEvidence
+from ucsmell.engine import DetectorConfig
+from ucsmell.model import (
+    END,
+    BranchFlow,
+    FlowEvidence,
+    Finding,
+    PosTag,
+    SectionKind,
+    Sentence,
+    SentenceEvidence,
+    SourceRef,
+    SourceSpan,
+    Step,
+    StepRef,
+    Token,
+    UseCaseDescription,
+    WordEvidence,
+)
+from ucsmell.textanalysis import load_lexicon
 
 
 def test_span_rejects_start_after_end():
@@ -14,6 +35,10 @@ def test_span_line_defaults_to_zero():
     assert SourceSpan(1, 2).line == 0
 
 
+def finding(evidence=WordEvidence("it")):
+    return Finding("pronoun", "Basic Flow", "NOP", 9, evidence, SourceSpan(10, 12, 17))
+
+
 @pytest.mark.parametrize(
     "record, name",
     [
@@ -21,6 +46,13 @@ def test_span_line_defaults_to_zero():
         (SourceSpan(1, 2, 3), "line"),
         (Token("it", PosTag.PRONOUN, SourceSpan(1, 3, 1)), "pos"),
         (Token("it", PosTag.PRONOUN, SourceSpan(1, 3, 1)), "surface"),
+        (finding(), "line"),
+        (WordEvidence("it"), "text"),
+        (FlowEvidence(("A1",)), "items"),
+        (StepRef(SectionKind.BASIC_FLOW, "2"), "label"),
+        (DetectorConfig(), "stddev_k"),
+        (END, "label"),
+        (load_lexicon(), "pronouns"),
     ],
 )
 def test_records_are_immutable(record, name):
@@ -50,15 +82,56 @@ def test_records_compare_equal_to_plain_tuples():
 
 
 def test_equal_findings_compare_equal():
-    def finding():
-        return Finding(
-            smell_id="pronoun",
-            item_name="Basic Flow",
-            metric="NOP",
-            line=9,
-            evidence=WordEvidence("it"),
-            span=SourceSpan(10, 12, 17),
-        )
-
     assert finding() == finding()
     assert hash(finding()) == hash(finding())
+    assert finding(FlowEvidence(("A1", "x"))) == finding(FlowEvidence(("A1", "x")))
+    assert END == type(END)() and hash(END) == hash(type(END)())
+
+
+def test_evidence_kinds_never_compare_equal():
+    assert WordEvidence("x") != SentenceEvidence("x")
+    assert finding(WordEvidence("x")) != finding(SentenceEvidence("x"))
+    assert len({WordEvidence("x"), SentenceEvidence("x")}) == 2
+
+
+def test_frozen_records_copy_and_pickle():
+    lexicon = load_lexicon()
+    for record in (finding(), END, FlowEvidence(("A1",)), lexicon):
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_document_equality_ignores_positions_and_tokens():
+    token = Token("it", PosTag.PRONOUN, SourceSpan(3, 5, 2))
+
+    def document(line, span, tokens, order):
+        sentence = Sentence("It works.", line, span, tokens)
+        step = Step("1", 1, [sentence], span)
+        flow = BranchFlow("A1", Sentence("If x.", line, span), steps=[step], span=span)
+        return UseCaseDescription(
+            name="X",
+            alternate_flows=[flow],
+            source=SourceRef(f"doc-{line}"),
+            section_order=order,
+            section_header_lines={SectionKind.NAME: line},
+        )
+
+    a = document(2, SourceSpan(3, 12, 2), [token], [SectionKind.NAME])
+    b = document(0, SourceSpan(0, 0, 0), [], [])
+    assert a == b
+    assert a.alternate_flows[0] == b.alternate_flows[0]
+    b.alternate_flows[0].steps[0].sentences[0].text = "It fails."
+    assert a != b
+
+
+def test_mutable_records_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(Sentence("x"))
+
+
+def test_config_checks_hold_on_construction_and_replace():
+    with pytest.raises(ValueError):
+        DetectorConfig(stddev_k=0)
+    with pytest.raises(ValueError):
+        DetectorConfig()._replace(stddev_k=0)
+    assert DetectorConfig()._replace(stddev_k=1.5).stddev_k == 1.5

@@ -1,7 +1,10 @@
 """Randomized properties. Example counts across this module exceed 1000."""
 
+import math
 import statistics
+import sys
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -79,9 +82,46 @@ def test_reason_groups_conserve_flow_count(conditions):
 def test_distribution_matches_statistics_oracle(values):
     d = distribution(values)
     assert d.n == len(values)
-    assert abs(d.mean - statistics.fmean(values)) < 1e-9
     expected_sd = statistics.stdev(values) if len(values) > 1 else 0.0
-    assert abs(d.stddev - expected_sd) < 1e-9
+    if sys.version_info >= (3, 11):  # stdev is correctly rounded from 3.11
+        assert (d.mean, d.stddev) == (statistics.fmean(values), expected_sd)
+    else:
+        assert abs(d.mean - statistics.fmean(values)) < 1e-9
+        assert abs(d.stddev - expected_sd) < 1e-9
+
+
+def _neighbours(x: float) -> tuple[Fraction, Fraction]:
+    return (
+        Fraction(math.nextafter(x, -math.inf)),
+        Fraction(math.nextafter(x, math.inf)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(
+        st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=200
+    )
+)
+def test_distribution_is_correctly_rounded(values):
+    d = distribution(values)
+    n = len(values)
+    # The mean: no neighbour of the float lies nearer the exact mean.
+    mean = Fraction(sum(values), n)
+    assert all(abs(Fraction(d.mean) - mean) <= abs(nb - mean)
+               for nb in _neighbours(d.mean))
+    if n == 1:
+        assert d.stddev == 0.0
+        return
+    # The stddev: the exact variance lies between the squares of the
+    # midpoints from the float to its neighbours.
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    if variance == 0:
+        assert d.stddev == 0.0
+        return
+    sd = Fraction(d.stddev)
+    below, above = _neighbours(d.stddev)
+    assert ((below + sd) / 2) ** 2 <= variance <= ((sd + above) / 2) ** 2
 
 
 @settings(max_examples=200, deadline=None)
