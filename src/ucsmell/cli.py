@@ -17,14 +17,40 @@ from .textanalysis import load_lexicon
 _CELL_RE = re.compile(r"^C_?\{?(\d)[,_](\d)\}?$", re.IGNORECASE)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, set up only when it formats help.
+
+    argparse builds a formatter for each argument it adds, just to check
+    the argument's metavar. Setting one up measures the terminal, which on
+    CPython 3.10, 3.12 and later imports shutil (with bz2, lzma and zlib)
+    into every lint run. The check needs no setup, so it runs on first use.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._deferred = (args, kwargs)
+
+    def __getattr__(self, name: str):
+        # Only the state HelpFormatter.__init__ sets is ever missing.
+        deferred = self.__dict__.pop("_deferred", None)
+        if deferred is None:
+            raise AttributeError(name)
+        super().__init__(*deferred[0], **deferred[1])
+        return getattr(self, name)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ucsmell",
         description="Detect bad smells in structured use case descriptions.",
+        formatter_class=_HelpFormatter,
     )
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+    # Given prog, argparse need not format a usage line to derive it.
+    sub = ap.add_subparsers(dest="subcommand", required=True, prog=ap.prog)
 
-    lint = sub.add_parser("lint", help="detect smells in description files")
+    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
+
+    lint = add_parser("lint", help="detect smells in description files")
     lint.add_argument("inputs", nargs="+", metavar="FILE")
     _common_options(lint)
     lint.add_argument(
@@ -34,13 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--fail-threshold", type=int, default=None)
 
-    cat = sub.add_parser("catalogue", help="browse the smell catalogue")
+    cat = add_parser("catalogue", help="browse the smell catalogue")
     cat.add_argument("--cell", help="smell-space cell, e.g. C_5_2 or C_{5,2}")
     cat.add_argument(
         "--detectable", action="store_true", help="only automatically detectable smells"
     )
 
-    ev = sub.add_parser("eval", help="compare findings against an oracle")
+    ev = add_parser("eval", help="compare findings against an oracle")
     ev.add_argument("inputs", nargs=1, metavar="FILE")
     ev.add_argument("--oracle", required=True)
     _common_options(ev)

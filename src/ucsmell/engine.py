@@ -3,7 +3,10 @@
 RULES holds one rule per detectable smell. detect calls each enabled rule
 with the context shared by all rules, its smell id and the function that
 collects findings. A rule reads the document through the checks and
-predicates of the metrics module, whose names label its findings.
+predicates of the metrics module, whose names label its findings. The
+word and sentence rules read each sentence's tally, the counts behind
+NOP, NOV, NOM and NON that tagging leaves on it, and walk a sentence's
+tokens only to quote the words the tally shows are there.
 
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is
@@ -74,20 +77,23 @@ class DetectorConfig(_ConfigFields):
             return detectable_ids()
         return self.enabled_smells
 
-    def enabled(self, smell_id: str) -> bool:
-        return smell_id in self.enabled_ids()
-
 
 _BOOL_KEYS = {"suppress_actor_word_when_single_actor", "count_los_in_tokens"}
 _BOOL_VALUES = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
 }
-_INT_KEYS = {
-    "min_sentences_for_distribution",
-    "multi_action_verb_threshold",
-    "repeated_noun_threshold",
-    "same_reason_threshold",
+_NUMBER_KEYS = {
+    "stddev_k": (float, "a number"),
+    **dict.fromkeys(
+        (
+            "min_sentences_for_distribution",
+            "multi_action_verb_threshold",
+            "repeated_noun_threshold",
+            "same_reason_threshold",
+        ),
+        (int, "an integer"),
+    ),
 }
 
 
@@ -101,10 +107,14 @@ def parse_config(text: str) -> DetectorConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value")
         key, value = (p.strip() for p in line.split("=", 1))
-        if key == "stddev_k":
-            kwargs[key] = float(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
+        if key in _NUMBER_KEYS:
+            convert, kind = _NUMBER_KEYS[key]
+            try:
+                kwargs[key] = convert(value)
+            except ValueError:
+                raise ValueError(
+                    f"config line {lineno}: {key} must be {kind}, got {value!r}"
+                ) from None
         elif key in _BOOL_KEYS:
             try:
                 kwargs[key] = _BOOL_VALUES[value.lower()]
@@ -166,6 +176,14 @@ def _sqrt_of_fraction(num: int, den: int) -> float:
     return math.ldexp(root, shift)
 
 
+def _section_line(line: int, header: int) -> int:
+    """Line number within a section whose header is on line header
+    (1 = first content line; header 0 = unknown)."""
+    if header and line > header:
+        return line - header
+    return line
+
+
 class _Context:
     """What the rules share about one document, built once per detect."""
 
@@ -173,24 +191,25 @@ class _Context:
         self.d = d
         self.cfg = cfg
         # (section, sentence, line within the section) for every sentence.
-        self.sentences = [
-            (kind, s, self.rel_line(kind, s.line)) for kind, s in d.iter_sentences()
-        ]
+        # The header is looked up once per run of one section's sentences.
+        self.sentences: list[tuple[SectionKind, Sentence, int]] = []
+        section = header = None
+        for kind, s in d.iter_sentences():
+            if kind is not section:
+                section, header = kind, d.section_header_lines.get(kind, 0)
+            self.sentences.append((kind, s, _section_line(s.line, header)))
         self._limits: dict[str, tuple[list[int], float, float]] = {}
 
     def rel_line(self, kind: SectionKind, line: int) -> int:
         """Line number within the section (1 = first content line)."""
-        header = self.d.section_header_lines.get(kind, 0)
-        if header and line > header:
-            return line - header
-        return line
+        return _section_line(line, self.d.section_header_lines.get(kind, 0))
 
     def limits(self, metric_name: str) -> tuple[list[int], float, float]:
         """A sentence measure's values and its mean -/+ k·stddev, computed
         once per document for the high and the low rule."""
         if metric_name not in self._limits:
             if metric_name == "NOM":
-                values = [metrics.NOM(s) for _, s, _ in self.sentences]
+                values = [s.tally.modifiers for _, s, _ in self.sentences]
             elif self.cfg.count_los_in_tokens:
                 values = [len(s.tokens) for _, s, _ in self.sentences]
             else:
@@ -318,12 +337,16 @@ _last_sentence = _quote_sentence(-1, lambda flow: 0)
 
 
 # --- word and sentence rules ------------------------------------------------
+# detect has just tagged every sentence, so each sentence's tally is set.
 
 
 def _pronoun(ctx, smell_id, add):
+    pronoun = PosTag.PRONOUN  # looked up once: enum lookups are slow on 3.11
     for kind, s, line in ctx.sentences:
+        if not s.tally.pronouns:
+            continue
         for tok in s.tokens:
-            if tok.pos is PosTag.PRONOUN:
+            if tok.pos is pronoun:
                 evidence = WordEvidence(tok.surface)
                 add(Finding(smell_id, kind.title, "NOP", line, evidence, tok.span))
 
@@ -333,28 +356,33 @@ def _actor_word(ctx, smell_id, add):
     if ctx.cfg.suppress_actor_word_when_single_actor and actors and len(actors) == 1:
         return
     metric_name = f'NON("{ACTOR_WORD}")'
+    noun = PosTag.NOUN
     for kind, s, line in ctx.sentences:
+        if ACTOR_WORD not in s.tally.nouns:
+            continue
         for tok in s.tokens:
-            if tok.pos is PosTag.NOUN and tok.surface.lower() == ACTOR_WORD:
+            if tok.pos is noun and tok.surface.lower() == ACTOR_WORD:
                 evidence = WordEvidence(tok.surface)
                 add(Finding(smell_id, kind.title, metric_name, line, evidence, tok.span))
 
 
 def _multiple_actions(ctx, smell_id, add):
     for kind, s, line in ctx.sentences:
-        if metrics.NOV(s) >= ctx.cfg.multi_action_verb_threshold:
+        if s.tally.verbs >= ctx.cfg.multi_action_verb_threshold:
             add(_sentence_finding(smell_id, kind, s, "NOV", line))
 
 
 def _repeated_noun(ctx, smell_id, add):
+    threshold = ctx.cfg.repeated_noun_threshold
     for kind, s, line in ctx.sentences:
+        nouns = s.tally.nouns
+        if threshold > 1 and len(set(nouns)) == len(nouns):
+            continue  # no noun repeats
         counts: dict[str, int] = {}
-        for tok in s.tokens:
-            if tok.pos is PosTag.NOUN:
-                noun = tok.surface.lower()
-                counts[noun] = counts.get(noun, 0) + 1
+        for noun in nouns:
+            counts[noun] = counts.get(noun, 0) + 1
         for noun, n in counts.items():
-            if n >= ctx.cfg.repeated_noun_threshold:
+            if n >= threshold:
                 add(_sentence_finding(smell_id, kind, s, f'NON("{noun}")', line))
 
 

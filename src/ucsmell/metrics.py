@@ -1,12 +1,13 @@
 """Numeric metrics and boolean predicates over a parsed document.
 
 The numeric metrics (NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count
-features of single sentences or flow groups; the 22 predicates check
-structural properties of flows and sections. A flow predicate is named
-after its section and the suffix of its per-flow check in FLOW_CHECKS,
-a section predicate comes from SECTION_EXIST; the engine's rules call
-the same checks. All are pure functions; the output names are the
-bit-exact strings the report format uses.
+features of single sentences or flow groups; NOP, NOV, NOM and NON read
+the tally the tagger keeps next to a sentence's tokens. The 22
+predicates check structural properties of flows and sections. A flow
+predicate is named after its section and the suffix of its per-flow
+check in FLOW_CHECKS, a section predicate comes from SECTION_EXIST; the
+engine's rules call the same checks. All are pure functions; the output
+names are the bit-exact strings the report format uses.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from typing import Callable, NamedTuple
 from .model import (
     BranchFlow,
     Flow,
-    PosTag,
     SectionKind,
     Sentence,
     SourceSpan,
     UseCaseDescription,
 )
 from .parser import RETURN_RE
+from .textanalysis import sentence_tally
 
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 
@@ -39,17 +40,17 @@ class PredicateResult(NamedTuple):
 
 def NOP(s: Sentence) -> int:
     """Number of pronouns in a tagged sentence."""
-    return sum(1 for t in s.tokens if t.pos is PosTag.PRONOUN)
+    return sentence_tally(s).pronouns
 
 
 def NOV(s: Sentence) -> int:
     """Number of verbs in a tagged sentence."""
-    return sum(1 for t in s.tokens if t.pos is PosTag.VERB)
+    return sentence_tally(s).verbs
 
 
 def NOM(s: Sentence) -> int:
     """Number of modifiers in a tagged sentence."""
-    return sum(1 for t in s.tokens if t.pos is PosTag.MODIFIER)
+    return sentence_tally(s).modifiers
 
 
 def NOW(s: Sentence, word: str) -> int:
@@ -60,10 +61,7 @@ def NOW(s: Sentence, word: str) -> int:
 
 def NON(s: Sentence, noun: str) -> int:
     """Number of noun-tagged occurrences of the given word."""
-    w = noun.lower()
-    return sum(
-        1 for t in s.tokens if t.pos is PosTag.NOUN and t.surface.lower() == w
-    )
+    return sentence_tally(s).nouns.count(noun.lower())
 
 
 def LOS(s: Sentence) -> int:
@@ -215,6 +213,3 @@ PREDICATES: dict[str, Callable[[UseCaseDescription], PredicateResult]] = dict(
     + [_section_predicate(kind) for kind in SECTION_EXIST]
 )
 
-
-def evaluate_predicate(name: str, d: UseCaseDescription) -> PredicateResult:
-    return PREDICATES[name](d)

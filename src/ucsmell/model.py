@@ -1,10 +1,10 @@
 """Core document model and smell-catalogue types.
 
 Everything here is plain data: the parser produces a UseCaseDescription,
-the text analyzer fills in tokens, and the metrics/engine modules read it.
-Position data (spans, line numbers, section order) is excluded from
-equality so that documents loaded from different serializations of the
-same content compare equal.
+the text analyzer fills in tokens and their tally, and the metrics/engine
+modules read them. Position data (spans, line numbers, section order) is
+excluded from equality so that documents loaded from different
+serializations of the same content compare equal.
 
 The immutable value records (SourceSpan, Token, Finding, ...) are named
 tuples: hashable and cheap to create, and, like any tuple, equal to a
@@ -192,8 +192,25 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
+class Tally(NamedTuple):
+    """The tag counts of one tagged sentence, and its nouns, lowercased
+    and in order. The metrics NOP, NOV, NOM and NON read it."""
+
+    pronouns: int
+    verbs: int
+    modifiers: int
+    nouns: tuple[str, ...]
+
+
 class Sentence(_Record):
-    __slots__ = ("text", "line", "span", "tokens")
+    """One sentence of a document.
+
+    The analyzer sets tokens and then tally, the counts over those tokens.
+    Assigning tokens resets tally to None, so a tally never describes
+    tokens the sentence no longer holds.
+    """
+
+    __slots__ = ("text", "line", "span", "_tokens", "tally")
     _fields = ("text", "line", "span")
     _compared = ("text",)
 
@@ -208,6 +225,15 @@ class Sentence(_Record):
         self.line = line
         self.span = span
         self.tokens = [] if tokens is None else tokens
+
+    @property
+    def tokens(self) -> list[Token]:
+        return self._tokens
+
+    @tokens.setter
+    def tokens(self, tokens: list[Token]) -> None:
+        self._tokens = tokens
+        self.tally = None
 
 
 class Step(_Record):

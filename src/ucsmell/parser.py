@@ -92,8 +92,11 @@ def split_sentences(block: str) -> list[tuple[str, int]]:
     return out
 
 
+_TRAILING_NUMBER_RE = re.compile(r"(\d+)$")
+
+
 def _trailing_number(label: str) -> Optional[int]:
-    m = re.search(r"(\d+)$", label)
+    m = _TRAILING_NUMBER_RE.search(label)
     return int(m.group(1)) if m else None
 
 
@@ -113,9 +116,11 @@ class _Lines:
 
     def span(self, lineno: int, text: str, col: int = 0) -> SourceSpan:
         """Span of text found at character column col of line lineno."""
-        if not self.ascii[lineno - 1]:
-            col = len(self.lines[lineno - 1][:col].encode("utf-8"))
-        start = self.offsets[lineno - 1] + col
+        start = self.offsets[lineno - 1]
+        if self.ascii[lineno - 1]:  # then text, a piece of the line, is too
+            start += col
+            return SourceSpan(start, start + len(text), lineno)
+        start += len(self.lines[lineno - 1][:col].encode("utf-8"))
         return SourceSpan(start, start + len(text.encode("utf-8")), lineno)
 
 

@@ -2,8 +2,10 @@
 
 Use case steps are short subject-verb-object sentences, so a closed-class
 lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
-noun counts the metrics need. Everything is deterministic: same sentence
-and lexicon, same tags.
+noun counts the metrics need. Tagging a sentence also tallies those
+counts once (Sentence.tally), so the metrics and the rules never walk
+the tokens again to count them. Everything is deterministic: same
+sentence and lexicon, same tags.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 import re
 from typing import Iterable, Optional
 
-from .model import PosTag, Sentence, SourceSpan, Token, _FrozenRecord
+from .model import PosTag, Sentence, SourceSpan, Tally, Token, _FrozenRecord
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 
@@ -26,11 +28,13 @@ DEFAULT_VERB_SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
 )
 
 
-# What a lexicon says about one word by itself: whether it is a known verb
-# (through _verb_stems), the suffix-rule tag it may take in the subject
-# slot (None when no rule applies), and its tag when no verb reading
-# applies. A pronoun is (False, None, PRONOUN), so it is never a verb.
-_WordFacts = tuple[bool, Optional[PosTag], PosTag]
+# What a lexicon says about one surface form by itself: the surface (the
+# memo's copy, which every token of that form shares), the word
+# lowercased, whether it is a known verb (through _verb_stems), the
+# suffix-rule tag it may take in the subject slot (None when no rule
+# applies), and its tag when no verb reading applies. A pronoun's facts
+# end in (False, None, PRONOUN), so it is never a verb.
+_WordFacts = tuple[str, str, bool, Optional[PosTag], PosTag]
 
 
 class Lexicon(_FrozenRecord):
@@ -63,8 +67,8 @@ class Lexicon(_FrozenRecord):
         object.__setattr__(self, "modifiers", modifiers)
         object.__setattr__(self, "stopwords", stopwords)
         object.__setattr__(self, "verb_suffix_rules", verb_suffix_rules)
-        # lowercased word -> its _WordFacts. Kept per instance, so a lexicon
-        # never sees another lexicon's answers.
+        # surface -> its _WordFacts. Kept per instance, so a lexicon never
+        # sees another lexicon's answers.
         object.__setattr__(self, "_word_facts", {})
 
 
@@ -162,11 +166,14 @@ def _verb_stems(word: str) -> Iterable[str]:
         yield word[:-3] + "y"
 
 
-def _facts_of(word: str, lex: Lexicon) -> _WordFacts:
+def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
+    word = surface.lower()
+    if word == surface:
+        word = surface  # one string for both
     if word in lex.pronouns:
-        return False, None, PosTag.PRONOUN
+        return surface, word, False, None, PosTag.PRONOUN
     known_verb = any(stem in lex.verbs for stem in _verb_stems(word))
-    # Suffix fallback for verbs missing from the lexicon; _tags applies it
+    # Suffix fallback for verbs missing from the lexicon; _tag_words applies it
     # only in the subject slot.
     suffix_tag = None
     if word not in lex.stopwords and word not in lex.modifiers:
@@ -182,58 +189,94 @@ def _facts_of(word: str, lex: Lexicon) -> _WordFacts:
         other = PosTag.OTHER
     else:
         other = PosTag.NOUN
-    return known_verb, suffix_tag, other
+    return surface, word, known_verb, suffix_tag, other
 
 
 # A determiner introduces a noun phrase, so the word right after one is
 # never read as a verb ("the search page", "a display case").
 _DETERMINERS = frozenset({"the", "a", "an"})
-_SUBJECT_TAGS = (PosTag.NOUN, PosTag.PRONOUN)
+# The tags as plain names: on CPython 3.11, PosTag.VERB costs a lookup
+# through the enum class, paid once per word in the loops below.
+_NOUN, _VERB, _MODIFIER, _PRONOUN = (
+    PosTag.NOUN,
+    PosTag.VERB,
+    PosTag.MODIFIER,
+    PosTag.PRONOUN,
+)
+_SUBJECT_TAGS = (_NOUN, _PRONOUN)
 
 
-def _tags(surfaces: Iterable[str], lex: Lexicon) -> list[PosTag]:
-    """The PosTag of each word of one sentence, in order."""
+def _tag_words(
+    surfaces: Iterable[str], lex: Lexicon
+) -> tuple[list[str], list[PosTag], list[str]]:
+    """The memo's copy of each word of one sentence and each word's
+    PosTag, in order, and the sentence's nouns, lowercased."""
     memo = lex._word_facts
-    tags = []
+    shared: list[str] = []
+    tags: list[PosTag] = []
+    nouns: list[str] = []
     prev_word: Optional[str] = None
     prev_tag: Optional[PosTag] = None
     verb_seen = False
     for surface in surfaces:
-        word = surface.lower()
-        facts = memo.get(word)
+        facts = memo.get(surface)
         if facts is None:
-            facts = memo[word] = _facts_of(word, lex)
-        known_verb, suffix_tag, pos = facts
+            facts = memo[surface] = _facts_of(surface, lex)
+        surface, word, known_verb, suffix_tag, pos = facts
         if prev_word not in _DETERMINERS:
             if known_verb:
-                pos = PosTag.VERB
+                pos = _VERB
             # The suffix rule fires only directly after a noun/pronoun (the
             # subject slot) and only for the first verb of the sentence, so
             # object nouns like "found products" stay nouns.
             elif suffix_tag and not verb_seen and prev_tag in _SUBJECT_TAGS:
                 pos = suffix_tag
+        shared.append(surface)
         tags.append(pos)
+        if pos is _NOUN:
+            nouns.append(word)
         prev_word = word
         prev_tag = pos
-        verb_seen = verb_seen or pos is PosTag.VERB
-    return tags
+        verb_seen = verb_seen or pos is _VERB
+    return shared, tags, nouns
+
+
+def _tally(tags: list[PosTag], nouns: list[str]) -> Tally:
+    """The Tally of one sentence's tags and its lowercased nouns."""
+    return Tally(
+        tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER), tuple(nouns)
+    )
+
+
+def sentence_tally(sentence: Sentence) -> Tally:
+    """The sentence's tally; counted from its tokens first when they were
+    assigned rather than analyzed."""
+    if sentence.tally is None:
+        tokens = sentence.tokens
+        sentence.tally = _tally(
+            [t.pos for t in tokens],
+            [t.surface.lower() for t in tokens if t.pos is _NOUN],
+        )
+    return sentence.tally
 
 
 def tag(tokens: list[Token], lex: Lexicon) -> list[Token]:
     """Assign a PosTag to each token; lookup is lowercased, surfaces kept."""
-    tags = _tags([t.surface for t in tokens], lex)
+    _, tags, _ = _tag_words([t.surface for t in tokens], lex)
     return [Token(t.surface, pos, t.span) for t, pos in zip(tokens, tags)]
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
-    """Fill in sentence.tokens (tokenized and tagged) in place."""
+    """Fill in sentence.tokens (tokenized and tagged) and their tally in
+    place."""
     words = _words(sentence.text, sentence.span.start)
-    tags = _tags([surface for surface, _, _ in words], lex)
+    surfaces, tags, nouns = _tag_words([surface for surface, _, _ in words], lex)
     line = sentence.line
     sentence.tokens = [
         Token(surface, pos, SourceSpan(start, end, line))
-        for (surface, start, end), pos in zip(words, tags)
+        for surface, (_, start, end), pos in zip(surfaces, words, tags)
     ]
+    sentence.tally = _tally(tags, nouns)  # after tokens, which reset it
 
 
 def analyze_document(doc, lex: Lexicon) -> None:

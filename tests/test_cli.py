@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ucsmell
+from ucsmell import cli
 from ucsmell.cli import run
 
 
@@ -275,3 +277,34 @@ def test_import_cli_loads_no_costly_modules():
     loaded = _modules_loaded_by("import ucsmell.cli") - _modules_loaded_by("pass")
     assert "ucsmell.cli" in loaded
     assert not costly & loaded
+
+
+def test_lint_run_loads_no_shutil(fixtures_dir):
+    # argparse's help formatter imports shutil to measure the terminal.
+    lint = (
+        "import contextlib, io\n"
+        "from ucsmell import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.run(['lint', {str(fixtures_dir / 'atm.ucd')!r}])"
+    )
+    loaded = _modules_loaded_by(lint) - _modules_loaded_by("pass")
+    assert "ucsmell.cli" in loaded
+    assert "shutil" not in loaded
+
+
+def _help_texts(capsys) -> list[str]:
+    texts = []
+    for argv in ([], ["lint"], ["catalogue"], ["eval"]):
+        with pytest.raises(SystemExit):
+            run([*argv, "--help"])
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "132"])
+def test_help_is_argparse_help(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = _help_texts(capsys)
+    assert ours[1].startswith("usage: ucsmell lint [-h]")
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    assert ours == _help_texts(capsys)

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 import seeding
+from hypothesis import given, settings, strategies as st
 
 from ucsmell import metrics
 from ucsmell.catalogue import detectable_ids
@@ -13,9 +14,9 @@ from ucsmell.engine import (
     load_config,
     parse_config,
 )
-from ucsmell.model import SectionKind, WordEvidence
+from ucsmell.model import PosTag, SectionKind, WordEvidence
 from ucsmell.parser import parse_json, parse_text, serialize
-from ucsmell.textanalysis import Lexicon
+from ucsmell.textanalysis import Lexicon, tag, tokenize
 
 from conftest import FIXTURES, parse_fixture
 
@@ -35,8 +36,8 @@ def test_default_config():
     assert cfg.min_sentences_for_distribution == 5
     assert cfg.multi_action_verb_threshold == 2
     assert cfg.enabled_smells is None
-    assert cfg.enabled("pronoun")
-    assert not cfg.enabled("distorted-flow-structure")
+    assert "pronoun" in cfg.enabled_ids()
+    assert "distorted-flow-structure" not in cfg.enabled_ids()
 
 
 def test_config_validation():
@@ -56,7 +57,7 @@ def test_parse_config():
     assert cfg.min_sentences_for_distribution == 8
     assert cfg.suppress_actor_word_when_single_actor
     assert cfg.enabled_smells == frozenset({"pronoun", "actor-actor"})
-    assert not cfg.enabled("long-sentence")
+    assert "long-sentence" not in cfg.enabled_ids()
 
 
 def test_parse_config_rejects_unknown_key():
@@ -81,6 +82,24 @@ def test_parse_config_rejects_unknown_boolean(spelling):
     text = f"# comment\ncount_los_in_tokens = {spelling}\n"
     with pytest.raises(ValueError, match="config line 2"):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("stddev_k = abc", "config line 2: stddev_k must be a number, got 'abc'"),
+        (
+            "min_sentences_for_distribution = 2.5",
+            "config line 2: min_sentences_for_distribution must be an integer, "
+            "got '2.5'",
+        ),
+        ("repeated_noun_threshold = two", "config line 2: repeated_noun_threshold"),
+    ],
+)
+def test_parse_config_rejects_bad_numbers(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_config(f"# comment\n{line}\n")
+    assert str(info.value).startswith(message)
 
 
 def test_load_config(tmp_path):
@@ -309,6 +328,95 @@ def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
     # The same document again: its tags must follow the new lexicon.
     assert pronouns(atm_doc, no_pronouns) == 0
     assert pronouns(atm_doc, lexicon) == 1
+
+
+def test_detect_tallies_with_the_lexicon_it_is_given(lexicon):
+    # Without verbs, modifiers or suffix rules every content word is a noun.
+    nouns_only = Lexicon(
+        lexicon.pronouns, frozenset(), frozenset(), lexicon.stopwords, ()
+    )
+    doc, _ = parse_text(
+        base_doc("1. The system checks the valid card and checks the code.\n")
+    )
+    step = doc.basic_flow.steps[0].sentences[0]
+
+    def run(lex):
+        findings = detect(doc, DetectorConfig(), lex)
+        repeated = [
+            f.metric for f in findings if f.smell_id == "repeating-the-same-noun"
+        ]
+        return metrics.NOV(step), metrics.NOM(step), repeated
+
+    default = (2, 1, [])
+    assert run(lexicon) == default
+    assert run(nouns_only) == (0, 0, ['NON("checks")'])
+    assert metrics.NON(step, "Checks") == 2
+    assert run(lexicon) == default
+    assert metrics.NON(step, "checks") == 0
+    # Tokens assigned by hand leave no stale tally behind.
+    step.tokens = tag(tokenize(step.text), nouns_only)
+    counts = metrics.NOV(step), metrics.NOM(step), metrics.NON(step, "checks")
+    assert counts == (0, 0, 2)
+    step.tokens = []
+    counts = metrics.NOP(step), metrics.NOV(step), metrics.NON(step, "checks")
+    assert counts == (0, 0, 0)
+
+
+_WORD_RULES = (
+    "pronoun",
+    "actor-actor",
+    "sentence-with-multiple-actions",
+    "repeating-the-same-noun",
+)
+_STEP_WORDS = (
+    "it They HE actor Actor actors system System card code shows reads checks "
+    "quickly valid the a and to"
+).split()
+
+
+def _word_findings_by_walking_tokens(doc, cfg):
+    """The four word and sentence rules, as a walk over every token."""
+    found = Counter()
+    for _, s in doc.iter_sentences():
+        tokens = s.tokens
+        for t in tokens:
+            if t.pos is PosTag.PRONOUN:
+                found["pronoun", "NOP", t.surface, t.span] += 1
+            if t.pos is PosTag.NOUN and t.surface.lower() == "actor":
+                found["actor-actor", 'NON("actor")', t.surface, t.span] += 1
+        verbs = sum(t.pos is PosTag.VERB for t in tokens)
+        if verbs >= cfg.multi_action_verb_threshold:
+            found["sentence-with-multiple-actions", "NOV", s.text, s.span] += 1
+        nouns = Counter(t.surface.lower() for t in tokens if t.pos is PosTag.NOUN)
+        for noun, n in nouns.items():
+            if n >= cfg.repeated_noun_threshold:
+                metric = f'NON("{noun}")'
+                found["repeating-the-same-noun", metric, s.text, s.span] += 1
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(
+        st.lists(st.sampled_from(_STEP_WORDS), min_size=1, max_size=10),
+        min_size=1,
+        max_size=8,
+    ),
+    verbs=st.integers(min_value=1, max_value=3),
+    nouns=st.integers(min_value=1, max_value=3),
+)
+def test_word_rules_match_a_walk_over_every_token(lexicon, steps, verbs, nouns):
+    basic = "".join(f"{i}. {' '.join(words)}.\n" for i, words in enumerate(steps, 1))
+    doc, _ = parse_text(base_doc(basic))
+    cfg = DetectorConfig(
+        multi_action_verb_threshold=verbs, repeated_noun_threshold=nouns
+    )
+    found = Counter(
+        (f.smell_id, f.metric, f.evidence.text, f.span)
+        for f in detect(doc, cfg, lexicon)
+        if f.smell_id in _WORD_RULES
+    )
+    assert found == _word_findings_by_walking_tokens(doc, cfg)
 
 
 # --- distribution rules ---------------------------------------------------

@@ -9,7 +9,6 @@ from ucsmell.metrics import (
     NOV,
     NOW,
     PREDICATES,
-    evaluate_predicate,
     normalize_reason,
     reason_groups,
 )
@@ -178,7 +177,7 @@ def test_all_22_predicates_present():
 def test_predicates_vacuous_on_absent_sections():
     empty = UseCaseDescription()
     for name in EXPECTED_PREDICATES:
-        result = evaluate_predicate(name, empty)
+        result = PREDICATES[name](empty)
         if name == "NameSectionExist?" or "SectionExist" in name:
             continue  # existence predicates genuinely fail on an empty doc
         assert result.holds, name
@@ -188,20 +187,20 @@ def test_section_exist_predicates_fail_on_empty_doc():
     empty = UseCaseDescription()
     for name in EXPECTED_PREDICATES:
         if "SectionExist" in name:
-            assert not evaluate_predicate(name, empty).holds, name
+            assert not PREDICATES[name](empty).holds, name
 
 
 def test_predicates_on_fixture(atm_doc):
-    assert not evaluate_predicate("ActorSectionExist?", atm_doc).holds
-    assert evaluate_predicate("BasicFlowNumbered?", atm_doc).holds
-    assert evaluate_predicate("BasicFlowOrdered?", atm_doc).holds
-    assert evaluate_predicate("BasicFlowStartWith1?", atm_doc).holds
-    assert evaluate_predicate("AlternateFlowsOriginDescribed?", atm_doc).holds
-    assert evaluate_predicate("AlternateFlowsReturnExist?", atm_doc).holds
+    assert not PREDICATES["ActorSectionExist?"](atm_doc).holds
+    assert PREDICATES["BasicFlowNumbered?"](atm_doc).holds
+    assert PREDICATES["BasicFlowOrdered?"](atm_doc).holds
+    assert PREDICATES["BasicFlowStartWith1?"](atm_doc).holds
+    assert PREDICATES["AlternateFlowsOriginDescribed?"](atm_doc).holds
+    assert PREDICATES["AlternateFlowsReturnExist?"](atm_doc).holds
 
 
 def test_failing_predicate_carries_witnesses():
     doc, _ = parse_text("Basic Flow:\n1. A does B.\n3. C does D.\n")
-    result = evaluate_predicate("BasicFlowOrdered?", doc)
+    result = PREDICATES["BasicFlowOrdered?"](doc)
     assert not result.holds
     assert len(result.witnesses) == 1

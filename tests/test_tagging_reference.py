@@ -1,13 +1,22 @@
 """analyze_sentence against a brute-force copy of the two-pass tagger it
 replaced: tokenize the sentence, then classify each word from scratch
-with the previous word, its tag and whether a verb was seen."""
+with the previous word, its tag and whether a verb was seen. The tally
+behind NOP, NOV, NOM and NON against brute-force counts over the tokens."""
 
 import re
 
 from hypothesis import given, settings, strategies as st
 
-from ucsmell.model import PosTag, Sentence, SourceSpan
-from ucsmell.textanalysis import Lexicon, _verb_stems, analyze_sentence, load_lexicon
+from ucsmell.metrics import NOM, NON, NOP, NOV
+from ucsmell.model import PosTag, Sentence, SourceSpan, Token
+from ucsmell.textanalysis import (
+    Lexicon,
+    _verb_stems,
+    analyze_sentence,
+    load_lexicon,
+    tag,
+    tokenize,
+)
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 _DETERMINERS = {"the", "a", "an"}
@@ -119,3 +128,51 @@ def test_analyze_sentence_matches_reference(text, base, line, lex):
     analyze_sentence(s, lex)
     got = [(t.surface, t.pos, t.span.start, t.span.end, t.span.line) for t in s.tokens]
     assert got == ref_analyze(text, base, line, lex)
+
+
+def _brute_counts(tokens, words):
+    def count(pos, word=None):
+        return sum(
+            1
+            for t in tokens
+            if t.pos is pos and (word is None or t.surface.lower() == word.lower())
+        )
+
+    return (
+        count(PosTag.PRONOUN),
+        count(PosTag.VERB),
+        count(PosTag.MODIFIER),
+        {w: count(PosTag.NOUN, w) for w in words},
+    )
+
+
+def _metric_counts(s, words):
+    return NOP(s), NOV(s), NOM(s), {w: NON(s, w) for w in words}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_sentences(),
+    lex=st.sampled_from([BUNDLED, CUSTOM]),
+    how=st.sampled_from(["analyzed", "assigned", "reassigned", "hand-tagged"]),
+    data=st.data(),
+)
+def test_tally_matches_brute_force_counts(text, lex, how, data):
+    s = Sentence(text=text, span=SourceSpan(0, len(text.encode())))
+    if how == "analyzed":
+        analyze_sentence(s, lex)
+    elif how == "assigned":
+        s.tokens = tag(tokenize(text), lex)
+    else:
+        # Tokens assigned after an analysis must not read its tally.
+        analyze_sentence(s, CUSTOM if lex is BUNDLED else BUNDLED)
+        tokens = tag(tokenize(text), lex)
+        if how == "hand-tagged":
+            tokens = [
+                Token(t.surface, data.draw(st.sampled_from(PosTag)), t.span)
+                for t in tokens
+            ]
+        s.tokens = tokens
+    surfaces = [t.surface for t in s.tokens]
+    words = {*surfaces, *(w.upper() for w in surfaces), "actor", "zzz"}
+    assert _metric_counts(s, words) == _brute_counts(s.tokens, words)
