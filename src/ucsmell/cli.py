@@ -140,13 +140,7 @@ def _cmd_lint(args) -> int:
 
     if fmt is report.ReportFormat.JSON:
         if len(args.inputs) > 1:
-            import json
-
-            obj = {
-                path: [report.finding_record(f) for f in findings]
-                for path, findings in per_file
-            }
-            sys.stdout.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+            sys.stdout.write(report.emit_json_files(per_file) + "\n")
         elif per_file:
             sys.stdout.write(report.emit_json(per_file[0][1]) + "\n")
     else:

@@ -55,8 +55,8 @@ class DetectorConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs) -> DetectorConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if self.stddev_k <= 0:
-            raise ValueError("stddev_k must be positive")
+        if not 0 < self.stddev_k < math.inf:  # also rejects nan
+            raise ValueError("stddev_k must be positive and finite")
         for name in (
             "multi_action_verb_threshold",
             "repeated_noun_threshold",
@@ -211,7 +211,7 @@ class _Context:
             if metric_name == "NOM":
                 values = [s.tally.modifiers for _, s, _ in self.sentences]
             elif self.cfg.count_los_in_tokens:
-                values = [len(s.tokens) for _, s, _ in self.sentences]
+                values = [s.tally.words for _, s, _ in self.sentences]
             else:
                 values = [metrics.LOS(s) for _, s, _ in self.sentences]
             dist = distribution(values)

@@ -193,24 +193,29 @@ class Token(NamedTuple):
 
 
 class Tally(NamedTuple):
-    """The tag counts of one tagged sentence, and its nouns, lowercased
-    and in order. The metrics NOP, NOV, NOM and NON read it."""
+    """The tag counts of one tagged sentence, its nouns, lowercased and in
+    order, and its number of words. The metrics NOP, NOV, NOM and NON
+    read it."""
 
     pronouns: int
     verbs: int
     modifiers: int
     nouns: tuple[str, ...]
+    words: int
 
 
 class Sentence(_Record):
     """One sentence of a document.
 
-    The analyzer sets tokens and then tally, the counts over those tokens.
-    Assigning tokens resets tally to None, so a tally never describes
-    tokens the sentence no longer holds.
+    The analyzer sets tally and keeps what it tagged (the text, span
+    start, line and tags); tokens are built from that the first time they
+    are read, so they are what an eager analysis would have built even if
+    text, span or line change later. Assigning tokens drops what was
+    tagged and resets tally to None, so a tally never describes tokens
+    the sentence no longer holds.
     """
 
-    __slots__ = ("text", "line", "span", "_tokens", "tally")
+    __slots__ = ("text", "line", "span", "_tokens", "_tagged", "tally")
     _fields = ("text", "line", "span")
     _compared = ("text",)
 
@@ -228,11 +233,17 @@ class Sentence(_Record):
 
     @property
     def tokens(self) -> list[Token]:
+        if self._tagged is not None:
+            from .textanalysis import tagged_tokens  # which imports this module
+
+            self._tokens = tagged_tokens(*self._tagged)
+            self._tagged = None
         return self._tokens
 
     @tokens.setter
     def tokens(self, tokens: list[Token]) -> None:
         self._tokens = tokens
+        self._tagged = None
         self.tally = None
 
 

@@ -69,9 +69,18 @@ def finding_record(f: Finding) -> dict:
 
 
 def emit_json(findings: list[Finding]) -> str:
-    return json.dumps(
-        [finding_record(f) for f in findings], indent=2, ensure_ascii=False
+    return _dumps([finding_record(f) for f in findings])
+
+
+def emit_json_files(per_file: list[tuple[str, list[Finding]]]) -> str:
+    """One JSON object mapping each path to its findings' records."""
+    return _dumps(
+        {path: [finding_record(f) for f in findings] for path, findings in per_file}
     )
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 def parse_report(text: str) -> list[dict]:

@@ -4,14 +4,16 @@ Use case steps are short subject-verb-object sentences, so a closed-class
 lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
 noun counts the metrics need. Tagging a sentence also tallies those
 counts once (Sentence.tally), so the metrics and the rules never walk
-the tokens again to count them. Everything is deterministic: same
-sentence and lexicon, same tags.
+the tokens to count them, and builds no tokens: Sentence.tokens builds
+them from the kept tags when first read. Everything is deterministic:
+same sentence and lexicon, same tags.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .model import PosTag, Sentence, SourceSpan, Tally, Token, _FrozenRecord
@@ -28,13 +30,13 @@ DEFAULT_VERB_SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
 )
 
 
-# What a lexicon says about one surface form by itself: the surface (the
-# memo's copy, which every token of that form shares), the word
-# lowercased, whether it is a known verb (through _verb_stems), the
+# What a lexicon says about one surface form by itself: the word
+# lowercased (the memo's copy, which every tally noun of that form
+# shares), whether it is a known verb (through _verb_stems), the
 # suffix-rule tag it may take in the subject slot (None when no rule
 # applies), and its tag when no verb reading applies. A pronoun's facts
 # end in (False, None, PRONOUN), so it is never a verb.
-_WordFacts = tuple[str, str, bool, Optional[PosTag], PosTag]
+_WordFacts = tuple[str, bool, Optional[PosTag], PosTag]
 
 
 class Lexicon(_FrozenRecord):
@@ -142,13 +144,20 @@ def _words(text: str, base_offset: int) -> list[tuple[str, int, int]]:
     return words
 
 
+def tagged_tokens(
+    text: str, base_offset: int, line: int, tags: Iterable[PosTag]
+) -> list[Token]:
+    """The words of text as tokens on the given line, tagged in order."""
+    return [
+        Token(surface, pos, SourceSpan(start, end, line))
+        for (surface, start, end), pos in zip(_words(text, base_offset), tags)
+    ]
+
+
 def tokenize(sentence_text: str, base_offset: int = 0, line: int = 0) -> list[Token]:
     """Split on whitespace/punctuation, keeping intra-word hyphens and
     apostrophes. Tokens come back untagged (pos OTHER)."""
-    return [
-        Token(surface, PosTag.OTHER, SourceSpan(start, end, line))
-        for surface, start, end in _words(sentence_text, base_offset)
-    ]
+    return tagged_tokens(sentence_text, base_offset, line, repeat(PosTag.OTHER))
 
 
 def _verb_stems(word: str) -> Iterable[str]:
@@ -171,7 +180,7 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
     if word == surface:
         word = surface  # one string for both
     if word in lex.pronouns:
-        return surface, word, False, None, PosTag.PRONOUN
+        return word, False, None, PosTag.PRONOUN
     known_verb = any(stem in lex.verbs for stem in _verb_stems(word))
     # Suffix fallback for verbs missing from the lexicon; _tag_words applies it
     # only in the subject slot.
@@ -189,7 +198,7 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
         other = PosTag.OTHER
     else:
         other = PosTag.NOUN
-    return surface, word, known_verb, suffix_tag, other
+    return word, known_verb, suffix_tag, other
 
 
 # A determiner introduces a noun phrase, so the word right after one is
@@ -206,13 +215,10 @@ _NOUN, _VERB, _MODIFIER, _PRONOUN = (
 _SUBJECT_TAGS = (_NOUN, _PRONOUN)
 
 
-def _tag_words(
-    surfaces: Iterable[str], lex: Lexicon
-) -> tuple[list[str], list[PosTag], list[str]]:
-    """The memo's copy of each word of one sentence and each word's
-    PosTag, in order, and the sentence's nouns, lowercased."""
+def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[list[PosTag], list[str]]:
+    """The PosTag of each word of one sentence, in order, and the
+    sentence's nouns, lowercased."""
     memo = lex._word_facts
-    shared: list[str] = []
     tags: list[PosTag] = []
     nouns: list[str] = []
     prev_word: Optional[str] = None
@@ -222,7 +228,7 @@ def _tag_words(
         facts = memo.get(surface)
         if facts is None:
             facts = memo[surface] = _facts_of(surface, lex)
-        surface, word, known_verb, suffix_tag, pos = facts
+        word, known_verb, suffix_tag, pos = facts
         if prev_word not in _DETERMINERS:
             if known_verb:
                 pos = _VERB
@@ -231,21 +237,19 @@ def _tag_words(
             # object nouns like "found products" stay nouns.
             elif suffix_tag and not verb_seen and prev_tag in _SUBJECT_TAGS:
                 pos = suffix_tag
-        shared.append(surface)
         tags.append(pos)
         if pos is _NOUN:
             nouns.append(word)
         prev_word = word
         prev_tag = pos
         verb_seen = verb_seen or pos is _VERB
-    return shared, tags, nouns
+    return tags, nouns
 
 
 def _tally(tags: list[PosTag], nouns: list[str]) -> Tally:
     """The Tally of one sentence's tags and its lowercased nouns."""
-    return Tally(
-        tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER), tuple(nouns)
-    )
+    counts = tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER)
+    return Tally(*counts, tuple(nouns), len(tags))
 
 
 def sentence_tally(sentence: Sentence) -> Tally:
@@ -262,24 +266,21 @@ def sentence_tally(sentence: Sentence) -> Tally:
 
 def tag(tokens: list[Token], lex: Lexicon) -> list[Token]:
     """Assign a PosTag to each token; lookup is lowercased, surfaces kept."""
-    _, tags, _ = _tag_words([t.surface for t in tokens], lex)
+    tags, _ = _tag_words([t.surface for t in tokens], lex)
     return [Token(t.surface, pos, t.span) for t, pos in zip(tokens, tags)]
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
-    """Fill in sentence.tokens (tokenized and tagged) and their tally in
-    place."""
-    words = _words(sentence.text, sentence.span.start)
-    surfaces, tags, nouns = _tag_words([surface for surface, _, _ in words], lex)
-    line = sentence.line
-    sentence.tokens = [
-        Token(surface, pos, SourceSpan(start, end, line))
-        for surface, (_, start, end), pos in zip(surfaces, words, tags)
-    ]
-    sentence.tally = _tally(tags, nouns)  # after tokens, which reset it
+    """Tag sentence and set its tally in place. Its tokens are built from
+    the kept tags, by tagged_tokens, when they are first read."""
+    text = sentence.text
+    tags, nouns = _tag_words(_WORD_RE.findall(text), lex)
+    sentence._tokens = None
+    sentence._tagged = (text, sentence.span.start, sentence.line, tags)
+    sentence.tally = _tally(tags, nouns)
 
 
 def analyze_document(doc, lex: Lexicon) -> None:
-    """Tokenize and tag every sentence of a parsed document in place."""
+    """Tag every sentence of a parsed document in place."""
     for _, sentence in doc.iter_sentences():
         analyze_sentence(sentence, lex)

@@ -219,6 +219,8 @@ def _bad_options(tmp_path):
     missing = str(tmp_path / "missing.txt")
     return {
         "stddev-k": ["--stddev-k", "0"],
+        "stddev-k-nan": ["--stddev-k", "nan"],
+        "stddev-k-inf": ["--stddev-k", "inf"],
         "missing-config": ["--config", missing],
         "missing-lexicon": ["--lexicon", missing],
         "rejected-config": ["--config", str(bad_config)],
@@ -227,7 +229,15 @@ def _bad_options(tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["lint", "eval"])
 @pytest.mark.parametrize(
-    "case", ["stddev-k", "missing-config", "missing-lexicon", "rejected-config"]
+    "case",
+    [
+        "stddev-k",
+        "stddev-k-nan",
+        "stddev-k-inf",
+        "missing-config",
+        "missing-lexicon",
+        "rejected-config",
+    ],
 )
 def test_bad_option_exits_two_with_a_message(tmp_path, capsys, fixtures_dir,
                                              subcommand, case):

@@ -102,6 +102,16 @@ def test_parse_config_rejects_bad_numbers(line, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_stddev_k_must_be_positive_and_finite(k):
+    with pytest.raises(ValueError, match="stddev_k"):
+        DetectorConfig(stddev_k=float(k))
+    with pytest.raises(ValueError, match="stddev_k"):
+        DetectorConfig()._replace(stddev_k=float(k))
+    with pytest.raises(ValueError, match="stddev_k"):
+        parse_config(f"stddev_k = {k}\n")
+
+
 def test_load_config(tmp_path):
     p = tmp_path / "cfg"
     p.write_text("stddev_k = 3.0\n")
@@ -419,6 +429,39 @@ def test_word_rules_match_a_walk_over_every_token(lexicon, steps, verbs, nouns):
     assert found == _word_findings_by_walking_tokens(doc, cfg)
 
 
+def _generated_doc_text(steps=300):
+    """A long basic flow like perfbench's generated documents: mostly plain
+    steps, some with a pronoun, some naming the actor."""
+    lines = []
+    for i in range(1, steps + 1):
+        if i % 7 == 0:
+            lines.append(f"{i}. It checks the record {i} of the batch.")
+        elif i % 11 == 0:
+            lines.append(f"{i}. The actor confirms record {i}.")
+        else:
+            lines.append(f"{i}. The operator reviews record {i} of the batch.")
+    return base_doc("".join(f"{line}\n" for line in lines))
+
+
+@pytest.mark.parametrize("source", ["atm", "generated"])
+def test_detect_builds_tokens_only_where_a_rule_quotes_them(lexicon, source):
+    if source == "atm":
+        doc, _ = parse_fixture("atm.ucd")
+    else:
+        doc, _ = parse_text(_generated_doc_text())
+    detect(doc, DetectorConfig(), lexicon)
+    sentences = [s for _, s in doc.iter_sentences()]
+    unquoted = [
+        s for s in sentences if not s.tally.pronouns and "actor" not in s.tally.nouns
+    ]
+    assert 0 < len(unquoted) < len(sentences)
+    assert all(s._tokens is None for s in unquoted)
+    # Read later, they are the tokens an eager analysis builds.
+    assert [s.tokens for s in unquoted] == [
+        tag(tokenize(s.text, s.span.start, s.line), lexicon) for s in unquoted
+    ]
+
+
 # --- distribution rules ---------------------------------------------------
 
 DISTRIBUTION_SMELLS = {
@@ -487,6 +530,32 @@ def test_stddev_k_configurable(lexicon):
     ) + "\n"
     loose = findings_for(text, lexicon, DetectorConfig(stddev_k=10.0))
     assert not any(f.smell_id == "long-sentence" for f in loose)
+
+
+def test_count_los_in_tokens_measures_sentences_in_words(lexicon):
+    steps = ["The system shows the page."] * 8 + [
+        "The clerk of the bank in the town gives the card to the man at the desk.",
+        "Administrators reauthenticate internationalization configurations.",
+    ]
+    basic = "".join(f"{i}. {text}\n" for i, text in enumerate(steps, 1))
+    doc, _ = parse_text(base_doc(basic))
+    cfg = DetectorConfig(count_los_in_tokens=True)
+    found = {
+        (f.smell_id, f.evidence.text)
+        for f in detect(doc, cfg, lexicon)
+        if f.smell_id in ("long-sentence", "short-sentence")
+    }
+    sentences = [s.text for _, s in doc.iter_sentences()]
+    words = [len(tokenize(text)) for text in sentences]
+    dist = distribution(words)
+    spread = cfg.stddev_k * dist.stddev
+    want = {
+        ("long-sentence" if n > dist.mean else "short-sentence", text)
+        for text, n in zip(sentences, words)
+        if abs(n - dist.mean) > spread
+    }
+    assert found == want
+    assert ("long-sentence", steps[8]) in want
 
 
 # --- one rule per smell, one implementation per predicate ----------------

@@ -1,7 +1,9 @@
 """analyze_sentence against a brute-force copy of the two-pass tagger it
 replaced: tokenize the sentence, then classify each word from scratch
-with the previous word, its tag and whether a verb was seen. The tally
-behind NOP, NOV, NOM and NON against brute-force counts over the tokens."""
+with the previous word, its tag and whether a verb was seen. The tokens
+built lazily after an analysis against tag(tokenize(...)). The tally
+behind NOP, NOV, NOM and NON, and its word count, against brute-force
+counts over the tokens."""
 
 import re
 
@@ -14,6 +16,7 @@ from ucsmell.textanalysis import (
     _verb_stems,
     analyze_sentence,
     load_lexicon,
+    sentence_tally,
     tag,
     tokenize,
 )
@@ -130,6 +133,35 @@ def test_analyze_sentence_matches_reference(text, base, line, lex):
     assert got == ref_analyze(text, base, line, lex)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_sentences(),
+    base=st.integers(min_value=0, max_value=10_000),
+    line=st.integers(min_value=0, max_value=500),
+    lex=st.sampled_from([BUNDLED, CUSTOM]),
+    change=st.sampled_from(["nothing", "text", "span", "line", "tokens"]),
+    other=_sentences(),
+)
+def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
+    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
+    analyze_sentence(s, lex)
+    want = tag(tokenize(text, base, line), lex)
+    # Changing the sentence after its analysis does not change its tokens;
+    # assigning tokens replaces them and drops the tally.
+    if change == "text":
+        s.text = other
+    elif change == "span":
+        s.span = SourceSpan(base + 3, base + 3 + len(other.encode()), line + 1)
+    elif change == "line":
+        s.line = line + 1
+    elif change == "tokens":
+        want = tag(tokenize(other, 5, line + 2), BUNDLED)
+        s.tokens = want
+        assert s.tally is None
+    assert s.tokens == want
+    assert s.tokens is s.tokens  # built once
+
+
 def _brute_counts(tokens, words):
     def count(pos, word=None):
         return sum(
@@ -143,11 +175,13 @@ def _brute_counts(tokens, words):
         count(PosTag.VERB),
         count(PosTag.MODIFIER),
         {w: count(PosTag.NOUN, w) for w in words},
+        len(tokens),
     )
 
 
 def _metric_counts(s, words):
-    return NOP(s), NOV(s), NOM(s), {w: NON(s, w) for w in words}
+    counts = NOP(s), NOV(s), NOM(s), {w: NON(s, w) for w in words}
+    return (*counts, sentence_tally(s).words)
 
 
 @settings(max_examples=300, deadline=None)
