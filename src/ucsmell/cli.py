@@ -103,7 +103,8 @@ def _usage_error(reason) -> int:
 
 def _parse_file(path: str) -> tuple[Optional[UseCaseDescription], list]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte order mark, as editors may write one.
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
@@ -207,7 +208,7 @@ def _cmd_eval(args) -> int:
     if doc is None:
         return report.EXIT_PARSE_ERROR
     try:
-        with open(args.oracle, encoding="utf-8") as fh:
+        with open(args.oracle, encoding="utf-8-sig") as fh:
             oracle = evaluation.load_oracle(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         print(f"{args.oracle}: {exc}", file=sys.stderr)

@@ -132,7 +132,7 @@ def parse_config(text: str) -> DetectorConfig:
 
 
 def load_config(path: str) -> DetectorConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops a byte order mark
         return parse_config(fh.read())
 
 

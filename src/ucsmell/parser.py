@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -52,6 +53,8 @@ _HEADERS = {
     "alternate flows": SectionKind.ALTERNATE_FLOWS,
     "exception flows": SectionKind.EXCEPTION_FLOWS,
 }
+_TEXT_SECTIONS = (SectionKind.NAME, SectionKind.OVERVIEW)
+_CONDITION_SECTIONS = (SectionKind.PRECONDITIONS, SectionKind.POSTCONDITIONS)
 
 _HEADER_RE = re.compile(
     r"^(name|overview|description|actors|preconditions|postconditions|"
@@ -77,6 +80,11 @@ _SENT_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
 
 def split_sentences(block: str) -> list[tuple[str, int]]:
     """Split a text block into (sentence, char offset) pairs."""
+    text = block.strip()
+    body = text.rstrip(".!?")
+    if "." not in body and "!" not in body and "?" not in body and "\n" not in body:
+        # The pattern can match only in the trailing run: one sentence.
+        return [(text, len(block) - len(block.lstrip()))] if text else []
     out: list[tuple[str, int]] = []
     pos = 0
     for m in _SENT_SPLIT_RE.finditer(block):
@@ -105,14 +113,15 @@ class _Lines:
 
     def __init__(self, source: str):
         self.lines: list[str] = source.split("\n")
-        self.offsets: list[int] = []
-        self.ascii: list[bool] = []
-        off = 0
-        for ln in self.lines:
-            self.offsets.append(off)
-            size = len(ln.encode("utf-8"))
-            self.ascii.append(size == len(ln))
-            off += size + 1
+        if source.isascii():  # then each offset is a plain length
+            self.ascii = [True] * len(self.lines)
+        else:
+            self.ascii = [ln.isascii() for ln in self.lines]
+        sizes = (
+            len(ln) + 1 if a else len(ln.encode("utf-8")) + 1
+            for ln, a in zip(self.lines, self.ascii)
+        )
+        self.offsets: list[int] = list(accumulate(sizes, initial=0))
 
     def span(self, lineno: int, text: str, col: int = 0) -> SourceSpan:
         """Span of text found at character column col of line lineno."""
@@ -125,11 +134,10 @@ class _Lines:
 
 
 def _sentences_of(lines: _Lines, lineno: int, text: str, col: int) -> list[Sentence]:
-    result = []
-    for sent, off in split_sentences(text):
-        span = lines.span(lineno, sent, col + off)
-        result.append(Sentence(text=sent, line=lineno, span=span))
-    return result
+    return [
+        Sentence(text=sent, line=lineno, span=lines.span(lineno, sent, col + off))
+        for sent, off in split_sentences(text)
+    ]
 
 
 def parse_text(
@@ -152,7 +160,7 @@ def parse_text(
             continue
         col = len(line) - len(line.lstrip())
 
-        m = _HEADER_RE.match(stripped)
+        m = _HEADER_RE.match(stripped) if ":" in stripped else None
         if m:
             kind = _HEADERS[m.group(1).lower()]
             if kind in doc.section_order:
@@ -163,7 +171,7 @@ def parse_text(
             current = kind
             current_branch = None
             rest = m.group(2).strip()
-            if kind in (SectionKind.NAME, SectionKind.OVERVIEW):
+            if kind in _TEXT_SECTIONS:
                 text_accum.setdefault(kind, [])
                 if rest:
                     text_accum[kind].append(rest)
@@ -175,7 +183,24 @@ def parse_text(
             warn(f"line outside any section: {stripped[:40]!r}", lineno)
             continue
 
-        if current in (SectionKind.NAME, SectionKind.OVERVIEW):
+        if current is SectionKind.BASIC_FLOW:  # first: the common case
+            if doc.basic_flow is None:
+                doc.basic_flow = Flow(steps=[])
+            sm = _STEP_RE.match(stripped)
+            if sm:
+                label, text = sm.groups()
+                number, text_col = int(label), col + (len(stripped) - len(text))
+            else:
+                label, number, text, text_col = None, None, stripped, col
+            doc.basic_flow.steps.append(
+                Step(
+                    label=label,
+                    number=number,
+                    sentences=_sentences_of(lines, lineno, text, text_col),
+                    span=lines.span(lineno, stripped, col),
+                )
+            )
+        elif current in _TEXT_SECTIONS:
             text_accum[current].append(stripped)
         elif current is SectionKind.ACTORS:
             if doc.actors is None:
@@ -187,29 +212,12 @@ def parse_text(
                     break
             else:
                 doc.actors.append(ActorDecl(stripped))
-        elif current in (SectionKind.PRECONDITIONS, SectionKind.POSTCONDITIONS):
+        elif current in _CONDITION_SECTIONS:
             sents = _sentences_of(lines, lineno, stripped, col)
             if current is SectionKind.PRECONDITIONS:
                 doc.preconditions = (doc.preconditions or []) + sents
             else:
                 doc.postconditions = (doc.postconditions or []) + sents
-        elif current is SectionKind.BASIC_FLOW:
-            if doc.basic_flow is None:
-                doc.basic_flow = Flow(steps=[])
-            sm = _STEP_RE.match(stripped)
-            if sm:
-                label, text = sm.group(1), sm.group(2)
-                text_col = col + (len(stripped) - len(text))
-            else:
-                label, text, text_col = None, stripped, col
-            doc.basic_flow.steps.append(
-                Step(
-                    label=label,
-                    number=_trailing_number(label) if label else None,
-                    sentences=_sentences_of(lines, lineno, text, text_col),
-                    span=lines.span(lineno, stripped, col),
-                )
-            )
         else:  # branch flow sections
             flows = doc.branch_flows(current)
             bm = _BRANCH_STEP_RE.match(stripped)
@@ -277,6 +285,8 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
         sents = _sentences_of(lines, lineno, text, col)
         flow.condition = sents[0]
+        if len(sents) > 1:
+            warn("content after the condition's first sentence ignored", lineno)
         am = _AT_STEP_RE.search(text)
         if am:
             flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))

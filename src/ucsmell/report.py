@@ -68,19 +68,53 @@ def finding_record(f: Finding) -> dict:
     return rec
 
 
+# What json.dumps(..., ensure_ascii=False) quotes strings with.
+_quote = json.encoder.encode_basestring
+
+
 def emit_json(findings: list[Finding]) -> str:
-    return _dumps([finding_record(f) for f in findings])
+    """The records, as json.dumps(records, indent=2, ensure_ascii=False) writes them."""
+    return _records(findings, "")
 
 
 def emit_json_files(per_file: list[tuple[str, list[Finding]]]) -> str:
     """One JSON object mapping each path to its findings' records."""
-    return _dumps(
-        {path: [finding_record(f) for f in findings] for path, findings in per_file}
-    )
+    by_path = dict(per_file)  # a repeated path keeps its first place, last findings
+    if not by_path:
+        return "{}"
+    return "{\n" + ",\n".join(
+        f"  {_quote(path)}: {_records(findings, '  ')}"
+        for path, findings in by_path.items()
+    ) + "\n}"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+def _records(findings: list[Finding], pad: str) -> str:
+    """The findings' records as json.dumps(..., indent=2) lays them out at pad.
+
+    Writing them directly is several times faster than json.dumps, whose
+    indented output never uses the C encoder.
+    """
+    if not findings:
+        return "[]"
+    keys = pad + "    "
+    parts = []
+    for f in findings:
+        ev = f.evidence
+        if isinstance(ev, WordEvidence):
+            tail = '"word": ' + _quote(ev.text)
+        elif isinstance(ev, SentenceEvidence):
+            tail = '"sentence": ' + _quote(ev.text)
+        elif isinstance(ev, FlowEvidence):
+            items = f",\n{keys}  ".join(map(_quote, ev.items))
+            tail = f'"flow": [\n{keys}  {items}\n{keys}]' if items else '"flow": []'
+        else:
+            raise TypeError(f"unknown evidence type: {ev!r}")
+        parts.append(
+            f'{pad}  {{\n{keys}"item_name": {_quote(f.item_name)},\n'
+            f'{keys}"metric": {_quote(f.metric)},\n{keys}"line": {f.line},\n'
+            f"{keys}{tail}\n{pad}  }}"
+        )
+    return "[\n" + ",\n".join(parts) + f"\n{pad}]"
 
 
 def parse_report(text: str) -> list[dict]:

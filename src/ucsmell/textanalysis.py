@@ -116,7 +116,7 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
         data_path = os.path.join(os.path.dirname(__file__), "data", "lexicon.txt")
         text = __spec__.loader.get_data(data_path).decode("utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a byte order mark
             text = fh.read()
     return parse_lexicon(text)
 

@@ -66,6 +66,54 @@ def test_lint_json_file_input(tmp_path, capsys, fixtures_dir):
     assert len(records) == 12
 
 
+BOM = "\ufeff"  # a byte order mark, as some editors write at the start of a file
+
+
+def test_lint_reads_a_ucd_file_with_a_byte_order_mark(tmp_path, capsys, fixtures_dir):
+    p = tmp_path / "atm.ucd"
+    p.write_text(BOM + (fixtures_dir / "atm.ucd").read_text("utf-8"), "utf-8")
+    code = run(["lint", str(p), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    assert out == (fixtures_dir / "atm_findings.golden.json").read_text("utf-8")
+
+
+def test_lint_reads_a_json_file_with_a_byte_order_mark(tmp_path, capsys, fixtures_dir):
+    from ucsmell.parser import parse_text, serialize
+
+    doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(serialize(doc), "utf-8")
+    marked.write_text(BOM + serialize(doc), "utf-8")
+    assert run(["lint", str(plain), "--format", "json"]) == 1
+    want = capsys.readouterr().out
+    code = run(["lint", str(marked), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err, out) == (1, "", want)
+
+
+def test_config_lexicon_and_oracle_files_may_carry_a_byte_order_mark(
+    tmp_path, capsys, fixtures_dir
+):
+    atm = str(fixtures_dir / "atm.ucd")
+    cfg, lex, oracle = (tmp_path / n for n in ("c.cfg", "lex.txt", "oracle.json"))
+    cfg.write_text(BOM + "enabled_smells = pronoun\n", "utf-8")
+    lex.write_text(BOM + "it\tpronoun\n", "utf-8")
+    oracle.write_text(
+        BOM + '[{"smell_id": "pronoun", "item_name": "Basic Flow", "line": 9}]',
+        "utf-8",
+    )
+    code = run(["lint", atm, "--config", str(cfg), "--lexicon", str(lex),
+                "--format", "json"])
+    records = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [(r["metric"], r.get("word")) for r in records] == [("NOP", "it")]
+    code = run(["eval", atm, "--oracle", str(oracle), "--config", str(cfg)])
+    assert code == 0
+    assert "Total" in capsys.readouterr().out
+
+
 def test_lint_fail_threshold(capsys, fixtures_dir):
     assert run(["lint", str(fixtures_dir / "atm.ucd"), "--fail-threshold", "99"]) == 0
     capsys.readouterr()

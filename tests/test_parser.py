@@ -247,3 +247,28 @@ def test_unlabeled_return_line_is_marker_not_step():
     flow = doc.alternate_flows[0]
     assert flow.return_to == StepRef(SectionKind.BASIC_FLOW, "1")
     assert len(flow.steps) == 1
+
+
+@pytest.mark.parametrize(
+    "branch",
+    ["A1. If the card is invalid. The system beeps.",
+     "A1\nIf the card is invalid. The system beeps."],
+    ids=["header-rest", "own-line"],
+)
+def test_text_after_the_condition_sentence_warns(branch):
+    text = f"Basic Flow:\n1. A does B.\nAlternate Flows:\n{branch}\nA1.1 C does D.\n"
+    doc, diags = parse_text(text)
+    flow = doc.alternate_flows[0]
+    assert flow.condition.text == "If the card is invalid."
+    assert [s.text for step in flow.steps for s in step.sentences] == ["C does D."]
+    line = text.split("\n").index(branch.split("\n")[-1]) + 1
+    assert [(d.severity, d.message, d.line) for d in diags] == [
+        (Severity.WARNING, "content after the condition's first sentence ignored", line)
+    ]
+
+
+def test_one_sentence_condition_does_not_warn():
+    text = "Basic Flow:\n1. A does B.\nAlternate Flows:\nA1 If the card is invalid.\n"
+    doc, diags = parse_text(text)
+    assert doc.alternate_flows[0].condition.text == "If the card is invalid."
+    assert diags == []

@@ -1,6 +1,7 @@
 """Randomized properties. Example counts across this module exceed 1000."""
 
 import math
+import re
 import statistics
 import sys
 from collections import Counter
@@ -20,7 +21,7 @@ from ucsmell.model import (
     StepRef,
     UseCaseDescription,
 )
-from ucsmell.parser import parse_json, serialize, split_sentences
+from ucsmell.parser import parse_json, parse_text, serialize, split_sentences
 from ucsmell.textanalysis import load_lexicon, tag, tokenize
 
 LEXICON = load_lexicon()
@@ -147,6 +148,82 @@ def test_split_sentences_offsets_and_substrings(block):
     for text, off in split_sentences(block):
         assert text == text.strip() and text
         assert block[off : off + len(text)] == text
+
+
+# The sentence splitter before its one-sentence shortcut: the pattern alone.
+_REFERENCE_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
+
+
+def _split_by_pattern(block):
+    out = []
+    pos = 0
+    for m in _REFERENCE_SPLIT_RE.finditer(block):
+        piece = block[pos : m.end()]
+        if piece.strip():
+            lead = len(piece) - len(piece.lstrip())
+            out.append((piece.strip(), pos + lead))
+        pos = m.end()
+    tail = block[pos:]
+    if tail.strip():
+        lead = len(tail) - len(tail.lstrip())
+        out.append((tail.strip(), pos + lead))
+    return out
+
+
+_space_st = st.text(alphabet=" \t\r\n\u00a0\x1f", max_size=3)
+_split_block_st = st.one_of(
+    st.text(alphabet="ab19\u00fc\u00df.!? \t\r\n\u00a0", max_size=60),
+    # words, a trailing run of terminators, whitespace: the shortcut's case
+    st.builds(
+        lambda lead, body, run, trail: lead + body + run + trail,
+        _space_st,
+        st.text(alphabet="ab19\u00fc\u00df \t\r", max_size=30),
+        st.text(alphabet=".!?", max_size=3),
+        _space_st,
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(block=_split_block_st)
+def test_split_sentences_equals_the_pattern_alone(block):
+    assert split_sentences(block) == _split_by_pattern(block)
+
+
+@st.composite
+def _mixed_source_st(draw):
+    """A .ucd source whose lines are ASCII or not, line by line."""
+    body = st.text(alphabet="ab 1.!?\u00e4\u20ac\U0001f600", min_size=1, max_size=30)
+    pad = st.sampled_from(["", " ", "\t", " \u00a0"])
+    lines = ["Preconditions:"]
+    lines += [draw(pad) + draw(body) for _ in range(draw(st.integers(0, 2)))]
+    lines.append("Basic Flow:")
+    lines += [f"{draw(pad)}{i}. {draw(body)}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    lines += ["Alternate Flows:", f"{draw(pad)}A1 If {draw(body)}"]
+    lines += [f"{draw(pad)}A1.1 {draw(body)}", draw(pad) + draw(body)]
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_mixed_source_st())
+def test_parse_text_spans_slice_the_utf8_source(source):
+    doc, _ = parse_text(source)
+    raw_lines = source.encode("utf-8").split(b"\n")
+    starts = [0]
+    for raw_line in raw_lines:
+        starts.append(starts[-1] + len(raw_line) + 1)
+
+    def text_at(span):
+        line_start = starts[span.line - 1]
+        assert line_start <= span.start <= span.end <= starts[span.line] - 1
+        return raw_lines[span.line - 1][span.start - line_start : span.end - line_start]
+
+    for _, s in doc.iter_sentences():
+        assert text_at(s.span).decode("utf-8") == s.text
+    steps = doc.basic_flow.steps + doc.alternate_flows[0].steps
+    for item in steps + doc.alternate_flows:
+        text = text_at(item.span).decode("utf-8")
+        assert text and text == text.strip()
 
 
 @settings(max_examples=100, deadline=None)

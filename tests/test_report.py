@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucsmell import report
 from ucsmell.engine import DetectorConfig, detect
 from ucsmell.model import (
+    EMPTY_SPAN,
     Finding,
     FlowEvidence,
     SentenceEvidence,
@@ -133,3 +135,64 @@ def test_golden_files_byte_identical(lexicon, fixtures_dir):
         produced = report.emit_json(detect(doc, DetectorConfig(), lexicon)) + "\n"
         golden = (fixtures_dir / f"{name}_findings.golden.json").read_bytes()
         assert produced.encode("utf-8") == golden, name
+
+
+# Quotes, backslashes, control characters, line separators and non-ASCII
+# text, mixed with whatever else hypothesis draws.
+_json_text_st = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+_finding_st = st.builds(
+    Finding,
+    smell_id=st.just("pronoun"),
+    item_name=_json_text_st,
+    metric=_json_text_st,
+    line=st.integers(min_value=0, max_value=10**9),
+    evidence=st.one_of(
+        st.builds(WordEvidence, _json_text_st),
+        st.builds(SentenceEvidence, _json_text_st),
+        st.builds(FlowEvidence, st.lists(_json_text_st, max_size=3).map(tuple)),
+    ),
+    span=st.just(EMPTY_SPAN),
+)
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(findings=st.lists(_finding_st, max_size=5))
+def test_emit_json_equals_json_dumps(findings):
+    want = _dumps([report.finding_record(f) for f in findings])
+    assert report.emit_json(findings) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    per_file=st.lists(
+        st.tuples(
+            # few paths, so that some repeat: the last findings win
+            st.one_of(st.sampled_from(["a.ucd", 'b "2".ucd', "\u00e9.ucd"]), _json_text_st),
+            st.lists(_finding_st, max_size=3),
+        ),
+        max_size=4,
+    )
+)
+def test_emit_json_files_equals_json_dumps(per_file):
+    want = _dumps(
+        {path: [report.finding_record(f) for f in fs] for path, fs in per_file}
+    )
+    assert report.emit_json_files(per_file) == want
+
+
+def test_emit_json_rejects_unknown_evidence():
+    odd = word_finding()._replace(evidence="it")
+    with pytest.raises(TypeError, match="unknown evidence type"):
+        report.emit_json([odd])
+    with pytest.raises(TypeError, match="unknown evidence type"):
+        report.emit_json_files([("a.ucd", [odd])])
