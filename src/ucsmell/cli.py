@@ -122,9 +122,10 @@ def _cmd_lint(args) -> int:
     try:
         cfg = _load_detector_config(args)
         lex = load_lexicon(args.lexicon)
-        options = report.ReportOptions(fail_threshold=args.fail_threshold)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
+    if args.fail_threshold is not None and args.fail_threshold < 0:
+        return _usage_error("fail_threshold must be >= 0")
     fmt = report.ReportFormat(args.format)
 
     # A file that fails to parse is reported on stderr and skipped; the
@@ -151,7 +152,7 @@ def _cmd_lint(args) -> int:
     if parse_failed:
         return report.EXIT_PARSE_ERROR
     total = sum(len(f) for _, f in per_file)
-    return report.exit_code(total, options)
+    return report.exit_code(total, args.fail_threshold)
 
 
 def _cmd_catalogue(args) -> int:

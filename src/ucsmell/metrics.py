@@ -2,11 +2,11 @@
 
 The numeric metrics (NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count
 features of single sentences or flow groups; NOP, NOV, NOM and NON read
-the tally the tagger keeps next to a sentence's tokens. The 22
-predicates check structural properties of flows and sections. A flow
-predicate is named after its section and the suffix of its per-flow
-check in FLOW_CHECKS, a section predicate comes from SECTION_EXIST; the
-engine's rules call the same checks. All are pure functions; the output
+the tally the analyzer sets on a sentence (all zero before analysis).
+The 22 predicates check structural properties of flows and sections. A
+flow predicate is named after its section and the suffix of its
+per-flow check in FLOW_CHECKS, a section predicate comes from
+SECTION_EXIST; the engine's rules call the same checks. All are pure functions; the output
 names are the bit-exact strings the report format uses.
 """
 
@@ -24,7 +24,6 @@ from .model import (
     UseCaseDescription,
 )
 from .parser import RETURN_RE
-from .textanalysis import sentence_tally
 
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 
@@ -40,17 +39,17 @@ class PredicateResult(NamedTuple):
 
 def NOP(s: Sentence) -> int:
     """Number of pronouns in a tagged sentence."""
-    return sentence_tally(s).pronouns
+    return s.tally.pronouns
 
 
 def NOV(s: Sentence) -> int:
     """Number of verbs in a tagged sentence."""
-    return sentence_tally(s).verbs
+    return s.tally.verbs
 
 
 def NOM(s: Sentence) -> int:
     """Number of modifiers in a tagged sentence."""
-    return sentence_tally(s).modifiers
+    return s.tally.modifiers
 
 
 def NOW(s: Sentence, word: str) -> int:
@@ -61,7 +60,7 @@ def NOW(s: Sentence, word: str) -> int:
 
 def NON(s: Sentence, noun: str) -> int:
     """Number of noun-tagged occurrences of the given word."""
-    return sentence_tally(s).nouns.count(noun.lower())
+    return s.tally.nouns.count(noun.lower())
 
 
 def LOS(s: Sentence) -> int:

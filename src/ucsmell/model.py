@@ -1,10 +1,11 @@
 """Core document model and smell-catalogue types.
 
 Everything here is plain data: the parser produces a UseCaseDescription,
-the text analyzer fills in tokens and their tally, and the metrics/engine
-modules read them. Position data (spans, line numbers, section order) is
-excluded from equality so that documents loaded from different
-serializations of the same content compare equal.
+the text analyzer, the only writer of a sentence's tally and tokens,
+fills them in, and the metrics/engine modules read them. Position data
+(spans, line numbers, section order) is excluded from equality so that
+documents loaded from different serializations of the same content
+compare equal.
 
 The immutable value records (SourceSpan, Token, Finding, ...) are named
 tuples: hashable and cheap to create, and, like any tuple, equal to a
@@ -87,10 +88,6 @@ CANONICAL_SECTIONS = [
     SectionKind.ALTERNATE_FLOWS,
     SectionKind.EXCEPTION_FLOWS,
 ]
-
-
-def section_index(kind: SectionKind) -> int:
-    return CANONICAL_SECTIONS.index(kind)
 
 
 class _SpanFields(NamedTuple):
@@ -204,15 +201,17 @@ class Tally(NamedTuple):
     words: int
 
 
+EMPTY_TALLY = Tally(0, 0, 0, (), 0)
+
+
 class Sentence(_Record):
     """One sentence of a document.
 
-    The analyzer sets tally and keeps what it tagged (the text, span
-    start, line and tags); tokens are built from that the first time they
-    are read, so they are what an eager analysis would have built even if
-    text, span or line change later. Assigning tokens drops what was
-    tagged and resets tally to None, so a tally never describes tokens
-    the sentence no longer holds.
+    Only the analyzer writes a sentence's tally and tokens. It sets tally
+    and keeps what it tagged (the text, span start, line and tags); tokens
+    are built from that the first time they are read, so they are what an
+    eager analysis would have built even if text, span or line change
+    later. A sentence never analyzed has no tokens and EMPTY_TALLY.
     """
 
     __slots__ = ("text", "line", "span", "_tokens", "_tagged", "tally")
@@ -220,16 +219,14 @@ class Sentence(_Record):
     _compared = ("text",)
 
     def __init__(
-        self,
-        text: str,
-        line: int = 0,
-        span: SourceSpan = EMPTY_SPAN,
-        tokens: Optional[list[Token]] = None,
+        self, text: str, line: int = 0, span: SourceSpan = EMPTY_SPAN
     ) -> None:
         self.text = text
         self.line = line
         self.span = span
-        self.tokens = [] if tokens is None else tokens
+        self._tokens = []
+        self._tagged = None
+        self.tally = EMPTY_TALLY
 
     @property
     def tokens(self) -> list[Token]:
@@ -239,12 +236,6 @@ class Sentence(_Record):
             self._tokens = tagged_tokens(*self._tagged)
             self._tagged = None
         return self._tokens
-
-    @tokens.setter
-    def tokens(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._tagged = None
-        self.tally = None
 
 
 class Step(_Record):

@@ -76,6 +76,8 @@ RETURN_RE = re.compile(
 # A sentence terminator splits unless it sits in a digit context, as in
 # step labels ("A1.1") or trailing numerals ("step 2.").
 _SENT_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
+# Both front-ends keep a branch condition's first sentence and warn so.
+_CONDITION_REST_IGNORED = "content after the condition's first sentence ignored"
 
 
 def split_sentences(block: str) -> list[tuple[str, int]]:
@@ -286,7 +288,7 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
         sents = _sentences_of(lines, lineno, text, col)
         flow.condition = sents[0]
         if len(sents) > 1:
-            warn("content after the condition's first sentence ignored", lineno)
+            warn(_CONDITION_REST_IGNORED, lineno)
         am = _AT_STEP_RE.search(text)
         if am:
             flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
@@ -373,12 +375,12 @@ def parse_json(
         obj = json.loads(source)
     except json.JSONDecodeError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, f"invalid JSON: {exc}", exc.lineno)]
+    diags: list[ParseDiagnostic] = []
     try:
-        doc = _doc_from_obj(obj, name)
+        doc = _doc_from_obj(obj, name, diags)
     except _SchemaError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, str(exc), 0)]
     # Like parse_text, keep every flow and warn about each repeated id.
-    diags = []
     for flows in (doc.alternate_flows, doc.exception_flows):
         seen: set[str] = set()
         for flow in flows:
@@ -389,7 +391,7 @@ def parse_json(
     return doc, diags
 
 
-def _doc_from_obj(obj, name: SourceRef) -> UseCaseDescription:
+def _doc_from_obj(obj, name: SourceRef, diags: list) -> UseCaseDescription:
     _expect(isinstance(obj, dict), "top level must be an object")
     doc = UseCaseDescription(source=name)
     if "name" in obj:
@@ -435,7 +437,7 @@ def _doc_from_obj(obj, name: SourceRef) -> UseCaseDescription:
     ):
         if key in obj:
             _expect(isinstance(obj[key], list), f"'{key}' must be an array")
-            setattr(doc, key, [_branch_from_obj(f) for f in obj[key]])
+            setattr(doc, key, [_branch_from_obj(f, diags) for f in obj[key]])
             doc.section_order.append(kind)
     return doc
 
@@ -456,7 +458,7 @@ def _step_from_obj(obj) -> Step:
     )
 
 
-def _branch_from_obj(obj) -> BranchFlow:
+def _branch_from_obj(obj, diags: list) -> BranchFlow:
     _expect(
         isinstance(obj, dict) and isinstance(obj.get("id"), str) and obj["id"],
         "flows must be objects with a non-empty 'id' string",
@@ -464,7 +466,10 @@ def _branch_from_obj(obj) -> BranchFlow:
     flow = BranchFlow(id=obj["id"])
     if obj.get("condition") is not None:
         _expect(isinstance(obj["condition"], str), "'condition' must be a string")
-        flow.condition = Sentence(text=obj["condition"].strip())
+        sents = split_sentences(obj["condition"])
+        flow.condition = Sentence(text=sents[0][0] if sents else "")
+        if len(sents) > 1:
+            diags.append(ParseDiagnostic(Severity.WARNING, _CONDITION_REST_IGNORED, 0))
         am = _AT_STEP_RE.search(obj["condition"])
         if am:
             flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
@@ -480,7 +485,7 @@ def _branch_from_obj(obj) -> BranchFlow:
         )
     _expect(isinstance(obj.get("steps"), list), "flows must carry a 'steps' array")
     flow.steps = [_step_from_obj(s) for s in obj["steps"]]
-    for step in flow.steps:
-        if flow.return_to is None:
+    if flow.return_to is None:  # the last return phrase wins, as in parse_text
+        for step in flow.steps:
             _note_return(flow, " ".join(s.text for s in step.sentences))
     return flow

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .catalogue import by_id
 from .model import (
@@ -32,26 +32,8 @@ class ReportFormat(Enum):
     PRETTY = "pretty"
 
 
-class _OptionFields(NamedTuple):
-    fail_threshold: Optional[int] = None
-
-
-class ReportOptions(_OptionFields):
-    __slots__ = ()
-
-    def __new__(cls, fail_threshold: Optional[int] = None) -> ReportOptions:
-        if fail_threshold is not None and fail_threshold < 0:
-            raise ValueError("fail_threshold must be >= 0")
-        return tuple.__new__(cls, (fail_threshold,))
-
-    @classmethod
-    def _make(cls, iterable) -> ReportOptions:
-        # _replace builds through _make; keep the check on that path too.
-        return cls(*iterable)
-
-
-def exit_code(findings_count: int, options: ReportOptions) -> int:
-    threshold = options.fail_threshold if options.fail_threshold is not None else 1
+def exit_code(findings_count: int, fail_threshold: Optional[int] = None) -> int:
+    threshold = 1 if fail_threshold is None else fail_threshold
     return EXIT_FINDINGS if findings_count >= threshold else EXIT_OK
 
 
@@ -184,7 +166,6 @@ __all__ = [
     "EXIT_OK",
     "EXIT_PARSE_ERROR",
     "ReportFormat",
-    "ReportOptions",
     "emit_json",
     "emit_pretty",
     "exit_code",

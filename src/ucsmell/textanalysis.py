@@ -2,9 +2,10 @@
 
 Use case steps are short subject-verb-object sentences, so a closed-class
 lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
-noun counts the metrics need. Tagging a sentence also tallies those
-counts once (Sentence.tally), so the metrics and the rules never walk
-the tokens to count them, and builds no tokens: Sentence.tokens builds
+noun counts the metrics need. analyze_sentence is the only writer of a
+sentence's tally and tokens. It tallies those counts once
+(Sentence.tally), so the metrics and the rules never walk the tokens to
+count them, and builds no tokens: the read-only Sentence.tokens builds
 them from the kept tags when first read. Everything is deterministic:
 same sentence and lexicon, same tags.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import repeat
 from typing import Iterable, Optional
 
 from .model import PosTag, Sentence, SourceSpan, Tally, Token, _FrozenRecord
@@ -154,12 +154,6 @@ def tagged_tokens(
     ]
 
 
-def tokenize(sentence_text: str, base_offset: int = 0, line: int = 0) -> list[Token]:
-    """Split on whitespace/punctuation, keeping intra-word hyphens and
-    apostrophes. Tokens come back untagged (pos OTHER)."""
-    return tagged_tokens(sentence_text, base_offset, line, repeat(PosTag.OTHER))
-
-
 def _verb_stems(word: str) -> Iterable[str]:
     yield word
     if word.endswith("ies") and len(word) > 4:
@@ -246,30 +240,6 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[list[PosTag], lis
     return tags, nouns
 
 
-def _tally(tags: list[PosTag], nouns: list[str]) -> Tally:
-    """The Tally of one sentence's tags and its lowercased nouns."""
-    counts = tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER)
-    return Tally(*counts, tuple(nouns), len(tags))
-
-
-def sentence_tally(sentence: Sentence) -> Tally:
-    """The sentence's tally; counted from its tokens first when they were
-    assigned rather than analyzed."""
-    if sentence.tally is None:
-        tokens = sentence.tokens
-        sentence.tally = _tally(
-            [t.pos for t in tokens],
-            [t.surface.lower() for t in tokens if t.pos is _NOUN],
-        )
-    return sentence.tally
-
-
-def tag(tokens: list[Token], lex: Lexicon) -> list[Token]:
-    """Assign a PosTag to each token; lookup is lowercased, surfaces kept."""
-    tags, _ = _tag_words([t.surface for t in tokens], lex)
-    return [Token(t.surface, pos, t.span) for t, pos in zip(tokens, tags)]
-
-
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     """Tag sentence and set its tally in place. Its tokens are built from
     the kept tags, by tagged_tokens, when they are first read."""
@@ -277,7 +247,8 @@ def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     tags, nouns = _tag_words(_WORD_RE.findall(text), lex)
     sentence._tokens = None
     sentence._tagged = (text, sentence.span.start, sentence.line, tags)
-    sentence.tally = _tally(tags, nouns)
+    counts = tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER)
+    sentence.tally = Tally(*counts, tuple(nouns), len(tags))
 
 
 def analyze_document(doc, lex: Lexicon) -> None:

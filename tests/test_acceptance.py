@@ -27,7 +27,7 @@ from ucsmell.model import (
 )
 from ucsmell.parser import parse_json, serialize
 from ucsmell.report import emit_json, parse_report
-from ucsmell.textanalysis import tag, tokenize
+from ucsmell.textanalysis import analyze_sentence
 
 import pytest
 
@@ -246,7 +246,7 @@ def test_criterion_5_metric_properties():
         for _ in range(400):  # NOW >= NON on randomized sentences
             text = " ".join(rng.choices(pool, k=rng.randint(1, 12)))
             s = Sentence(text=text)
-            s.tokens = tag(tokenize(text), LEXICON)
+            analyze_sentence(s, LEXICON)
             for tok in s.tokens:
                 assert NOW(s, tok.surface) >= NON(s, tok.surface)
             cases += 1

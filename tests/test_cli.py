@@ -303,7 +303,7 @@ def test_bad_option_exits_two_with_a_message(tmp_path, capsys, fixtures_dir,
 def test_negative_fail_threshold_exits_two_with_a_message(capsys, fixtures_dir):
     code = run(["lint", str(fixtures_dir / "atm.ucd"), "--fail-threshold", "-1"])
     assert code == 2
-    assert capsys.readouterr().err == "ucsmell: fail_threshold must be >= 0\n"
+    assert capsys.readouterr() == ("", "ucsmell: fail_threshold must be >= 0\n")
 
 
 def test_eval_rejects_json_input(tmp_path, capsys, fixtures_dir):

@@ -14,9 +14,9 @@ from ucsmell.engine import (
     load_config,
     parse_config,
 )
-from ucsmell.model import PosTag, SectionKind, WordEvidence
+from ucsmell.model import PosTag, SectionKind, Sentence, WordEvidence
 from ucsmell.parser import parse_json, parse_text, serialize
-from ucsmell.textanalysis import Lexicon, tag, tokenize
+from ucsmell.textanalysis import Lexicon, analyze_sentence
 
 from conftest import FIXTURES, parse_fixture
 
@@ -363,13 +363,6 @@ def test_detect_tallies_with_the_lexicon_it_is_given(lexicon):
     assert metrics.NON(step, "Checks") == 2
     assert run(lexicon) == default
     assert metrics.NON(step, "checks") == 0
-    # Tokens assigned by hand leave no stale tally behind.
-    step.tokens = tag(tokenize(step.text), nouns_only)
-    counts = metrics.NOV(step), metrics.NOM(step), metrics.NON(step, "checks")
-    assert counts == (0, 0, 2)
-    step.tokens = []
-    counts = metrics.NOP(step), metrics.NOV(step), metrics.NON(step, "checks")
-    assert counts == (0, 0, 0)
 
 
 _WORD_RULES = (
@@ -456,10 +449,13 @@ def test_detect_builds_tokens_only_where_a_rule_quotes_them(lexicon, source):
     ]
     assert 0 < len(unquoted) < len(sentences)
     assert all(s._tokens is None for s in unquoted)
-    # Read later, they are the tokens an eager analysis builds.
-    assert [s.tokens for s in unquoted] == [
-        tag(tokenize(s.text, s.span.start, s.line), lexicon) for s in unquoted
-    ]
+    # Read later, they are the tokens read right after a fresh analysis.
+    def fresh_tokens(s):
+        fresh = Sentence(s.text, s.line, s.span)
+        analyze_sentence(fresh, lexicon)
+        return fresh.tokens
+
+    assert [s.tokens for s in unquoted] == [fresh_tokens(s) for s in unquoted]
 
 
 # --- distribution rules ---------------------------------------------------
@@ -546,7 +542,7 @@ def test_count_los_in_tokens_measures_sentences_in_words(lexicon):
         if f.smell_id in ("long-sentence", "short-sentence")
     }
     sentences = [s.text for _, s in doc.iter_sentences()]
-    words = [len(tokenize(text)) for text in sentences]
+    words = [len(text.split()) for text in sentences]  # one word per space here
     dist = distribution(words)
     spread = cfg.stddev_k * dist.stddev
     want = {

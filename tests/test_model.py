@@ -5,6 +5,7 @@ import pytest
 
 from ucsmell.engine import DetectorConfig
 from ucsmell.model import (
+    EMPTY_TALLY,
     END,
     BranchFlow,
     FlowEvidence,
@@ -21,7 +22,8 @@ from ucsmell.model import (
     UseCaseDescription,
     WordEvidence,
 )
-from ucsmell.textanalysis import load_lexicon
+from ucsmell.metrics import NOM, NON, NOP, NOV
+from ucsmell.textanalysis import analyze_document, load_lexicon
 
 
 def test_span_rejects_start_after_end():
@@ -102,26 +104,37 @@ def test_frozen_records_copy_and_pickle():
 
 
 def test_document_equality_ignores_positions_and_tokens():
-    token = Token("it", PosTag.PRONOUN, SourceSpan(3, 5, 2))
-
-    def document(line, span, tokens, order):
-        sentence = Sentence("It works.", line, span, tokens)
+    def document(line, span, analyzed, order):
+        sentence = Sentence("It works.", line, span)
         step = Step("1", 1, [sentence], span)
         flow = BranchFlow("A1", Sentence("If x.", line, span), steps=[step], span=span)
-        return UseCaseDescription(
+        doc = UseCaseDescription(
             name="X",
             alternate_flows=[flow],
             source=SourceRef(f"doc-{line}"),
             section_order=order,
             section_header_lines={SectionKind.NAME: line},
         )
+        if analyzed:
+            analyze_document(doc, load_lexicon())
+        return doc
 
-    a = document(2, SourceSpan(3, 12, 2), [token], [SectionKind.NAME])
-    b = document(0, SourceSpan(0, 0, 0), [], [])
+    a = document(2, SourceSpan(3, 12, 2), True, [SectionKind.NAME])
+    b = document(0, SourceSpan(0, 0, 0), False, [])
+    assert a.alternate_flows[0].steps[0].sentences[0].tokens
     assert a == b
     assert a.alternate_flows[0] == b.alternate_flows[0]
     b.alternate_flows[0].steps[0].sentences[0].text = "It fails."
     assert a != b
+
+
+def test_plain_sentence_has_no_tokens_and_an_empty_tally():
+    s = Sentence("It shows the valid card.")
+    assert s.tokens == []
+    assert s.tally == EMPTY_TALLY == (0, 0, 0, (), 0)
+    assert (NOP(s), NOV(s), NOM(s), NON(s, "card")) == (0, 0, 0, 0)
+    with pytest.raises(AttributeError):  # only analysis sets tokens
+        s.tokens = []
 
 
 def test_mutable_records_are_unhashable():

@@ -272,3 +272,38 @@ def test_one_sentence_condition_does_not_warn():
     doc, diags = parse_text(text)
     assert doc.alternate_flows[0].condition.text == "If the card is invalid."
     assert diags == []
+
+
+def test_json_condition_keeps_its_first_sentence_with_a_warning():
+    condition = "If the card is invalid. The system beeps."
+    steps = [{"label": "A1.1", "text": "C does D."}]
+    flows = [{"id": "A1", "condition": condition, "steps": steps}]
+    doc, diags = parse_json(json.dumps({"alternate_flows": flows}))
+    assert doc.alternate_flows[0].condition.text == "If the card is invalid."
+    assert [(d.severity, d.message, d.line) for d in diags] == [
+        (Severity.WARNING, "content after the condition's first sentence ignored", 0)
+    ]
+    text_doc, _ = parse_text(f"Alternate Flows:\nA1 {condition}\nA1.1 C does D.\n")
+    assert doc.alternate_flows == text_doc.alternate_flows
+    # A condition with no sentence stays empty, without a warning.
+    flows[0]["condition"] = "  "
+    doc, diags = parse_json(json.dumps({"alternate_flows": flows}))
+    assert (doc.alternate_flows[0].condition.text, diags) == ("", [])
+
+
+def test_both_front_ends_take_the_last_return_phrase():
+    text = (
+        "Basic Flow:\n1. A does B.\nAlternate Flows:\nA1 If x at step 1\n"
+        "A1.1 C returns to step 2.\nA1.2 D returns to step 4.\n"
+    )
+    text_doc, _ = parse_text(text)
+    steps = [
+        {"label": "A1.1", "text": "C returns to step 2."},
+        {"label": "A1.2", "text": "D returns to step 4."},
+    ]
+    flows = [{"id": "A1", "condition": "If x at step 1", "steps": steps}]
+    json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
+    want = StepRef(SectionKind.BASIC_FLOW, "4")
+    assert text_doc.alternate_flows[0].return_to == want
+    assert json_doc.alternate_flows[0].return_to == want
+    assert parse_json(serialize(text_doc))[0] == text_doc

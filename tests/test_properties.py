@@ -17,12 +17,13 @@ from ucsmell.model import (
     PosTag,
     SectionKind,
     Sentence,
+    SourceSpan,
     Step,
     StepRef,
     UseCaseDescription,
 )
 from ucsmell.parser import parse_json, parse_text, serialize, split_sentences
-from ucsmell.textanalysis import load_lexicon, tag, tokenize
+from ucsmell.textanalysis import analyze_sentence, load_lexicon
 
 LEXICON = load_lexicon()
 
@@ -43,7 +44,7 @@ sentence_st = st.lists(word_st, min_size=1, max_size=12).map(" ".join)
 @given(text=sentence_st)
 def test_now_at_least_non(text):
     s = Sentence(text=text)
-    s.tokens = tag(tokenize(text), LEXICON)
+    analyze_sentence(s, LEXICON)
     for tok in s.tokens:
         assert NOW(s, tok.surface) >= NON(s, tok.surface)
 
@@ -51,7 +52,9 @@ def test_now_at_least_non(text):
 @settings(max_examples=150, deadline=None)
 @given(text=sentence_st)
 def test_pos_counts_partition_tokens(text):
-    tokens = tag(tokenize(text), LEXICON)
+    s = Sentence(text=text)
+    analyze_sentence(s, LEXICON)
+    tokens = s.tokens
     counts = Counter(t.pos for t in tokens)
     assert set(counts) <= set(PosTag)
     assert sum(counts[pos] for pos in PosTag) == len(tokens)
@@ -137,7 +140,9 @@ def test_normalize_reason_idempotent_and_case_insensitive(text):
 @given(text=st.text(max_size=80), offset=st.integers(min_value=0, max_value=50))
 def test_tokenize_spans_slice_back_to_surfaces(text, offset):
     raw = text.encode("utf-8")
-    for tok in tokenize(text, base_offset=offset):
+    s = Sentence(text, span=SourceSpan(offset, offset + len(raw)))
+    analyze_sentence(s, LEXICON)
+    for tok in s.tokens:
         piece = raw[tok.span.start - offset : tok.span.end - offset]
         assert piece.decode("utf-8") == tok.surface
 

@@ -92,20 +92,13 @@ def test_parse_report_rejects_double_evidence():
 
 
 def test_exit_code_default_threshold():
-    opts = report.ReportOptions()
-    assert report.exit_code(0, opts) == report.EXIT_OK
-    assert report.exit_code(1, opts) == report.EXIT_FINDINGS
+    assert report.exit_code(0) == report.EXIT_OK
+    assert report.exit_code(1) == report.EXIT_FINDINGS
 
 
 def test_exit_code_custom_threshold():
-    opts = report.ReportOptions(fail_threshold=5)
-    assert report.exit_code(4, opts) == report.EXIT_OK
-    assert report.exit_code(5, opts) == report.EXIT_FINDINGS
-
-
-def test_report_options_validation():
-    with pytest.raises(ValueError):
-        report.ReportOptions(fail_threshold=-1)
+    assert report.exit_code(4, fail_threshold=5) == report.EXIT_OK
+    assert report.exit_code(5, fail_threshold=5) == report.EXIT_FINDINGS
 
 
 def test_emit_pretty_lines():

@@ -1,25 +1,18 @@
 """analyze_sentence against a brute-force copy of the two-pass tagger it
 replaced: tokenize the sentence, then classify each word from scratch
 with the previous word, its tag and whether a verb was seen. The tokens
-built lazily after an analysis against tag(tokenize(...)). The tally
-behind NOP, NOV, NOM and NON, and its word count, against brute-force
-counts over the tokens."""
+built lazily after an analysis, whatever changes in the sentence before
+they are read, against the same reference. The tally behind NOP, NOV,
+NOM and NON, and its word count, against brute-force counts over the
+tokens."""
 
 import re
 
 from hypothesis import given, settings, strategies as st
 
 from ucsmell.metrics import NOM, NON, NOP, NOV
-from ucsmell.model import PosTag, Sentence, SourceSpan, Token
-from ucsmell.textanalysis import (
-    Lexicon,
-    _verb_stems,
-    analyze_sentence,
-    load_lexicon,
-    sentence_tally,
-    tag,
-    tokenize,
-)
+from ucsmell.model import PosTag, Sentence, SourceSpan
+from ucsmell.textanalysis import Lexicon, _verb_stems, analyze_sentence, load_lexicon
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 _DETERMINERS = {"the", "a", "an"}
@@ -139,26 +132,29 @@ def test_analyze_sentence_matches_reference(text, base, line, lex):
     base=st.integers(min_value=0, max_value=10_000),
     line=st.integers(min_value=0, max_value=500),
     lex=st.sampled_from([BUNDLED, CUSTOM]),
-    change=st.sampled_from(["nothing", "text", "span", "line", "tokens"]),
+    change=st.sampled_from(["nothing", "text", "span", "line", "reanalyzed"]),
     other=_sentences(),
 )
 def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
     s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
     analyze_sentence(s, lex)
-    want = tag(tokenize(text, base, line), lex)
+    want = ref_analyze(text, base, line, lex)
     # Changing the sentence after its analysis does not change its tokens;
-    # assigning tokens replaces them and drops the tally.
+    # analyzing it again, with the other lexicon, replaces them.
     if change == "text":
         s.text = other
     elif change == "span":
         s.span = SourceSpan(base + 3, base + 3 + len(other.encode()), line + 1)
     elif change == "line":
         s.line = line + 1
-    elif change == "tokens":
-        want = tag(tokenize(other, 5, line + 2), BUNDLED)
-        s.tokens = want
-        assert s.tally is None
-    assert s.tokens == want
+    elif change == "reanalyzed":
+        s.text, s.line = other, line + 2
+        s.span = SourceSpan(5, 5 + len(other.encode()), line + 2)
+        other_lex = CUSTOM if lex is BUNDLED else BUNDLED
+        analyze_sentence(s, other_lex)
+        want = ref_analyze(other, 5, line + 2, other_lex)
+    got = [(t.surface, t.pos, t.span.start, t.span.end, t.span.line) for t in s.tokens]
+    assert got == want
     assert s.tokens is s.tokens  # built once
 
 
@@ -181,32 +177,22 @@ def _brute_counts(tokens, words):
 
 def _metric_counts(s, words):
     counts = NOP(s), NOV(s), NOM(s), {w: NON(s, w) for w in words}
-    return (*counts, sentence_tally(s).words)
+    return (*counts, s.tally.words)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     text=_sentences(),
     lex=st.sampled_from([BUNDLED, CUSTOM]),
-    how=st.sampled_from(["analyzed", "assigned", "reassigned", "hand-tagged"]),
-    data=st.data(),
+    how=st.sampled_from(["plain", "analyzed", "reanalyzed"]),
 )
-def test_tally_matches_brute_force_counts(text, lex, how, data):
+def test_tally_matches_brute_force_counts(text, lex, how):
     s = Sentence(text=text, span=SourceSpan(0, len(text.encode())))
-    if how == "analyzed":
-        analyze_sentence(s, lex)
-    elif how == "assigned":
-        s.tokens = tag(tokenize(text), lex)
-    else:
-        # Tokens assigned after an analysis must not read its tally.
+    if how == "reanalyzed":
+        # A second analysis must not keep the first one's tally.
         analyze_sentence(s, CUSTOM if lex is BUNDLED else BUNDLED)
-        tokens = tag(tokenize(text), lex)
-        if how == "hand-tagged":
-            tokens = [
-                Token(t.surface, data.draw(st.sampled_from(PosTag)), t.span)
-                for t in tokens
-            ]
-        s.tokens = tokens
+    if how != "plain":
+        analyze_sentence(s, lex)
     surfaces = [t.surface for t in s.tokens]
     words = {*surfaces, *(w.upper() for w in surfaces), "actor", "zzz"}
     assert _metric_counts(s, words) == _brute_counts(s.tokens, words)

@@ -1,19 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucsmell.model import PosTag, Sentence
+from ucsmell.model import PosTag, Sentence, SourceSpan
 from ucsmell.textanalysis import (
     Lexicon,
     analyze_sentence,
     load_lexicon,
     parse_lexicon,
-    tag,
-    tokenize,
 )
+
+LEXICON = load_lexicon()
+
+
+def tokens_of(text, lex=LEXICON, base=0):
+    """The tokens of text analyzed as a sentence whose span starts at base."""
+    s = Sentence(text, span=SourceSpan(base, base + len(text.encode("utf-8"))))
+    analyze_sentence(s, lex)
+    return s.tokens
 
 
 def tags_of(text, lex):
-    return [(t.surface, t.pos) for t in tag(tokenize(text), lex)]
+    return [(t.surface, t.pos) for t in tokens_of(text, lex)]
 
 
 def pos_of(text, word, lex):
@@ -24,12 +31,12 @@ def pos_of(text, word, lex):
 
 
 def test_tokenize_simple():
-    tokens = tokenize("System shows the result.")
+    tokens = tokens_of("System shows the result.")
     assert [t.surface for t in tokens] == ["System", "shows", "the", "result"]
 
 
 def test_tokenize_keeps_hyphens_and_apostrophes():
-    tokens = tokenize("The log-in page shows the user's name.")
+    tokens = tokens_of("The log-in page shows the user's name.")
     surfaces = [t.surface for t in tokens]
     assert "log-in" in surfaces
     assert "user's" in surfaces
@@ -37,7 +44,7 @@ def test_tokenize_keeps_hyphens_and_apostrophes():
 
 def test_tokenize_spans_are_utf8_byte_offsets():
     text = "Café menu"
-    tokens = tokenize(text)
+    tokens = tokens_of(text)
     raw = text.encode("utf-8")
     for t in tokens:
         assert raw[t.span.start : t.span.end].decode("utf-8") == t.surface
@@ -50,13 +57,13 @@ def test_tokenize_spans_are_utf8_byte_offsets():
 )
 def test_tokenize_spans_match_utf8_slices(text, base):
     raw = text.encode("utf-8")
-    for t in tokenize(text, base_offset=base):
+    for t in tokens_of(text, base=base):
         assert raw[t.span.start - base : t.span.end - base].decode() == t.surface
 
 
 def test_tokenize_base_offset_shifts_spans():
-    t0 = tokenize("abc def")[1]
-    t1 = tokenize("abc def", base_offset=10)[1]
+    t0 = tokens_of("abc def")[1]
+    t1 = tokens_of("abc def", base=10)[1]
     assert (t1.span.start, t1.span.end) == (t0.span.start + 10, t0.span.end + 10)
 
 
