@@ -5,8 +5,9 @@ with the context shared by all rules, its smell id and the function that
 collects findings. A rule reads the document through the checks and
 predicates of the metrics module, whose names label its findings. The
 word and sentence rules read each sentence's tally, the counts behind
-NOP, NOV, NOM and NON that tagging leaves on it, and walk a sentence's
-tokens only to quote the words the tally shows are there.
+NOP, NOV, NOM and NON that tagging leaves on it. To quote the words the
+tally shows are there, the pronoun and "actor" rules read them from the
+tagging snapshot (textanalysis.words_tagged), so a run builds no tokens.
 
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is
@@ -34,7 +35,7 @@ from .model import (
     UseCaseDescription,
     WordEvidence,
 )
-from .textanalysis import Lexicon, analyze_document
+from .textanalysis import Lexicon, analyze_document, words_tagged
 
 ACTOR_WORD = "actor"
 
@@ -345,10 +346,9 @@ def _pronoun(ctx, smell_id, add):
     for kind, s, line in ctx.sentences:
         if not s.tally.pronouns:
             continue
-        for tok in s.tokens:
-            if tok.pos is pronoun:
-                evidence = WordEvidence(tok.surface)
-                add(Finding(smell_id, kind.title, "NOP", line, evidence, tok.span))
+        for surface, span in words_tagged(s, pronoun):
+            evidence = WordEvidence(surface)
+            add(Finding(smell_id, kind.title, "NOP", line, evidence, span))
 
 
 def _actor_word(ctx, smell_id, add):
@@ -360,10 +360,10 @@ def _actor_word(ctx, smell_id, add):
     for kind, s, line in ctx.sentences:
         if ACTOR_WORD not in s.tally.nouns:
             continue
-        for tok in s.tokens:
-            if tok.pos is noun and tok.surface.lower() == ACTOR_WORD:
-                evidence = WordEvidence(tok.surface)
-                add(Finding(smell_id, kind.title, metric_name, line, evidence, tok.span))
+        for surface, span in words_tagged(s, noun):
+            if surface.lower() == ACTOR_WORD:
+                evidence = WordEvidence(surface)
+                add(Finding(smell_id, kind.title, metric_name, line, evidence, span))
 
 
 def _multiple_actions(ctx, smell_id, add):

@@ -208,10 +208,12 @@ class Sentence(_Record):
     """One sentence of a document.
 
     Only the analyzer writes a sentence's tally and tokens. It sets tally
-    and keeps what it tagged (the text, span start, line and tags); tokens
-    are built from that the first time they are read, so they are what an
-    eager analysis would have built even if text, span or line change
-    later. A sentence never analyzed has no tokens and EMPTY_TALLY.
+    and keeps what it tagged (the text, span start, line and tags). That
+    snapshot stays: textanalysis.words_tagged quotes words from it, and
+    tokens are built from it and cached the first time they are read, so
+    both are what an eager analysis would have built even if text, span
+    or line change later. A sentence never analyzed has no tokens and
+    EMPTY_TALLY.
     """
 
     __slots__ = ("text", "line", "span", "_tokens", "_tagged", "tally")
@@ -230,11 +232,10 @@ class Sentence(_Record):
 
     @property
     def tokens(self) -> list[Token]:
-        if self._tagged is not None:
+        if self._tokens is None:  # analyzed, not yet built
             from .textanalysis import tagged_tokens  # which imports this module
 
             self._tokens = tagged_tokens(*self._tagged)
-            self._tagged = None
         return self._tokens
 
 

@@ -467,7 +467,8 @@ def _branch_from_obj(obj, diags: list) -> BranchFlow:
     if obj.get("condition") is not None:
         _expect(isinstance(obj["condition"], str), "'condition' must be a string")
         sents = split_sentences(obj["condition"])
-        flow.condition = Sentence(text=sents[0][0] if sents else "")
+        if sents:  # a blank condition is none, as a branch without If/When
+            flow.condition = Sentence(text=sents[0][0])
         if len(sents) > 1:
             diags.append(ParseDiagnostic(Severity.WARNING, _CONDITION_REST_IGNORED, 0))
         am = _AT_STEP_RE.search(obj["condition"])

@@ -5,16 +5,17 @@ lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
 noun counts the metrics need. analyze_sentence is the only writer of a
 sentence's tally and tokens. It tallies those counts once
 (Sentence.tally), so the metrics and the rules never walk the tokens to
-count them, and builds no tokens: the read-only Sentence.tokens builds
-them from the kept tags when first read. Everything is deterministic:
-same sentence and lexicon, same tags.
+count them, and builds no tokens: it keeps the sentence's tags, from
+which words_tagged quotes the words of one tag and the read-only
+Sentence.tokens builds every token when first read. Everything is
+deterministic: same sentence and lexicon, same tags.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .model import PosTag, Sentence, SourceSpan, Tally, Token, _FrozenRecord
 
@@ -121,27 +122,26 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
     return parse_lexicon(text)
 
 
-def _words(text: str, base_offset: int) -> list[tuple[str, int, int]]:
-    """(surface, byte start, byte end) of every word in text.
+def _words(text: str, base_offset: int) -> Iterator[tuple[str, int, int]]:
+    """(surface, byte start, byte end) of every word in text, in order,
+    each found only when it is read.
 
     Words are runs of ASCII letters and digits, keeping intra-word hyphens and
     apostrophes. Offsets index the UTF-8 encoding of text, shifted by
     base_offset; for ASCII text they equal the character offsets.
     """
+    matches = _WORD_RE.finditer(text)
     if text.isascii():
-        return [
-            (m.group(), base_offset + m.start(), base_offset + m.end())
-            for m in _WORD_RE.finditer(text)
-        ]
-    words = []
+        for m in matches:
+            yield m.group(), base_offset + m.start(), base_offset + m.end()
+        return
     char = byte = 0
-    for m in _WORD_RE.finditer(text):
+    for m in matches:
         surface = m.group()
         byte += len(text[char : m.start()].encode("utf-8"))
         end = byte + len(surface.encode("utf-8"))
-        words.append((surface, base_offset + byte, base_offset + end))
+        yield surface, base_offset + byte, base_offset + end
         char, byte = m.end(), end
-    return words
 
 
 def tagged_tokens(
@@ -151,6 +151,28 @@ def tagged_tokens(
     return [
         Token(surface, pos, SourceSpan(start, end, line))
         for (surface, start, end), pos in zip(_words(text, base_offset), tags)
+    ]
+
+
+def words_tagged(sentence: Sentence, pos: PosTag) -> list[tuple[str, SourceSpan]]:
+    """The surface and span of each word of sentence tagged pos, in order,
+    as its last analysis tagged it; [] for a sentence never analyzed.
+
+    Reads the analysis snapshot, not Sentence.tokens, so it builds a span
+    only for the words it returns; the spans are the ones those tokens
+    carry, since both come from _words.
+    """
+    if sentence._tagged is None:
+        return []
+    text, base_offset, line, tags = sentence._tagged
+    if pos not in tags:
+        return []
+    # The words after the last one tagged pos are never read.
+    wanted = tags[: len(tags) - tags[::-1].index(pos)]
+    return [
+        (surface, SourceSpan(start, end, line))
+        for tag, (surface, start, end) in zip(wanted, _words(text, base_offset))
+        if tag is pos
     ]
 
 
@@ -242,7 +264,8 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[list[PosTag], lis
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     """Tag sentence and set its tally in place. Its tokens are built from
-    the kept tags, by tagged_tokens, when they are first read."""
+    the kept tags, by tagged_tokens, when they are first read; words_tagged
+    reads the same tags without building them."""
     text = sentence.text
     tags, nouns = _tag_words(_WORD_RE.findall(text), lex)
     sentence._tokens = None

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ucsmell
-from ucsmell import cli
+from ucsmell import cli, textanalysis
 from ucsmell.cli import run
 
 
@@ -33,6 +33,17 @@ def test_lint_json_matches_golden(capsys, fixtures_dir):
     assert code == 1
     golden = (fixtures_dir / "atm_findings.golden.json").read_text("utf-8")
     assert out == golden
+
+
+def test_default_lint_builds_no_tokens(capsys, fixtures_dir, monkeypatch):
+    def no_tokens(*args):
+        raise AssertionError("lint built tokens")
+
+    monkeypatch.setattr(textanalysis, "tagged_tokens", no_tokens)
+    code = run(["lint", str(fixtures_dir / "atm.ucd"), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == (fixtures_dir / "atm_findings.golden.json").read_text("utf-8")
 
 
 def test_lint_output_is_stable(capsys, fixtures_dir):

@@ -4,7 +4,7 @@ import pytest
 import seeding
 from hypothesis import given, settings, strategies as st
 
-from ucsmell import metrics
+from ucsmell import metrics, textanalysis
 from ucsmell.catalogue import detectable_ids
 from ucsmell.engine import (
     RULES,
@@ -436,26 +436,34 @@ def _generated_doc_text(steps=300):
     return base_doc("".join(f"{line}\n" for line in lines))
 
 
-@pytest.mark.parametrize("source", ["atm", "generated"])
-def test_detect_builds_tokens_only_where_a_rule_quotes_them(lexicon, source):
+@pytest.mark.parametrize("source", ["atm", "generated", "count_los_in_tokens"])
+def test_detect_builds_tokens_only_where_a_rule_quotes_them(
+    lexicon, monkeypatch, source
+):
+    """No rule quotes from tokens: the pronoun and "actor" rules read their
+    words from the tagging snapshot, so a default run builds no token."""
+    cfg = DetectorConfig(count_los_in_tokens=source == "count_los_in_tokens")
     if source == "atm":
         doc, _ = parse_fixture("atm.ucd")
     else:
         doc, _ = parse_text(_generated_doc_text())
-    detect(doc, DetectorConfig(), lexicon)
+
+    def no_tokens(*args):
+        raise AssertionError("detect built tokens")
+
+    monkeypatch.setattr(textanalysis, "tagged_tokens", no_tokens)
+    found = detect(doc, cfg, lexicon)
+    monkeypatch.undo()
+    assert {"pronoun", "actor-actor"} <= {f.smell_id for f in found}
     sentences = [s for _, s in doc.iter_sentences()]
-    unquoted = [
-        s for s in sentences if not s.tally.pronouns and "actor" not in s.tally.nouns
-    ]
-    assert 0 < len(unquoted) < len(sentences)
-    assert all(s._tokens is None for s in unquoted)
+    assert all(s._tokens is None for s in sentences)
     # Read later, they are the tokens read right after a fresh analysis.
     def fresh_tokens(s):
         fresh = Sentence(s.text, s.line, s.span)
         analyze_sentence(fresh, lexicon)
         return fresh.tokens
 
-    assert [s.tokens for s in unquoted] == [fresh_tokens(s) for s in unquoted]
+    assert [s.tokens for s in sentences] == [fresh_tokens(s) for s in sentences]
 
 
 # --- distribution rules ---------------------------------------------------

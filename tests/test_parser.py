@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ucsmell.engine import DetectorConfig, detect
 from ucsmell.model import END, SectionKind, StepRef
 from ucsmell.parser import (
     Severity,
@@ -285,10 +286,30 @@ def test_json_condition_keeps_its_first_sentence_with_a_warning():
     ]
     text_doc, _ = parse_text(f"Alternate Flows:\nA1 {condition}\nA1.1 C does D.\n")
     assert doc.alternate_flows == text_doc.alternate_flows
-    # A condition with no sentence stays empty, without a warning.
+    # A condition with no sentence is no condition, without a warning.
     flows[0]["condition"] = "  "
     doc, diags = parse_json(json.dumps({"alternate_flows": flows}))
-    assert (doc.alternate_flows[0].condition.text, diags) == ("", [])
+    assert (doc.alternate_flows[0].condition, diags) == (None, [])
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\n\t"])
+def test_blank_json_condition_is_no_condition(lexicon, blank):
+    # The text front-end has no way to write an empty condition: a branch
+    # without an If/When line has none. A blank JSON one must read the same.
+    steps = [{"label": f"{n}", "text": "The system shows the page."} for n in (1, 2, 3)]
+    flow = {"id": "E1", "origin": "1", "return_to": "end", "steps": steps[:1]}
+    obj = {"basic_flow": steps, "exception_flows": [flow]}
+    absent, _ = parse_json(json.dumps(obj))
+    flow["condition"] = blank
+    doc, diags = parse_json(json.dumps(obj))
+    assert diags == []
+    assert doc.exception_flows[0].condition is None
+    assert doc == absent
+    assert len(list(doc.iter_sentences())) == 4
+    cfg = DetectorConfig()
+    found = detect(doc, cfg, lexicon)
+    assert "unexplained-exception-flow" in {f.smell_id for f in found}
+    assert found == detect(absent, cfg, lexicon)
 
 
 def test_both_front_ends_take_the_last_return_phrase():

@@ -2,7 +2,8 @@
 replaced: tokenize the sentence, then classify each word from scratch
 with the previous word, its tag and whether a verb was seen. The tokens
 built lazily after an analysis, whatever changes in the sentence before
-they are read, against the same reference. The tally behind NOP, NOV,
+they are read, against the same reference, and the words of each tag
+quoted from the analysis against those tokens. The tally behind NOP, NOV,
 NOM and NON, and its word count, against brute-force counts over the
 tokens."""
 
@@ -12,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from ucsmell.metrics import NOM, NON, NOP, NOV
 from ucsmell.model import PosTag, Sentence, SourceSpan
-from ucsmell.textanalysis import Lexicon, _verb_stems, analyze_sentence, load_lexicon
+from ucsmell.textanalysis import (
+    Lexicon,
+    _verb_stems,
+    analyze_sentence,
+    load_lexicon,
+    words_tagged,
+)
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 _DETERMINERS = {"the", "a", "an"}
@@ -156,6 +163,25 @@ def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
     got = [(t.surface, t.pos, t.span.start, t.span.end, t.span.line) for t in s.tokens]
     assert got == want
     assert s.tokens is s.tokens  # built once
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_sentences(),
+    base=st.integers(min_value=0, max_value=10_000),
+    line=st.integers(min_value=0, max_value=500),
+    lex=st.sampled_from([BUNDLED, CUSTOM]),
+)
+def test_words_tagged_agree_with_tokens(text, base, line, lex):
+    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
+    assert all(words_tagged(s, pos) == [] for pos in PosTag)  # never analyzed
+    analyze_sentence(s, lex)
+    # Read before the tokens are first built, then after.
+    before = {pos: words_tagged(s, pos) for pos in PosTag}
+    for pos in PosTag:
+        want = [(t.surface, t.span) for t in s.tokens if t.pos is pos]
+        assert before[pos] == want
+        assert words_tagged(s, pos) == want
 
 
 def _brute_counts(tokens, words):
