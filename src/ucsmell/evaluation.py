@@ -78,7 +78,11 @@ class EvalReport(_Record):
 
 
 def load_oracle(source: str) -> list[OracleEntry]:
-    """Load oracle entries from a JSON array; exact duplicates collapse."""
+    """Load oracle entries from a JSON array; exact duplicates collapse.
+
+    Raises ValueError unless smell_id and item_name are strings, line is
+    an integer (not a boolean) and evidence_hint is a string or absent.
+    """
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -99,7 +103,13 @@ def load_oracle(source: str) -> list[OracleEntry]:
             )
         except KeyError as exc:
             raise ValueError(f"oracle entry {i} missing key {exc}") from None
-        if not isinstance(entry.smell_id, str) or not isinstance(entry.line, int):
+        if not (
+            isinstance(entry.smell_id, str)
+            and isinstance(entry.item_name, str)
+            and isinstance(entry.line, int)
+            and not isinstance(entry.line, bool)
+            and isinstance(entry.evidence_hint, (str, type(None)))
+        ):
             raise ValueError(f"oracle entry {i} has wrong field types")
         by_id(entry.smell_id)  # raises KeyError on unknown ids
         if entry not in seen:

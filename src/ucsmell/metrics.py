@@ -2,7 +2,8 @@
 
 The numeric metrics (NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count
 features of single sentences or flow groups; NOP, NOV, NOM and NON read
-the tally the analyzer sets on a sentence (all zero before analysis).
+the tally the analyzer sets on a sentence, and NOW the words it split
+(all zero before analysis).
 The 22 predicates check structural properties of flows and sections. A
 flow predicate is named after its section and the suffix of its
 per-flow check in FLOW_CHECKS, a section predicate comes from
@@ -24,6 +25,7 @@ from .model import (
     UseCaseDescription,
 )
 from .parser import RETURN_RE
+from .textanalysis import split_words
 
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 
@@ -53,9 +55,12 @@ def NOM(s: Sentence) -> int:
 
 
 def NOW(s: Sentence, word: str) -> int:
-    """Number of occurrences of the given word, any part of speech."""
+    """Number of occurrences of the given word, any part of speech, among
+    the words of the sentence's last analysis (0 before analysis)."""
+    if s._tagged is None:
+        return 0
     w = word.lower()
-    return sum(1 for t in s.tokens if t.surface.lower() == w)
+    return [t.lower() for t in split_words(s._tagged[0])].count(w)
 
 
 def NON(s: Sentence, noun: str) -> int:

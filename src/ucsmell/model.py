@@ -208,12 +208,14 @@ class Sentence(_Record):
     """One sentence of a document.
 
     Only the analyzer writes a sentence's tally and tokens. It sets tally
-    and keeps what it tagged (the text, span start, line and tags). That
-    snapshot stays: textanalysis.words_tagged quotes words from it, and
-    tokens are built from it and cached the first time they are read, so
-    both are what an eager analysis would have built even if text, span
-    or line change later. A sentence never analyzed has no tokens and
-    EMPTY_TALLY.
+    and keeps what it tagged: the text, span start, line and tags, the
+    tags as one string with a one-letter code per word (the first letter
+    of its PosTag's value), so the snapshot holds no container. That
+    snapshot stays: textanalysis.words_tagged quotes words from it,
+    metrics.NOW counts its words, and tokens are built from it and cached
+    the first time they are read, so all are what an eager analysis
+    would have built even if text, span or line change later. A sentence
+    never analyzed has no tokens and EMPTY_TALLY.
     """
 
     __slots__ = ("text", "line", "span", "_tokens", "_tagged", "tally")

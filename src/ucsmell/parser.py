@@ -130,7 +130,8 @@ class _Lines:
         start = self.offsets[lineno - 1]
         if self.ascii[lineno - 1]:  # then text, a piece of the line, is too
             start += col
-            return SourceSpan(start, start + len(text), lineno)
+            # start <= end here, so the span skips SourceSpan's check.
+            return tuple.__new__(SourceSpan, (start, start + len(text), lineno))
         start += len(self.lines[lineno - 1][:col].encode("utf-8"))
         return SourceSpan(start, start + len(text.encode("utf-8")), lineno)
 

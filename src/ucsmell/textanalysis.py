@@ -2,13 +2,18 @@
 
 Use case steps are short subject-verb-object sentences, so a closed-class
 lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
-noun counts the metrics need. analyze_sentence is the only writer of a
+noun counts the metrics need. split_words is the one word splitter: it
+splits a plain ASCII sentence (letters, digits, spaces and commas, then
+its closing '.', '!' or '?') at its spaces and commas, and any other
+text with the word pattern. analyze_sentence is the only writer of a
 sentence's tally and tokens. It tallies those counts once
 (Sentence.tally), so the metrics and the rules never walk the tokens to
-count them, and builds no tokens: it keeps the sentence's tags, from
-which words_tagged quotes the words of one tag and the read-only
-Sentence.tokens builds every token when first read. Everything is
-deterministic: same sentence and lexicon, same tags.
+count them, and builds no tokens: it keeps the sentence's text and its
+tags as a string of one-letter codes. From these words_tagged quotes
+the words of one tag, finding each word with str.find from the end of
+the word before, and the read-only Sentence.tokens builds every token
+when first read. Everything is deterministic: same sentence and
+lexicon, same tags.
 """
 
 from __future__ import annotations
@@ -31,13 +36,22 @@ DEFAULT_VERB_SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
 )
 
 
+# An analysis keeps each word's tag as a one-letter code, the first
+# letter of its PosTag's value, so a sentence's tags are one string.
+_CODE_OF_TAG = {tag: tag.value[0] for tag in PosTag}
+_TAG_OF_CODE = {code: tag for tag, code in _CODE_OF_TAG.items()}
+_NOUN, _VERB, _MODIFIER, _PRONOUN, _OTHER = (
+    _CODE_OF_TAG[tag]
+    for tag in (PosTag.NOUN, PosTag.VERB, PosTag.MODIFIER, PosTag.PRONOUN, PosTag.OTHER)
+)
+
 # What a lexicon says about one surface form by itself: the word
 # lowercased (the memo's copy, which every tally noun of that form
-# shares), whether it is a known verb (through _verb_stems), the
-# suffix-rule tag it may take in the subject slot (None when no rule
-# applies), and its tag when no verb reading applies. A pronoun's facts
-# end in (False, None, PRONOUN), so it is never a verb.
-_WordFacts = tuple[str, bool, Optional[PosTag], PosTag]
+# shares), whether it is a known verb (through _verb_stems), the code of
+# the suffix-rule tag it may take in the subject slot (None when no rule
+# applies), and its tag code when no verb reading applies. A pronoun's
+# facts end in (False, None, _PRONOUN), so it is never a verb.
+_WordFacts = tuple[str, bool, Optional[str], str]
 
 
 class Lexicon(_FrozenRecord):
@@ -122,35 +136,62 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
     return parse_lexicon(text)
 
 
-def _words(text: str, base_offset: int) -> Iterator[tuple[str, int, int]]:
-    """(surface, byte start, byte end) of every word in text, in order,
-    each found only when it is read.
+def split_words(text: str) -> list[str]:
+    """The words of text, in order: runs of ASCII letters and digits,
+    keeping intra-word hyphens and apostrophes.
 
-    Words are runs of ASCII letters and digits, keeping intra-word hyphens and
-    apostrophes. Offsets index the UTF-8 encoding of text, shifted by
+    Equal to _WORD_RE.findall(text). An ASCII text whose body (the text
+    less its trailing run of '.', '!' and '?') holds only letters, digits,
+    spaces and commas, as most use case steps do, is split at its spaces
+    and commas without the pattern.
+    """
+    if text.isascii():
+        body = text.rstrip(".!?").replace(",", " ")
+        if body.replace(" ", "").isalnum():
+            return body.split()
+    return _WORD_RE.findall(text)
+
+
+# Builds a span from offsets that are ordered by construction, without
+# the check SourceSpan(...) makes.
+_span = tuple.__new__
+
+
+def _words(
+    text: str, base_offset: int, words: list[str]
+) -> Iterator[tuple[str, int, int]]:
+    """(surface, byte start, byte end) of each of words, which are the
+    words of text as split_words gives them, or the first of them; each
+    is found only when it is read.
+
+    Each word is found with text.find from the end of the one before: no
+    letter or digit lies between two words, so the first match is the
+    word itself. Offsets index the UTF-8 encoding of text, shifted by
     base_offset; for ASCII text they equal the character offsets.
     """
-    matches = _WORD_RE.finditer(text)
+    end = 0
     if text.isascii():
-        for m in matches:
-            yield m.group(), base_offset + m.start(), base_offset + m.end()
+        for surface in words:
+            start = text.find(surface, end)
+            end = start + len(surface)
+            yield surface, base_offset + start, base_offset + end
         return
-    char = byte = 0
-    for m in matches:
-        surface = m.group()
-        byte += len(text[char : m.start()].encode("utf-8"))
-        end = byte + len(surface.encode("utf-8"))
-        yield surface, base_offset + byte, base_offset + end
-        char, byte = m.end(), end
+    byte = base_offset
+    for surface in words:
+        start = text.find(surface, end)
+        byte += len(text[end:start].encode("utf-8"))
+        byte_end = byte + len(surface.encode("utf-8"))
+        yield surface, byte, byte_end
+        end, byte = start + len(surface), byte_end
 
 
-def tagged_tokens(
-    text: str, base_offset: int, line: int, tags: Iterable[PosTag]
-) -> list[Token]:
-    """The words of text as tokens on the given line, tagged in order."""
+def tagged_tokens(text: str, base_offset: int, line: int, tags: str) -> list[Token]:
+    """The words of text as tokens on the given line, tagged in order by
+    the tag codes of an analysis snapshot."""
+    words = _words(text, base_offset, split_words(text))
     return [
-        Token(surface, pos, SourceSpan(start, end, line))
-        for (surface, start, end), pos in zip(_words(text, base_offset), tags)
+        Token(surface, _TAG_OF_CODE[code], _span(SourceSpan, (start, end, line)))
+        for (surface, start, end), code in zip(words, tags)
     ]
 
 
@@ -165,14 +206,16 @@ def words_tagged(sentence: Sentence, pos: PosTag) -> list[tuple[str, SourceSpan]
     if sentence._tagged is None:
         return []
     text, base_offset, line, tags = sentence._tagged
-    if pos not in tags:
-        return []
+    code = _CODE_OF_TAG[pos]
     # The words after the last one tagged pos are never read.
-    wanted = tags[: len(tags) - tags[::-1].index(pos)]
+    wanted = tags.rfind(code) + 1
+    if not wanted:
+        return []
+    words = _words(text, base_offset, split_words(text)[:wanted])
     return [
-        (surface, SourceSpan(start, end, line))
-        for tag, (surface, start, end) in zip(wanted, _words(text, base_offset))
-        if tag is pos
+        (surface, _span(SourceSpan, (start, end, line)))
+        for tag, (surface, start, end) in zip(tags, words)
+        if tag == code
     ]
 
 
@@ -196,7 +239,7 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
     if word == surface:
         word = surface  # one string for both
     if word in lex.pronouns:
-        return word, False, None, PosTag.PRONOUN
+        return word, False, None, _PRONOUN
     known_verb = any(stem in lex.verbs for stem in _verb_stems(word))
     # Suffix fallback for verbs missing from the lexicon; _tag_words applies it
     # only in the subject slot.
@@ -204,41 +247,33 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
     if word not in lex.stopwords and word not in lex.modifiers:
         for suffix, tag in lex.verb_suffix_rules:
             if word.endswith(suffix) and len(word) > len(suffix) + 2:
-                suffix_tag = tag
+                suffix_tag = _CODE_OF_TAG[tag]
                 break
     if word in lex.modifiers or (
         word.endswith("ly") and len(word) > 4 and word not in lex.stopwords
     ):
-        other = PosTag.MODIFIER
+        other = _MODIFIER
     elif word in lex.stopwords or word.isdigit():
-        other = PosTag.OTHER
+        other = _OTHER
     else:
-        other = PosTag.NOUN
+        other = _NOUN
     return word, known_verb, suffix_tag, other
 
 
 # A determiner introduces a noun phrase, so the word right after one is
 # never read as a verb ("the search page", "a display case").
 _DETERMINERS = frozenset({"the", "a", "an"})
-# The tags as plain names: on CPython 3.11, PosTag.VERB costs a lookup
-# through the enum class, paid once per word in the loops below.
-_NOUN, _VERB, _MODIFIER, _PRONOUN = (
-    PosTag.NOUN,
-    PosTag.VERB,
-    PosTag.MODIFIER,
-    PosTag.PRONOUN,
-)
 _SUBJECT_TAGS = (_NOUN, _PRONOUN)
 
 
-def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[list[PosTag], list[str]]:
-    """The PosTag of each word of one sentence, in order, and the
-    sentence's nouns, lowercased."""
+def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, list[str]]:
+    """The tag code of each word of one sentence, in order, as one
+    string, and the sentence's nouns, lowercased."""
     memo = lex._word_facts
-    tags: list[PosTag] = []
+    tags: list[str] = []
     nouns: list[str] = []
     prev_word: Optional[str] = None
-    prev_tag: Optional[PosTag] = None
+    prev_tag: Optional[str] = None
     verb_seen = False
     for surface in surfaces:
         facts = memo.get(surface)
@@ -254,12 +289,12 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[list[PosTag], lis
             elif suffix_tag and not verb_seen and prev_tag in _SUBJECT_TAGS:
                 pos = suffix_tag
         tags.append(pos)
-        if pos is _NOUN:
+        if pos == _NOUN:
             nouns.append(word)
         prev_word = word
         prev_tag = pos
-        verb_seen = verb_seen or pos is _VERB
-    return tags, nouns
+        verb_seen = verb_seen or pos == _VERB
+    return "".join(tags), nouns
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
@@ -267,7 +302,7 @@ def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     the kept tags, by tagged_tokens, when they are first read; words_tagged
     reads the same tags without building them."""
     text = sentence.text
-    tags, nouns = _tag_words(_WORD_RE.findall(text), lex)
+    tags, nouns = _tag_words(split_words(text), lex)
     sentence._tokens = None
     sentence._tagged = (text, sentence.span.start, sentence.line, tags)
     counts = tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER)

@@ -249,6 +249,27 @@ def test_eval_bad_oracle(tmp_path, capsys, fixtures_dir):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"smell_id": "pronoun", "item_name": ["Basic Flow"], "line": 9},
+        {"smell_id": "actor-actor", "item_name": "Basic Flow", "line": 3,
+         "evidence_hint": 5},
+        {"smell_id": "pronoun", "item_name": "Basic Flow", "line": True},
+    ],
+)
+def test_eval_oracle_with_wrong_field_types_exits_two(
+    tmp_path, capsys, fixtures_dir, entry
+):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps([entry]))
+    code = run(["eval", str(fixtures_dir / "atm.ucd"), "--oracle", str(oracle)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == f"{oracle}: oracle entry 0 has wrong field types"
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["lint", "--no-such-flag"])

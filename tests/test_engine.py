@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -464,6 +465,47 @@ def test_detect_builds_tokens_only_where_a_rule_quotes_them(
         return fresh.tokens
 
     assert [s.tokens for s in sentences] == [fresh_tokens(s) for s in sentences]
+
+
+class _ScanLog:
+    """Stands in for textanalysis._WORD_RE: logs each text findall scans
+    and fails on finditer."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.scanned = []
+
+    def findall(self, text):
+        self.scanned.append(text)
+        return self.pattern.findall(text)
+
+    def finditer(self, text):
+        raise AssertionError(f"finditer scanned {text!r}")
+
+
+# A text the splitter takes apart at its spaces and commas.
+_PLAIN_TEXT = re.compile(r"[A-Za-z0-9 ,]*[A-Za-z0-9][A-Za-z0-9 ,]*[.!?]*")
+
+
+# search.ucd quotes no word, but has a sentence that is not plain.
+@pytest.mark.parametrize("source", ["atm", "search", "generated"])
+def test_detect_on_ascii_text_scans_each_sentence_at_most_once(
+    lexicon, monkeypatch, source
+):
+    """Tagging splits each sentence once, taking the pattern only for the
+    texts that are not plain, and quoting words takes it for none."""
+    if source == "generated":
+        doc, _ = parse_text(_generated_doc_text())
+    else:
+        doc, _ = parse_fixture(f"{source}.ucd")
+    texts = [s.text for _, s in doc.iter_sentences()]
+    assert all(t.isascii() for t in texts)
+    log = _ScanLog(textanalysis._WORD_RE)
+    monkeypatch.setattr(textanalysis, "_WORD_RE", log)
+    found = detect(doc, DetectorConfig(), lexicon)
+    monkeypatch.undo()
+    assert ("pronoun" in {f.smell_id for f in found}) is (source != "search")
+    assert sorted(log.scanned) == sorted(t for t in texts if not _PLAIN_TEXT.fullmatch(t))
 
 
 # --- distribution rules ---------------------------------------------------

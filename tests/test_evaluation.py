@@ -75,6 +75,44 @@ def test_load_oracle_rejects_bad_input():
         )
 
 
+_GOOD_ENTRY = {"smell_id": "actor-actor", "item_name": "Basic Flow", "line": 3}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("item_name", ["Basic Flow"]),
+        ("item_name", None),
+        ("item_name", 3),
+        ("evidence_hint", 5),
+        ("evidence_hint", ["actor"]),
+        ("line", True),
+        ("line", False),
+        ("line", 3.0),
+        ("line", "3"),
+        ("smell_id", 1),
+    ],
+)
+def test_load_oracle_rejects_wrong_field_types(field, value):
+    with pytest.raises(ValueError, match="oracle entry 1 has wrong field types"):
+        load_oracle(json.dumps([_GOOD_ENTRY, {**_GOOD_ENTRY, field: value}]))
+
+
+def test_load_oracle_accepts_a_string_hint_or_none():
+    entries = load_oracle(
+        json.dumps([
+            {**_GOOD_ENTRY, "evidence_hint": "actor"},
+            {**_GOOD_ENTRY, "evidence_hint": None},
+            _GOOD_ENTRY,
+        ])
+    )
+    # An explicit null hint is the hint left out, so the two collapse.
+    assert entries == [
+        OracleEntry("actor-actor", "Basic Flow", 3, "actor"),
+        OracleEntry("actor-actor", "Basic Flow", 3),
+    ]
+
+
 def test_exact_match():
     rep = match([finding(line=4)], [entry(line=4)])
     assert rep.totals.tp == 1

@@ -57,6 +57,16 @@ def test_now_is_case_insensitive(lexicon):
     assert NOW(s, "Actor") == 2
 
 
+def test_now_counts_the_words_of_the_last_analysis(lexicon):
+    s = Sentence(text="The actor tells the actor.")
+    assert NOW(s, "actor") == 0  # never analyzed
+    analyze_sentence(s, lexicon)
+    s.text = "The actor leaves."
+    assert NOW(s, "actor") == 2
+    assert NOW(s, "tells") == 1
+    assert s._tokens is None  # counted without building tokens
+
+
 def test_los_counts_characters():
     assert LOS(Sentence(text="abcd")) == 4
     assert LOS(Sentence(text="  abcd  ")) == 4

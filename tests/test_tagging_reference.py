@@ -3,13 +3,14 @@ replaced: tokenize the sentence, then classify each word from scratch
 with the previous word, its tag and whether a verb was seen. The tokens
 built lazily after an analysis, whatever changes in the sentence before
 they are read, against the same reference, and the words of each tag
-quoted from the analysis against those tokens. The tally behind NOP, NOV,
-NOM and NON, and its word count, against brute-force counts over the
-tokens."""
+quoted from the analysis against the reference and those tokens. The
+word splitter against the pattern it stands for. The tally behind NOP,
+NOV, NOM and NON, and its word count, against brute-force counts over
+the tokens."""
 
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ucsmell.metrics import NOM, NON, NOP, NOV
 from ucsmell.model import PosTag, Sentence, SourceSpan
@@ -18,6 +19,7 @@ from ucsmell.textanalysis import (
     _verb_stems,
     analyze_sentence,
     load_lexicon,
+    split_words,
     words_tagged,
 )
 
@@ -129,8 +131,14 @@ def _sentences(draw):
 def test_analyze_sentence_matches_reference(text, base, line, lex):
     s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
     analyze_sentence(s, lex)
+    want = ref_analyze(text, base, line, lex)
     got = [(t.surface, t.pos, t.span.start, t.span.end, t.span.line) for t in s.tokens]
-    assert got == ref_analyze(text, base, line, lex)
+    assert got == want
+    # The tokens come from the snapshot, which keeps the tags as one
+    # string of codes.
+    tags = s._tagged[3]
+    assert type(tags) is str and len(tags) == len(want)
+    assert all(type(t.span) is SourceSpan for t in s.tokens)
 
 
 @settings(max_examples=300, deadline=None)
@@ -176,12 +184,49 @@ def test_words_tagged_agree_with_tokens(text, base, line, lex):
     s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
     assert all(words_tagged(s, pos) == [] for pos in PosTag)  # never analyzed
     analyze_sentence(s, lex)
+    ref = ref_analyze(text, base, line, lex)
     # Read before the tokens are first built, then after.
     before = {pos: words_tagged(s, pos) for pos in PosTag}
     for pos in PosTag:
-        want = [(t.surface, t.span) for t in s.tokens if t.pos is pos]
+        want = [(w, SourceSpan(start, end, ln)) for w, p, start, end, ln in ref if p is pos]
         assert before[pos] == want
+        assert all(type(span) is SourceSpan for _, span in before[pos])
+        assert [(t.surface, t.span) for t in s.tokens if t.pos is pos] == want
         assert words_tagged(s, pos) == want
+
+
+# Pieces of text around the splitter's fast path: words joined by spaces
+# and commas with a trailing run of '.', '!' and '?' take it; apostrophes,
+# hyphens (leading, trailing, doubled), tabs, inner punctuation and
+# non-ASCII characters send a text to the pattern.
+_split_piece = st.one_of(
+    st.text(alphabet="abzAZ09 ,", min_size=1, max_size=6),
+    st.text(alphabet="aZ9,'-. \t!?é’ü—", max_size=4),
+    st.sampled_from(
+        ["--", "-a", "a-", "a--b", "'s", "o'", "''", "3-4", "x'-y", "...", "?!",
+         ".!?", "  ", "\t", ", ", ",,", "log-in", "user's", "café", "日本"]
+    ),
+)
+_split_text = st.one_of(
+    st.lists(_split_piece, max_size=8).map("".join),
+    st.builds(
+        str.__add__,
+        st.text(alphabet="abzAZ09 ,", max_size=30),
+        st.sampled_from(["", ".", "!", "?", "...", "?!.", " .", ". "]),
+    ),
+    _sentences(),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_split_text)
+@example(text="")
+@example(text=" , ...")
+@example(text="The clerk,  prints 3 forms,again!?")
+@example(text="It ends. Then-")
+def test_split_words_equals_the_pattern(text):
+    assert split_words(text) == _WORD_RE.findall(text)
 
 
 def _brute_counts(tokens, words):
