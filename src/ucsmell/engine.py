@@ -4,10 +4,10 @@ RULES holds one rule per detectable smell. detect calls each enabled rule
 with the context shared by all rules, its smell id and the function that
 collects findings. A rule reads the document through the checks and
 predicates of the metrics module, whose names label its findings. The
-word and sentence rules read each sentence's tally, the counts behind
-NOP, NOV, NOM and NON that tagging leaves on it. To quote the words the
-tally shows are there, the pronoun and "actor" rules read them from the
-tagging snapshot (textanalysis.words_tagged), so a run builds no tokens.
+word and sentence rules count NOP, NOV, NOM and NON from the record
+tagging keeps on each sentence (its tag codes and nouns). To quote the
+words counted, the pronoun and "actor" rules read them from the same
+record (textanalysis.words_tagged), so a run builds no tokens.
 
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is
@@ -25,6 +25,8 @@ from .catalogue import detectable_ids
 from .model import (
     CANONICAL_SECTIONS,
     EMPTY_SPAN,
+    _NOUNS,
+    _TAGS,
     BranchFlow,
     Finding,
     FlowEvidence,
@@ -35,7 +37,8 @@ from .model import (
     UseCaseDescription,
     WordEvidence,
 )
-from .textanalysis import Lexicon, analyze_document, words_tagged
+from .textanalysis import _MODIFIER, _PRONOUN, _VERB, Lexicon, analyze_document
+from .textanalysis import words_tagged
 
 ACTOR_WORD = "actor"
 
@@ -177,44 +180,37 @@ def _sqrt_of_fraction(num: int, den: int) -> float:
     return math.ldexp(root, shift)
 
 
-def _section_line(line: int, header: int) -> int:
-    """Line number within a section whose header is on line header
-    (1 = first content line; header 0 = unknown)."""
-    if header and line > header:
-        return line - header
-    return line
-
-
 class _Context:
-    """What the rules share about one document, built once per detect."""
+    """What the rules share about one document, built once per detect: each
+    sentence and its section, in two parallel lists, and the distributions."""
 
     def __init__(self, d: UseCaseDescription, cfg: DetectorConfig) -> None:
         self.d = d
         self.cfg = cfg
-        # (section, sentence, line within the section) for every sentence.
-        # The header is looked up once per run of one section's sentences.
-        self.sentences: list[tuple[SectionKind, Sentence, int]] = []
-        section = header = None
+        self.kinds: list[SectionKind] = []
+        self.sentences: list[Sentence] = []
+        add_kind, add_sentence = self.kinds.append, self.sentences.append
         for kind, s in d.iter_sentences():
-            if kind is not section:
-                section, header = kind, d.section_header_lines.get(kind, 0)
-            self.sentences.append((kind, s, _section_line(s.line, header)))
+            add_kind(kind)
+            add_sentence(s)
         self._limits: dict[str, tuple[list[int], float, float]] = {}
 
     def rel_line(self, kind: SectionKind, line: int) -> int:
-        """Line number within the section (1 = first content line)."""
-        return _section_line(line, self.d.section_header_lines.get(kind, 0))
+        """Line number within the section (1 = first content line; the
+        line itself when the section's header line is unknown)."""
+        header = self.d.section_header_lines.get(kind, 0)
+        return line - header if header and line > header else line
 
     def limits(self, metric_name: str) -> tuple[list[int], float, float]:
         """A sentence measure's values and its mean -/+ k·stddev, computed
         once per document for the high and the low rule."""
         if metric_name not in self._limits:
             if metric_name == "NOM":
-                values = [s.tally.modifiers for _, s, _ in self.sentences]
+                values = [s._tagged[_TAGS].count(_MODIFIER) for s in self.sentences]
             elif self.cfg.count_los_in_tokens:
-                values = [s.tally.words for _, s, _ in self.sentences]
+                values = [len(s._tagged[_TAGS]) for s in self.sentences]
             else:
-                values = [metrics.LOS(s) for _, s, _ in self.sentences]
+                values = [metrics.LOS(s) for s in self.sentences]
             dist = distribution(values)
             spread = self.cfg.stddev_k * dist.stddev
             self._limits[metric_name] = (values, dist.mean - spread, dist.mean + spread)
@@ -292,10 +288,10 @@ def _shared_reason(kind: SectionKind, metric_name: str) -> Rule:
             items = [f.id for f in flows]
             for f in flows:
                 items.extend(s.text for s in _sentences(f))
-            first = flows[0]
-            line = ctx.rel_line(kind, first.span.line)
+            span = flows[0].span
+            line = ctx.rel_line(kind, span.line)
             evidence = FlowEvidence(tuple(items))
-            add(Finding(smell_id, kind.title, metric_name, line, evidence, first.span))
+            add(Finding(smell_id, kind.title, metric_name, line, evidence, span))
 
     return rule
 
@@ -323,9 +319,7 @@ def _quote_sentence(index: int, line_without_sentences):
     def finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
         sents = _sentences(flow)
         if sents:
-            s = sents[index]
-            line = ctx.rel_line(kind, s.line)
-            return _sentence_finding(smell_id, kind, s, metric_name, line)
+            return _sentence_finding(ctx, smell_id, kind, sents[index], metric_name)
         line = ctx.rel_line(kind, line_without_sentences(flow))
         evidence = SentenceEvidence(flow.id)
         return Finding(smell_id, kind.title, metric_name, line, evidence, flow.span)
@@ -338,14 +332,16 @@ _last_sentence = _quote_sentence(-1, lambda flow: 0)
 
 
 # --- word and sentence rules ------------------------------------------------
-# detect has just tagged every sentence, so each sentence's tally is set.
+# detect has just tagged every sentence, so each keeps its record (text,
+# span start, line, tag codes, nouns).
 
 
 def _pronoun(ctx, smell_id, add):
     pronoun = PosTag.PRONOUN  # looked up once: enum lookups are slow on 3.11
-    for kind, s, line in ctx.sentences:
-        if not s.tally.pronouns:
+    for kind, s in zip(ctx.kinds, ctx.sentences):
+        if _PRONOUN not in s._tagged[_TAGS]:
             continue
+        line = ctx.rel_line(kind, s.line)
         for surface, span in words_tagged(s, pronoun):
             evidence = WordEvidence(surface)
             add(Finding(smell_id, kind.title, "NOP", line, evidence, span))
@@ -357,9 +353,10 @@ def _actor_word(ctx, smell_id, add):
         return
     metric_name = f'NON("{ACTOR_WORD}")'
     noun = PosTag.NOUN
-    for kind, s, line in ctx.sentences:
-        if ACTOR_WORD not in s.tally.nouns:
+    for kind, s in zip(ctx.kinds, ctx.sentences):
+        if ACTOR_WORD not in s._tagged[_NOUNS]:
             continue
+        line = ctx.rel_line(kind, s.line)
         for surface, span in words_tagged(s, noun):
             if surface.lower() == ACTOR_WORD:
                 evidence = WordEvidence(surface)
@@ -367,15 +364,15 @@ def _actor_word(ctx, smell_id, add):
 
 
 def _multiple_actions(ctx, smell_id, add):
-    for kind, s, line in ctx.sentences:
-        if s.tally.verbs >= ctx.cfg.multi_action_verb_threshold:
-            add(_sentence_finding(smell_id, kind, s, "NOV", line))
+    for kind, s in zip(ctx.kinds, ctx.sentences):
+        if s._tagged[_TAGS].count(_VERB) >= ctx.cfg.multi_action_verb_threshold:
+            add(_sentence_finding(ctx, smell_id, kind, s, "NOV"))
 
 
 def _repeated_noun(ctx, smell_id, add):
     threshold = ctx.cfg.repeated_noun_threshold
-    for kind, s, line in ctx.sentences:
-        nouns = s.tally.nouns
+    for kind, s in zip(ctx.kinds, ctx.sentences):
+        nouns = s._tagged[_NOUNS]
         if threshold > 1 and len(set(nouns)) == len(nouns):
             continue  # no noun repeats
         counts: dict[str, int] = {}
@@ -383,7 +380,7 @@ def _repeated_noun(ctx, smell_id, add):
             counts[noun] = counts.get(noun, 0) + 1
         for noun, n in counts.items():
             if n >= threshold:
-                add(_sentence_finding(smell_id, kind, s, f'NON("{noun}")', line))
+                add(_sentence_finding(ctx, smell_id, kind, s, f'NON("{noun}")'))
 
 
 def _outlier(metric_name: str, high: bool) -> Rule:
@@ -394,14 +391,15 @@ def _outlier(metric_name: str, high: bool) -> Rule:
         if n == 0 or n < ctx.cfg.min_sentences_for_distribution:
             return
         values, lo, hi = ctx.limits(metric_name)
-        for (kind, s, line), v in zip(ctx.sentences, values):
+        for kind, s, v in zip(ctx.kinds, ctx.sentences, values):
             if (v > hi) if high else (v < lo):
-                add(_sentence_finding(smell_id, kind, s, metric_name, line))
+                add(_sentence_finding(ctx, smell_id, kind, s, metric_name))
 
     return rule
 
 
-def _sentence_finding(smell_id, kind, s: Sentence, metric_name, line) -> Finding:
+def _sentence_finding(ctx, smell_id, kind, s: Sentence, metric_name) -> Finding:
+    line = ctx.rel_line(kind, s.line)
     evidence = SentenceEvidence(s.text)
     return Finding(smell_id, kind.title, metric_name, line, evidence, s.span)
 

@@ -1,9 +1,9 @@
 """Numeric metrics and boolean predicates over a parsed document.
 
 The numeric metrics (NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count
-features of single sentences or flow groups; NOP, NOV, NOM and NON read
-the tally the analyzer sets on a sentence, and NOW the words it split
-(all zero before analysis).
+features of single sentences or flow groups; NOP, NOV, NOM, NON and NOW
+read the record the analyzer keeps on a sentence: its tag codes, nouns
+and text (all zero before analysis).
 The 22 predicates check structural properties of flows and sections. A
 flow predicate is named after its section and the suffix of its
 per-flow check in FLOW_CHECKS, a section predicate comes from
@@ -17,6 +17,9 @@ import re
 from typing import Callable, NamedTuple
 
 from .model import (
+    _NOUNS,
+    _TAGS,
+    _TEXT,
     BranchFlow,
     Flow,
     SectionKind,
@@ -25,7 +28,7 @@ from .model import (
     UseCaseDescription,
 )
 from .parser import RETURN_RE
-from .textanalysis import split_words
+from .textanalysis import _MODIFIER, _PRONOUN, _VERB, split_words
 
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 
@@ -41,31 +44,29 @@ class PredicateResult(NamedTuple):
 
 def NOP(s: Sentence) -> int:
     """Number of pronouns in a tagged sentence."""
-    return s.tally.pronouns
+    return s._tagged[_TAGS].count(_PRONOUN)
 
 
 def NOV(s: Sentence) -> int:
     """Number of verbs in a tagged sentence."""
-    return s.tally.verbs
+    return s._tagged[_TAGS].count(_VERB)
 
 
 def NOM(s: Sentence) -> int:
     """Number of modifiers in a tagged sentence."""
-    return s.tally.modifiers
+    return s._tagged[_TAGS].count(_MODIFIER)
 
 
 def NOW(s: Sentence, word: str) -> int:
     """Number of occurrences of the given word, any part of speech, among
     the words of the sentence's last analysis (0 before analysis)."""
-    if s._tagged is None:
-        return 0
     w = word.lower()
-    return [t.lower() for t in split_words(s._tagged[0])].count(w)
+    return [t.lower() for t in split_words(s._tagged[_TEXT])].count(w)
 
 
 def NON(s: Sentence, noun: str) -> int:
     """Number of noun-tagged occurrences of the given word."""
-    return s.tally.nouns.count(noun.lower())
+    return s._tagged[_NOUNS].count(noun.lower())
 
 
 def LOS(s: Sentence) -> int:
@@ -111,10 +112,10 @@ def flow_numbered(flow) -> list[SourceSpan]:
 
 def flow_ordered(flow) -> list[SourceSpan]:
     """Span of the first step breaking the strict +1 ordering, if any."""
-    numbers = [(s.number, s.span) for s in flow.steps if s.number is not None]
-    for (a, _), (b, span) in zip(numbers, numbers[1:]):
-        if b != a + 1:
-            return [span]
+    numbered = [s for s in flow.steps if s.number is not None]
+    for a, b in zip(numbered, numbered[1:]):
+        if b.number != a.number + 1:
+            return [b.span]
     return []
 
 

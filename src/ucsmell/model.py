@@ -11,7 +11,8 @@ The immutable value records (SourceSpan, Token, Finding, ...) are named
 tuples: hashable and cheap to create, and, like any tuple, equal to a
 plain tuple with the same fields. The records the parser and the analyzer
 fill in (Sentence, Step, Flow, BranchFlow, UseCaseDescription) are
-__slots__ classes whose equality reads only the fields in _compared. The
+__slots__ classes whose equality reads only the fields in _compared;
+Sentence, Step and BranchFlow keep their span as ints. The
 evidence kinds are frozen __slots__ classes, so evidence of one kind never
 equals evidence of another. No record is a dataclass: importing
 dataclasses and generating each class's methods would cost a cold lint
@@ -191,8 +192,7 @@ class Token(NamedTuple):
 
 class Tally(NamedTuple):
     """The tag counts of one tagged sentence, its nouns, lowercased and in
-    order, and its number of words. The metrics NOP, NOV, NOM and NON
-    read it."""
+    order, and its number of words, as Sentence.tally gives them."""
 
     pronouns: int
     verbs: int
@@ -203,22 +203,40 @@ class Tally(NamedTuple):
 
 EMPTY_TALLY = Tally(0, 0, 0, (), 0)
 
+# What an analysis keeps of a sentence: the text, span start and line it
+# read, one tag code per word (the first letter of its PosTag's value) and
+# the nouns, lowercased; an exact tuple, which the collector stops tracking.
+_UNANALYZED = ("", 0, 0, "", ())
+_TEXT, _TAGS, _NOUNS = 0, 3, 4  # the fields the metrics and the rules read
+_TALLIED_CODES = [t.value[0] for t in (PosTag.PRONOUN, PosTag.VERB, PosTag.MODIFIER)]
 
-class Sentence(_Record):
+
+class _Spanned(_Record):
+    """A record that keeps its span as three ints, built into one on read."""
+
+    __slots__ = ("_start", "_end", "_span_line")
+
+    @property
+    def span(self) -> SourceSpan:
+        return tuple.__new__(SourceSpan, (self._start, self._end, self._span_line))
+
+    @span.setter
+    def span(self, span: SourceSpan) -> None:
+        self._start, self._end, self._span_line = span
+
+
+class Sentence(_Spanned):
     """One sentence of a document.
 
-    Only the analyzer writes a sentence's tally and tokens. It sets tally
-    and keeps what it tagged: the text, span start, line and tags, the
-    tags as one string with a one-letter code per word (the first letter
-    of its PosTag's value), so the snapshot holds no container. That
-    snapshot stays: textanalysis.words_tagged quotes words from it,
-    metrics.NOW counts its words, and tokens are built from it and cached
-    the first time they are read, so all are what an eager analysis
-    would have built even if text, span or line change later. A sentence
-    never analyzed has no tokens and EMPTY_TALLY.
+    Only the analyzer writes _tagged, the record of its last analysis (see
+    _UNANALYZED). The metrics and the rules count from it, words_tagged
+    quotes from it, tally is built from it on each read and tokens on the
+    first, so all are what an eager analysis would have built even if
+    text, span or line change later. A sentence never analyzed has no
+    tokens and EMPTY_TALLY.
     """
 
-    __slots__ = ("text", "line", "span", "_tokens", "_tagged", "tally")
+    __slots__ = ("text", "line", "_tokens", "_tagged")
     _fields = ("text", "line", "span")
     _compared = ("text",)
 
@@ -227,22 +245,26 @@ class Sentence(_Record):
     ) -> None:
         self.text = text
         self.line = line
-        self.span = span
-        self._tokens = []
-        self._tagged = None
-        self.tally = EMPTY_TALLY
+        self._start, self._end, self._span_line = span
+        self._tokens = None
+        self._tagged = _UNANALYZED
+
+    @property
+    def tally(self) -> Tally:
+        tags, nouns = self._tagged[_TAGS], self._tagged[_NOUNS]
+        return Tally(*map(tags.count, _TALLIED_CODES), nouns, len(tags))
 
     @property
     def tokens(self) -> list[Token]:
-        if self._tokens is None:  # analyzed, not yet built
+        if self._tokens is None:  # not built since the last analysis
             from .textanalysis import tagged_tokens  # which imports this module
 
-            self._tokens = tagged_tokens(*self._tagged)
+            self._tokens = tagged_tokens(self._tagged)
         return self._tokens
 
 
-class Step(_Record):
-    __slots__ = ("label", "number", "sentences", "span")
+class Step(_Spanned):
+    __slots__ = ("label", "number", "sentences")
     _fields = ("label", "number", "sentences", "span")
     _compared = ("label", "number", "sentences")
 
@@ -256,7 +278,7 @@ class Step(_Record):
         self.label = label
         self.number = number
         self.sentences = sentences
-        self.span = span
+        self._start, self._end, self._span_line = span
 
 
 class Flow(_Record):
@@ -267,8 +289,8 @@ class Flow(_Record):
         self.steps = steps
 
 
-class BranchFlow(_Record):
-    __slots__ = ("id", "condition", "origin", "return_to", "steps", "span")
+class BranchFlow(_Spanned):
+    __slots__ = ("id", "condition", "origin", "return_to", "steps")
     _fields = ("id", "condition", "origin", "return_to", "steps", "span")
     _compared = ("id", "condition", "origin", "return_to", "steps")
 
@@ -286,7 +308,7 @@ class BranchFlow(_Record):
         self.origin = origin
         self.return_to = return_to
         self.steps = [] if steps is None else steps
-        self.span = span
+        self._start, self._end, self._span_line = span
 
 
 class ActorDecl(NamedTuple):

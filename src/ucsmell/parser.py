@@ -24,7 +24,6 @@ from .model import (
     SectionKind,
     Sentence,
     SourceRef,
-    SourceSpan,
     Step,
     StepRef,
     UseCaseDescription,
@@ -125,15 +124,14 @@ class _Lines:
         )
         self.offsets: list[int] = list(accumulate(sizes, initial=0))
 
-    def span(self, lineno: int, text: str, col: int = 0) -> SourceSpan:
-        """Span of text found at character column col of line lineno."""
+    def span(self, lineno: int, text: str, col: int = 0) -> tuple[int, int, int]:
+        """(start, end, line) of text found at character column col of line lineno."""
         start = self.offsets[lineno - 1]
         if self.ascii[lineno - 1]:  # then text, a piece of the line, is too
             start += col
-            # start <= end here, so the span skips SourceSpan's check.
-            return tuple.__new__(SourceSpan, (start, start + len(text), lineno))
+            return start, start + len(text), lineno
         start += len(self.lines[lineno - 1][:col].encode("utf-8"))
-        return SourceSpan(start, start + len(text.encode("utf-8")), lineno)
+        return start, start + len(text.encode("utf-8")), lineno
 
 
 def _sentences_of(lines: _Lines, lineno: int, text: str, col: int) -> list[Sentence]:

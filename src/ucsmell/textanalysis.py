@@ -5,15 +5,15 @@ lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
 noun counts the metrics need. split_words is the one word splitter: it
 splits a plain ASCII sentence (letters, digits, spaces and commas, then
 its closing '.', '!' or '?') at its spaces and commas, and any other
-text with the word pattern. analyze_sentence is the only writer of a
-sentence's tally and tokens. It tallies those counts once
-(Sentence.tally), so the metrics and the rules never walk the tokens to
-count them, and builds no tokens: it keeps the sentence's text and its
-tags as a string of one-letter codes. From these words_tagged quotes
-the words of one tag, finding each word with str.find from the end of
-the word before, and the read-only Sentence.tokens builds every token
-when first read. Everything is deterministic: same sentence and
-lexicon, same tags.
+text with the word pattern, whose words are runs of letters and digits
+of any script. analyze_sentence is the only writer of what a sentence's
+tally and tokens come from: one record (an exact tuple) of its text,
+span start and line, its tags as a string of one-letter codes, and its
+nouns. The metrics and the rules count from the record, so they never
+walk tokens; words_tagged quotes the words of one tag from it, finding
+each word with str.find from the end of the word before; and the
+read-only Sentence.tokens builds every token when first read.
+Everything is deterministic: same sentence and lexicon, same tags.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import os
 import re
 from typing import Iterable, Iterator, Optional
 
-from .model import PosTag, Sentence, SourceSpan, Tally, Token, _FrozenRecord
+from .model import PosTag, Sentence, SourceSpan, Token, _FrozenRecord
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
+# Letters and digits of any script ([^\W_] is what str.isalnum accepts),
+# joined by hyphens and straight or typographic (U+2019) apostrophes.
+_WORD_RE = re.compile(r"[^\W_]+(?:['\u2019-][^\W_]+)*")
 
 # Suffixes that mark an inflected verb when the token follows a noun or
 # pronoun (the subject position). "-ing" is deliberately absent: in this
@@ -137,8 +139,8 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
 
 
 def split_words(text: str) -> list[str]:
-    """The words of text, in order: runs of ASCII letters and digits,
-    keeping intra-word hyphens and apostrophes.
+    """The words of text, in order: runs of letters and digits, keeping
+    intra-word hyphens and apostrophes.
 
     Equal to _WORD_RE.findall(text). An ASCII text whose body (the text
     less its trailing run of '.', '!' and '?') holds only letters, digits,
@@ -185,9 +187,10 @@ def _words(
         end, byte = start + len(surface), byte_end
 
 
-def tagged_tokens(text: str, base_offset: int, line: int, tags: str) -> list[Token]:
-    """The words of text as tokens on the given line, tagged in order by
-    the tag codes of an analysis snapshot."""
+def tagged_tokens(record: tuple) -> list[Token]:
+    """The words of an analysis record's text as tokens on its line,
+    tagged in order by its tag codes."""
+    text, base_offset, line, tags, _ = record
     words = _words(text, base_offset, split_words(text))
     return [
         Token(surface, _TAG_OF_CODE[code], _span(SourceSpan, (start, end, line)))
@@ -199,13 +202,11 @@ def words_tagged(sentence: Sentence, pos: PosTag) -> list[tuple[str, SourceSpan]
     """The surface and span of each word of sentence tagged pos, in order,
     as its last analysis tagged it; [] for a sentence never analyzed.
 
-    Reads the analysis snapshot, not Sentence.tokens, so it builds a span
+    Reads the analysis record, not Sentence.tokens, so it builds a span
     only for the words it returns; the spans are the ones those tokens
     carry, since both come from _words.
     """
-    if sentence._tagged is None:
-        return []
-    text, base_offset, line, tags = sentence._tagged
+    text, base_offset, line, tags, _ = sentence._tagged
     code = _CODE_OF_TAG[pos]
     # The words after the last one tagged pos are never read.
     wanted = tags.rfind(code) + 1
@@ -266,7 +267,7 @@ _DETERMINERS = frozenset({"the", "a", "an"})
 _SUBJECT_TAGS = (_NOUN, _PRONOUN)
 
 
-def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, list[str]]:
+def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, tuple[str, ...]]:
     """The tag code of each word of one sentence, in order, as one
     string, and the sentence's nouns, lowercased."""
     memo = lex._word_facts
@@ -294,19 +295,18 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, list[str]]:
         prev_word = word
         prev_tag = pos
         verb_seen = verb_seen or pos == _VERB
-    return "".join(tags), nouns
+    return "".join(tags), tuple(nouns)
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
-    """Tag sentence and set its tally in place. Its tokens are built from
-    the kept tags, by tagged_tokens, when they are first read; words_tagged
-    reads the same tags without building them."""
+    """Tag sentence and keep the record its tally, the metrics and the
+    rules read. Its tokens are built from the kept tags, by tagged_tokens,
+    when they are first read; words_tagged reads the same tags without
+    building them."""
     text = sentence.text
     tags, nouns = _tag_words(split_words(text), lex)
     sentence._tokens = None
-    sentence._tagged = (text, sentence.span.start, sentence.line, tags)
-    counts = tags.count(_PRONOUN), tags.count(_VERB), tags.count(_MODIFIER)
-    sentence.tally = Tally(*counts, tuple(nouns), len(tags))
+    sentence._tagged = (text, sentence._start, sentence.line, tags, nouns)
 
 
 def analyze_document(doc, lex: Lexicon) -> None:

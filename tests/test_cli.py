@@ -398,3 +398,20 @@ def test_help_is_argparse_help(capsys, monkeypatch, columns):
     assert ours[1].startswith("usage: ucsmell lint [-h]")
     monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
     assert ours == _help_texts(capsys)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "The clerk files the résumé and the réservation.",
+        "The customer’s card goes to the clerk’s desk.",
+    ],
+)
+def test_lint_reports_no_noun_fragments_of_non_ascii_words(tmp_path, capsys, step):
+    """Before words matched non-ASCII letters and U+2019, these steps gave
+    repeating-the-same-noun with NON("r") and NON("s")."""
+    p = tmp_path / "doc.ucd"
+    p.write_text(f"Name: File\nBasic Flow:\n1. {step}\n", encoding="utf-8")
+    run(["lint", str(p), "--format", "json"])
+    records = json.loads(capsys.readouterr().out)
+    assert [r for r in records if r["metric"].startswith("NON")] == []

@@ -123,7 +123,7 @@ def test_emit_pretty_grid_totals():
 def test_golden_files_byte_identical(lexicon, fixtures_dir):
     from ucsmell.parser import parse_text
 
-    for name in ("atm", "clean", "search"):
+    for name in ("atm", "clean", "search", "nonascii"):
         doc, _ = parse_text((fixtures_dir / f"{name}.ucd").read_text("utf-8"))
         produced = report.emit_json(detect(doc, DetectorConfig(), lexicon)) + "\n"
         golden = (fixtures_dir / f"{name}_findings.golden.json").read_bytes()

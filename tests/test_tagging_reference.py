@@ -4,9 +4,10 @@ with the previous word, its tag and whether a verb was seen. The tokens
 built lazily after an analysis, whatever changes in the sentence before
 they are read, against the same reference, and the words of each tag
 quoted from the analysis against the reference and those tokens. The
-word splitter against the pattern it stands for. The tally behind NOP,
-NOV, NOM and NON, and its word count, against brute-force counts over
-the tokens."""
+word splitter against the pattern it stands for, which on ASCII text
+finds what the ASCII-only pattern it replaced found. The tally behind
+NOP, NOV, NOM and NON, and its word count, against brute-force counts
+over the tokens."""
 
 import re
 
@@ -23,7 +24,11 @@ from ucsmell.textanalysis import (
     words_tagged,
 )
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
+# Words: letters and digits of any script, joined by hyphens and straight
+# or typographic apostrophes. The ASCII-only pattern it replaced finds the
+# same words in ASCII text.
+_WORD_RE = re.compile(r"[^\W_]+(?:['\u2019-][^\W_]+)*")
+_ASCII_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 _DETERMINERS = {"the", "a", "an"}
 
 
@@ -106,10 +111,12 @@ _word = st.one_of(
         st.sampled_from(["", "s", "es", "ies", "ed", "ied", "ly", "ize", "ous", "er"]),
     ),
     st.integers(min_value=0, max_value=9999).map(str),
-    st.sampled_from(["log-in", "user's", "café", "naïve", "straße", "日本", "ÉTÉ"]),
+    st.sampled_from(
+        ["log-in", "user's", "café", "naïve", "straße", "日本", "ÉTÉ", "clerk’s", "o’clock"]
+    ),
 )
 _case = st.sampled_from([str, str.capitalize, str.upper])
-_sep = st.sampled_from([" ", ", ", ". ", " - ", "  ", "\t", " — ", "'", "€"])
+_sep = st.sampled_from([" ", ", ", ". ", " - ", "  ", "\t", " — ", "'", "’", "€", "_"])
 
 
 @st.composite
@@ -227,6 +234,15 @@ _split_text = st.one_of(
 @example(text="It ends. Then-")
 def test_split_words_equals_the_pattern(text):
     assert split_words(text) == _WORD_RE.findall(text)
+    if text.isascii():
+        assert split_words(text) == _ASCII_WORD_RE.findall(text)
+
+
+def test_word_letters_are_what_isalnum_accepts():
+    letter = re.compile(r"[^\W_]")
+    for code in range(0x30000):
+        ch = chr(code)
+        assert bool(letter.fullmatch(ch)) == ch.isalnum(), hex(code)
 
 
 def _brute_counts(tokens, words):

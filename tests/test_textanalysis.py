@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ucsmell.metrics import NON
 from ucsmell.model import PosTag, Sentence, SourceSpan
 from ucsmell.textanalysis import (
     Lexicon,
@@ -207,3 +208,50 @@ def test_verb_lookup_is_per_lexicon():
         tags = dict(tags_of(text, lex))
         assert tags[verb] is PosTag.VERB
         assert tags[other] is not PosTag.VERB
+
+
+# Words beyond ASCII. The word pattern once matched ASCII letters only, so
+# an accented letter or a typographic apostrophe (U+2019) split a word into
+# fragments that were tagged as nouns of their own.
+
+
+def test_accented_words_are_whole_words(lexicon):
+    text = "The clerk files the résumé and the réservation."
+    assert [s for s, _ in tags_of(text, lexicon)] == [
+        "The", "clerk", "files", "the", "résumé", "and", "the", "réservation",
+    ]
+    s = Sentence(text)
+    analyze_sentence(s, lexicon)
+    assert s.tally.nouns == ("clerk", "résumé", "réservation")
+
+
+def test_typographic_apostrophe_stays_inside_a_word(lexicon):
+    curly = Sentence("The customer’s card goes to the clerk’s desk.")
+    straight = Sentence("The customer's card goes to the clerk's desk.")
+    for s in (curly, straight):
+        analyze_sentence(s, lexicon)
+    assert curly.tally.nouns == ("customer’s", "card", "clerk’s", "desk")
+    assert [t.replace("’", "'") for t in curly.tally.nouns] == list(straight.tally.nouns)
+    assert curly.tally._replace(nouns=()) == straight.tally._replace(nouns=())
+
+
+def test_words_of_other_scripts_and_digits(lexicon):
+    words = [s for s, _ in tags_of("Der Kunde zahlt 3² ½ Straße, 日本 und ÉTÉ—ok_go", lexicon)]
+    assert words == ["Der", "Kunde", "zahlt", "3²", "½", "Straße", "日本", "und", "ÉTÉ", "ok", "go"]
+
+
+def test_lexicon_lookups_lowercase_and_do_not_casefold(lexicon):
+    """Lookups and tally nouns use str.lower, not str.casefold: a noun is
+    quoted as written, lowercased, so NON("straße") names the word of the
+    text. Case variants that lower() maps together are one noun; "ß" and
+    "SS", which only casefold() maps together, stay two."""
+    s = Sentence("The Résumé lists the RÉSUMÉ, the Straße and the STRASSE.")
+    analyze_sentence(s, lexicon)
+    assert s.tally.nouns == ("résumé", "résumé", "straße", "strasse")
+    assert NON(s, "RÉSUMÉ") == 2 and NON(s, "Straße") == 1 and NON(s, "strasse") == 1
+    # A lexicon entry matches an upper-case non-ASCII surface through lower().
+    lex = Lexicon(pronouns=frozenset({"él"}), verbs=frozenset(), modifiers=frozenset(),
+                  stopwords=frozenset())
+    assert dict(tags_of("ÉL Él él", lex)) == {
+        "ÉL": PosTag.PRONOUN, "Él": PosTag.PRONOUN, "él": PosTag.PRONOUN,
+    }
