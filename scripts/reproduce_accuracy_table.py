@@ -12,9 +12,11 @@ correct of 89 indicated, while the abstract's figures fit 52/88 and
 52/53: one correct finding fewer, so one of the 53 smells missed.
 """
 
+import os
 import sys
 
 from ucsmell.catalogue import by_id, catalogue
+from ucsmell.engine import load_config
 from ucsmell.evaluation import OracleEntry, match, render_table
 from ucsmell.model import Finding, WordEvidence
 
@@ -47,6 +49,10 @@ ABSTRACT_PRECISION = 0.591
 ABSTRACT_RECALL = 0.981
 # The counts the abstract's figures fit: (correct, indicated, oracle).
 ABSTRACT_COUNTS = (52, 88, 53)
+# The checked-in config that runs the first version's smells.
+FIRST_VERSION_CONFIG = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "fixtures", "first_version.cfg"
+)
 
 
 def build_sets():
@@ -106,14 +112,22 @@ def abstract_note(totals) -> bool:
         e for e in catalogue()
         if e.detectable and not {"diamond", "star"} <= e.origin_flags
     ]
+    config_smells = load_config(FIRST_VERSION_CONFIG).enabled_smells
+    config_ok = config_smells == {e.id for e in first_version}
     correct, indicated, oracle = ABSTRACT_COUNTS
     fits = (
         len(first_version) == ABSTRACT_SMELLS
+        and config_ok
         and abs(correct / indicated - ABSTRACT_PRECISION) < TOLERANCE
         and abs(correct / oracle - ABSTRACT_RECALL) < TOLERANCE
         and (correct + 1, indicated + 1) == (totals.tp, totals.tp + totals.fp)
     )
     print()
+    if not config_ok:
+        print(
+            f"{FIRST_VERSION_CONFIG}: enabled_smells is not the "
+            f"{len(first_version)} first-version smells [MISMATCH]"
+        )
     print(
         f"Abstract headline: {ABSTRACT_SMELLS} smells, precision "
         f"{ABSTRACT_PRECISION:.3f}, recall {ABSTRACT_RECALL:.3f}.\n"

@@ -1,8 +1,9 @@
 """Core document model and smell-catalogue types.
 
 Everything here is plain data: the parser produces a UseCaseDescription,
-the text analyzer, the only writer of a sentence's tally and tokens,
-fills them in, and the metrics/engine modules read them. Position data
+the text analyzer, the only writer of a sentence's tagging record, fills
+that record in, and the metrics/engine modules count from it; a
+sentence's tokens are rebuilt from it on each read. Position data
 (spans, line numbers, section order) is excluded from equality so that
 documents loaded from different serializations of the same content
 compare equal.
@@ -190,25 +191,11 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
-class Tally(NamedTuple):
-    """The tag counts of one tagged sentence, its nouns, lowercased and in
-    order, and its number of words, as Sentence.tally gives them."""
-
-    pronouns: int
-    verbs: int
-    modifiers: int
-    nouns: tuple[str, ...]
-    words: int
-
-
-EMPTY_TALLY = Tally(0, 0, 0, (), 0)
-
 # What an analysis keeps of a sentence: the text, span start and line it
 # read, one tag code per word (the first letter of its PosTag's value) and
 # the nouns, lowercased; an exact tuple, which the collector stops tracking.
 _UNANALYZED = ("", 0, 0, "", ())
 _TEXT, _TAGS, _NOUNS = 0, 3, 4  # the fields the metrics and the rules read
-_TALLIED_CODES = [t.value[0] for t in (PosTag.PRONOUN, PosTag.VERB, PosTag.MODIFIER)]
 
 
 class _Spanned(_Record):
@@ -230,13 +217,12 @@ class Sentence(_Spanned):
 
     Only the analyzer writes _tagged, the record of its last analysis (see
     _UNANALYZED). The metrics and the rules count from it, words_tagged
-    quotes from it, tally is built from it on each read and tokens on the
-    first, so all are what an eager analysis would have built even if
-    text, span or line change later. A sentence never analyzed has no
-    tokens and EMPTY_TALLY.
+    quotes from it and tokens are built from it on each read, so all are
+    what an eager analysis would have built even if text, span or line
+    change later. A sentence never analyzed has no tokens.
     """
 
-    __slots__ = ("text", "line", "_tokens", "_tagged")
+    __slots__ = ("text", "line", "_tagged")
     _fields = ("text", "line", "span")
     _compared = ("text",)
 
@@ -246,21 +232,13 @@ class Sentence(_Spanned):
         self.text = text
         self.line = line
         self._start, self._end, self._span_line = span
-        self._tokens = None
         self._tagged = _UNANALYZED
 
     @property
-    def tally(self) -> Tally:
-        tags, nouns = self._tagged[_TAGS], self._tagged[_NOUNS]
-        return Tally(*map(tags.count, _TALLIED_CODES), nouns, len(tags))
-
-    @property
     def tokens(self) -> list[Token]:
-        if self._tokens is None:  # not built since the last analysis
-            from .textanalysis import tagged_tokens  # which imports this module
+        from .textanalysis import tagged_tokens  # which imports this module
 
-            self._tokens = tagged_tokens(self._tagged)
-        return self._tokens
+        return tagged_tokens(self._tagged)
 
 
 class Step(_Spanned):

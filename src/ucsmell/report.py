@@ -114,12 +114,10 @@ def parse_report(text: str) -> list[dict]:
 
 
 def _excerpt(f: Finding, limit: int = 60) -> str:
-    if isinstance(f.evidence, WordEvidence):
-        text = f.evidence.text
-    elif isinstance(f.evidence, SentenceEvidence):
-        text = f.evidence.text
-    else:
+    if isinstance(f.evidence, FlowEvidence):
         text = ", ".join(f.evidence.items)
+    else:
+        text = f.evidence.text
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

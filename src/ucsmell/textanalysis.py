@@ -6,13 +6,15 @@ noun counts the metrics need. split_words is the one word splitter: it
 splits a plain ASCII sentence (letters, digits, spaces and commas, then
 its closing '.', '!' or '?') at its spaces and commas, and any other
 text with the word pattern, whose words are runs of letters and digits
-of any script. analyze_sentence is the only writer of what a sentence's
-tally and tokens come from: one record (an exact tuple) of its text,
-span start and line, its tags as a string of one-letter codes, and its
-nouns. The metrics and the rules count from the record, so they never
-walk tokens; words_tagged quotes the words of one tag from it, finding
+of any script with the combining marks that follow them.
+analyze_sentence is the only writer of a sentence's tagging state: one
+record (an exact tuple) of its text, span start and line, its tags as a
+string of one-letter codes, and its nouns. The metrics are the only
+counters of that record and the rules read it directly, so neither
+walks tokens; words_tagged quotes the words of one tag from it, finding
 each word with str.find from the end of the word before; and the
-read-only Sentence.tokens builds every token when first read.
+read-only Sentence.tokens rebuilds every token from it, through
+tagged_tokens, on each read.
 Everything is deterministic: same sentence and lexicon, same tags.
 """
 
@@ -24,9 +26,14 @@ from typing import Iterable, Iterator, Optional
 
 from .model import PosTag, Sentence, SourceSpan, Token, _FrozenRecord
 
-# Letters and digits of any script ([^\W_] is what str.isalnum accepts),
-# joined by hyphens and straight or typographic (U+2019) apostrophes.
-_WORD_RE = re.compile(r"[^\W_]+(?:['\u2019-][^\W_]+)*")
+# Letters and digits of any script ([^\W_] is what str.isalnum accepts)
+# and the combining diacritical marks (U+0300-U+036F) that follow them, as
+# text in decomposed form (NFD) spells accents, joined by hyphens and
+# straight or typographic (U+2019) apostrophes. A part is written as a run
+# of letters, then marks and letters, which matches faster than a run of
+# letters each with its marks.
+_PART = r"[^\W_]+(?:[\u0300-\u036f]+[^\W_]*)*"
+_WORD_RE = re.compile(rf"{_PART}(?:['\u2019-]{_PART})*")
 
 # Suffixes that mark an inflected verb when the token follows a noun or
 # pronoun (the subject position). "-ing" is deliberately absent: in this
@@ -48,7 +55,7 @@ _NOUN, _VERB, _MODIFIER, _PRONOUN, _OTHER = (
 )
 
 # What a lexicon says about one surface form by itself: the word
-# lowercased (the memo's copy, which every tally noun of that form
+# lowercased (the memo's copy, which every recorded noun of that form
 # shares), whether it is a known verb (through _verb_stems), the code of
 # the suffix-rule tag it may take in the subject slot (None when no rule
 # applies), and its tag code when no verb reading applies. A pronoun's
@@ -140,7 +147,8 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
 
 def split_words(text: str) -> list[str]:
     """The words of text, in order: runs of letters and digits, keeping
-    intra-word hyphens and apostrophes.
+    the combining marks that follow them and intra-word hyphens and
+    apostrophes.
 
     Equal to _WORD_RE.findall(text). An ASCII text whose body (the text
     less its trailing run of '.', '!' and '?') holds only letters, digits,
@@ -299,13 +307,11 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, tuple[str, .
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
-    """Tag sentence and keep the record its tally, the metrics and the
-    rules read. Its tokens are built from the kept tags, by tagged_tokens,
-    when they are first read; words_tagged reads the same tags without
-    building them."""
+    """Tag sentence and keep the record the metrics and the rules read.
+    Its tokens are rebuilt from the kept tags, by tagged_tokens, on each
+    read; words_tagged reads the same tags without building them."""
     text = sentence.text
     tags, nouns = _tag_words(split_words(text), lex)
-    sentence._tokens = None
     sentence._tagged = (text, sentence._start, sentence.line, tags, nouns)
 
 

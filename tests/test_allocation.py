@@ -15,7 +15,7 @@ import pytest
 
 from ucsmell.engine import DetectorConfig, detect
 from ucsmell.metrics import NOM, NON, NOP, NOV, NOW
-from ucsmell.model import PosTag, SourceSpan, Tally, Token
+from ucsmell.model import PosTag, SourceSpan, Token
 from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import words_tagged
 
@@ -100,8 +100,8 @@ def test_each_step_keeps_three_tracked_objects(lexicon, front_end, non_ascii):
     assert (steps, sentences) == (100, 125)
     kept_big.subtract(kept_small)
     per_step = +kept_big
-    # The Step, its sentence list and its Sentences; no span, tally or
-    # analysis record stays tracked.
+    # The Step, its sentence list and its Sentences; no span or analysis
+    # record stays tracked.
     assert per_step == Counter(Step=steps, list=steps, Sentence=sentences)
     assert 3 * steps <= sum(per_step.values()) == 2 * steps + sentences
 
@@ -141,12 +141,11 @@ def test_compact_reads_equal_a_fresh_reference_analysis(lexicon, front_end, non_
         ref = ref_analyze(s.text, s.span.start, s.line, lexicon)
         nouns = tuple(w.lower() for w, p, *_ in ref if p is PosTag.NOUN)
         counts = Counter(p for _, p, *_ in ref)
-        want = Tally(
+        assert (NOP(s), NOV(s), NOM(s), len(s._tagged[3])) == (
             counts[PosTag.PRONOUN], counts[PosTag.VERB], counts[PosTag.MODIFIER],
-            nouns, len(ref),
+            len(ref),
         )
-        assert s.tally == want
-        assert (NOP(s), NOV(s), NOM(s)) == want[:3]
+        assert s._tagged[4] == nouns
         for word in {w for w, *_ in ref}:
             assert NON(s, word) == nouns.count(word.lower())
             assert NOW(s, word) == sum(w.lower() == word.lower() for w, *_ in ref)

@@ -1,4 +1,5 @@
 import re
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ import seeding
 from hypothesis import given, settings, strategies as st
 
 from ucsmell import metrics, textanalysis
-from ucsmell.catalogue import detectable_ids
+from ucsmell.catalogue import catalogue, detectable_ids
 from ucsmell.engine import (
     RULES,
     DetectorConfig,
@@ -119,6 +120,21 @@ def test_load_config(tmp_path):
     assert load_config(str(p)).stddev_k == 3.0
 
 
+def test_first_version_config_enables_the_first_version_smells():
+    """The abstract's 22 smells: the detectable ones less the two flagged
+    both diamond and star."""
+    first_version = {
+        e.id
+        for e in catalogue()
+        if e.detectable and not {"diamond", "star"} <= e.origin_flags
+    }
+    assert len(first_version) == 22
+    assert len(detectable_ids() - first_version) == 2
+    cfg = load_config(str(FIXTURES / "first_version.cfg"))
+    assert cfg.enabled_smells == first_version
+    assert cfg._replace(enabled_smells=None) == DetectorConfig()
+
+
 # --- distribution ---------------------------------------------------------
 
 
@@ -213,6 +229,23 @@ def base_doc(basic, alternates="", exceptions=""):
     if exceptions:
         text += "Exception Flows:\n" + exceptions
     return text
+
+
+def test_decomposed_step_has_the_findings_of_its_composed_form(lexicon):
+    """An accented word written with combining marks (NFD) is one noun, not
+    fragments: no repeated "re" from "résumé" and "réservation"."""
+    nfc = base_doc("1. The clerk files the résumé and the réservation.\n")
+    nfd = unicodedata.normalize("NFD", nfc)
+    assert nfd != nfc
+
+    def findings(text):
+        return [
+            (f.smell_id, f.metric, f.line, unicodedata.normalize("NFC", f.evidence.text))
+            for f in findings_for(text, lexicon)
+        ]
+
+    assert 'NON("re")' not in {metric for _, metric, *_ in findings(nfd)}
+    assert findings(nfd) == findings(nfc)
 
 
 def test_unordered_flow_unnumbered(lexicon):
@@ -457,7 +490,6 @@ def test_detect_builds_tokens_only_where_a_rule_quotes_them(
     monkeypatch.undo()
     assert {"pronoun", "actor-actor"} <= {f.smell_id for f in found}
     sentences = [s for _, s in doc.iter_sentences()]
-    assert all(s._tokens is None for s in sentences)
     # Read later, they are the tokens read right after a fresh analysis.
     def fresh_tokens(s):
         fresh = Sentence(s.text, s.line, s.span)

@@ -5,7 +5,6 @@ import pytest
 
 from ucsmell.engine import DetectorConfig
 from ucsmell.model import (
-    EMPTY_TALLY,
     END,
     BranchFlow,
     FlowEvidence,
@@ -23,7 +22,7 @@ from ucsmell.model import (
     WordEvidence,
 )
 from ucsmell.metrics import NOM, NON, NOP, NOV
-from ucsmell.textanalysis import analyze_document, load_lexicon
+from ucsmell.textanalysis import analyze_document, load_lexicon, words_tagged
 
 
 def test_span_rejects_start_after_end():
@@ -128,11 +127,11 @@ def test_document_equality_ignores_positions_and_tokens():
     assert a != b
 
 
-def test_plain_sentence_has_no_tokens_and_an_empty_tally():
+def test_plain_sentence_has_no_tokens_and_zero_counts():
     s = Sentence("It shows the valid card.")
     assert s.tokens == []
-    assert s.tally == EMPTY_TALLY == (0, 0, 0, (), 0)
-    assert (NOP(s), NOV(s), NOM(s), NON(s, "card")) == (0, 0, 0, 0)
+    assert words_tagged(s, PosTag.NOUN) == []
+    assert (NOP(s), NOV(s), NOM(s), NON(s, "card"), len(s._tagged[3])) == (0,) * 5
     with pytest.raises(AttributeError):  # only analysis sets tokens
         s.tokens = []
 

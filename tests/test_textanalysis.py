@@ -1,13 +1,17 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucsmell.metrics import NON
+from ucsmell.metrics import NOM, NON, NOP, NOV
 from ucsmell.model import PosTag, Sentence, SourceSpan
 from ucsmell.textanalysis import (
     Lexicon,
     analyze_sentence,
     load_lexicon,
     parse_lexicon,
+    split_words,
+    words_tagged,
 )
 
 LEXICON = load_lexicon()
@@ -215,6 +219,16 @@ def test_verb_lookup_is_per_lexicon():
 # fragments that were tagged as nouns of their own.
 
 
+def _nouns(s):
+    """The nouns of an analyzed sentence, lowercased and in order."""
+    return [w.lower() for w, _ in words_tagged(s, PosTag.NOUN)]
+
+
+def _counts(s):
+    """Its pronoun, verb and modifier counts and its number of words."""
+    return NOP(s), NOV(s), NOM(s), len(s._tagged[3])
+
+
 def test_accented_words_are_whole_words(lexicon):
     text = "The clerk files the résumé and the réservation."
     assert [s for s, _ in tags_of(text, lexicon)] == [
@@ -222,7 +236,8 @@ def test_accented_words_are_whole_words(lexicon):
     ]
     s = Sentence(text)
     analyze_sentence(s, lexicon)
-    assert s.tally.nouns == ("clerk", "résumé", "réservation")
+    assert _nouns(s) == ["clerk", "résumé", "réservation"]
+    assert NON(s, "résumé") == NON(s, "Réservation") == 1 and NON(s, "re") == 0
 
 
 def test_typographic_apostrophe_stays_inside_a_word(lexicon):
@@ -230,9 +245,34 @@ def test_typographic_apostrophe_stays_inside_a_word(lexicon):
     straight = Sentence("The customer's card goes to the clerk's desk.")
     for s in (curly, straight):
         analyze_sentence(s, lexicon)
-    assert curly.tally.nouns == ("customer’s", "card", "clerk’s", "desk")
-    assert [t.replace("’", "'") for t in curly.tally.nouns] == list(straight.tally.nouns)
-    assert curly.tally._replace(nouns=()) == straight.tally._replace(nouns=())
+    assert _nouns(curly) == ["customer’s", "card", "clerk’s", "desk"]
+    assert [t.replace("’", "'") for t in _nouns(curly)] == _nouns(straight)
+    assert _counts(curly) == _counts(straight)
+
+
+def test_decomposed_accents_stay_inside_a_word(lexicon):
+    """A combining mark (U+0300-U+036F) after a letter or digit belongs to
+    its word, so text in decomposed form (NFD) splits into the same words
+    as its composed form (NFC), each spelled as written. A mark that
+    follows no letter or digit belongs to no word."""
+    nfc = "The clerk files the résumé and the réservation."
+    nfd = unicodedata.normalize("NFD", nfc)
+    assert nfd != nfc
+    assert [unicodedata.normalize("NFC", w) for w in split_words(nfd)] == split_words(nfc)
+    assert split_words("e\u0301te\u0301 l'e\u0301cole 2\u0300-a\u0301") == [
+        "e\u0301te\u0301", "l'e\u0301cole", "2\u0300-a\u0301",
+    ]
+    assert split_words("\u0301 a \u0301b -\u0301 c'\u0301") == ["a", "b", "c"]
+    s = Sentence(nfd, span=SourceSpan(7, 7 + len(nfd.encode("utf-8"))))
+    analyze_sentence(s, lexicon)
+    nouns = ["clerk", "résumé", "réservation"]
+    assert _nouns(s) == [unicodedata.normalize("NFD", w) for w in nouns]
+    assert NON(s, "re") == 0
+    # Spans still slice each word out of the UTF-8 text.
+    raw = nfd.encode("utf-8")
+    assert [raw[t.span.start - 7 : t.span.end - 7].decode("utf-8") for t in s.tokens] == [
+        t.surface for t in s.tokens
+    ]
 
 
 def test_words_of_other_scripts_and_digits(lexicon):
@@ -241,13 +281,13 @@ def test_words_of_other_scripts_and_digits(lexicon):
 
 
 def test_lexicon_lookups_lowercase_and_do_not_casefold(lexicon):
-    """Lookups and tally nouns use str.lower, not str.casefold: a noun is
+    """Lookups and recorded nouns use str.lower, not str.casefold: a noun is
     quoted as written, lowercased, so NON("straße") names the word of the
     text. Case variants that lower() maps together are one noun; "ß" and
     "SS", which only casefold() maps together, stay two."""
     s = Sentence("The Résumé lists the RÉSUMÉ, the Straße and the STRASSE.")
     analyze_sentence(s, lexicon)
-    assert s.tally.nouns == ("résumé", "résumé", "straße", "strasse")
+    assert _nouns(s) == ["résumé", "résumé", "straße", "strasse"]
     assert NON(s, "RÉSUMÉ") == 2 and NON(s, "Straße") == 1 and NON(s, "strasse") == 1
     # A lexicon entry matches an upper-case non-ASCII surface through lower().
     lex = Lexicon(pronouns=frozenset({"él"}), verbs=frozenset(), modifiers=frozenset(),
