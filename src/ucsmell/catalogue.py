@@ -445,6 +445,8 @@ assert len(_BY_ID) == len(_ENTRIES), "duplicate smell ids"
 _SORTED = sorted(
     _ENTRIES, key=lambda e: (e.characteristic.value, e.scope.value, e.name)
 )
+# Frozen, so every caller may share the one set.
+_DETECTABLE = frozenset(e.id for e in _ENTRIES if e.detectable)
 
 
 def catalogue() -> list[SmellType]:
@@ -467,4 +469,4 @@ def by_id(smell_id: str) -> SmellType:
 
 
 def detectable_ids() -> frozenset[str]:
-    return frozenset(e.id for e in _ENTRIES if e.detectable)
+    return _DETECTABLE

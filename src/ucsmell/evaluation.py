@@ -136,10 +136,6 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
         by_id(entry.smell_id)  # validate before tallying
 
     report = EvalReport()
-
-    def tally(category: Category) -> Tally:
-        return report.per_category.setdefault(category, Tally())
-
     # Group both sides by (smell, section); match within each group by
     # pairing line-sorted oracle entries to the earliest compatible finding.
     # Only findings within LINE_TOLERANCE of an entry can match it, and they
@@ -173,19 +169,31 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
                 break
 
     matched_entries = {id(e) for _, e in report.matched_pairs}
+    # Each category's tally is made when the category is first seen, and
+    # each smell id is resolved to it once.
+    tallies: dict[str, Tally] = {}
+
+    def tally(smell_id: str) -> Tally:
+        if smell_id not in tallies:
+            category = _category(smell_id)
+            if category not in report.per_category:
+                report.per_category[category] = Tally()
+            tallies[smell_id] = report.per_category[category]
+        return tallies[smell_id]
+
     for f in findings:
-        t = tally(_category(f.smell_id))
         if id(f) in matched_findings:
-            t.tp += 1
-            report.totals.tp += 1
+            tally(f.smell_id).tp += 1
         else:
-            t.fp += 1
-            report.totals.fp += 1
+            tally(f.smell_id).fp += 1
     for entry in oracle:
         if id(entry) not in matched_entries:
-            t = tally(_category(entry.smell_id))
-            t.fn += 1
-            report.totals.fn += 1
+            tally(entry.smell_id).fn += 1
+    totals = report.totals
+    for t in report.per_category.values():
+        totals.tp += t.tp
+        totals.fp += t.fp
+        totals.fn += t.fn
     return report
 
 

@@ -13,6 +13,7 @@ import json
 import re
 from enum import Enum
 from itertools import accumulate
+from json.encoder import encode_basestring as _quote
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -312,50 +313,64 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
 
 
 def serialize(doc: UseCaseDescription) -> str:
-    """Render a document in the canonical JSON interchange format."""
-    obj: dict = {}
-    if doc.name is not None:
-        obj["name"] = doc.name
-    if doc.overview is not None:
-        obj["overview"] = doc.overview
+    """Render a document in the canonical JSON interchange format: the text of
+    json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", written directly."""
+    out = ["{"]  # the text in pieces; each member starts with ","
+    for key in ("name", "overview"):
+        text = getattr(doc, key)
+        if text is not None:
+            out.append(f',\n  "{key}": {_quote(text)}')
     if doc.actors is not None:
-        obj["actors"] = [
-            {"name": a.name, **({"description": a.description} if a.description else {})}
-            for a in doc.actors
-        ]
-    if doc.preconditions is not None:
-        obj["preconditions"] = [s.text for s in doc.preconditions]
-    if doc.postconditions is not None:
-        obj["postconditions"] = [s.text for s in doc.postconditions]
+        actors = [f'{{\n      "name": {_quote(a.name)}' + (
+            f',\n      "description": {_quote(a.description)}' if a.description else ""
+        ) + "\n    }" for a in doc.actors]
+        out.append(f',\n  "actors": {_array("  ", actors)}')
+    for key in ("preconditions", "postconditions"):
+        sents = getattr(doc, key)
+        if sents is not None:
+            out.append(f',\n  "{key}": {_array("  ", [_quote(s.text) for s in sents])}')
     if doc.basic_flow is not None:
-        obj["basic_flow"] = [_step_obj(s) for s in doc.basic_flow.steps]
-    if doc.alternate_flows:
-        obj["alternate_flows"] = [_flow_obj(f) for f in doc.alternate_flows]
-    if doc.exception_flows:
-        obj["exception_flows"] = [_flow_obj(f) for f in doc.exception_flows]
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+        out += (',\n  "basic_flow": ', _steps_json("  ", doc.basic_flow))
+    for key in ("alternate_flows", "exception_flows"):
+        flows = getattr(doc, key)
+        if flows:
+            out.append(f',\n  "{key}": [')
+            for flow in flows:
+                out.append(f'\n    {{\n      "id": {_quote(flow.id)}')
+                if flow.condition is not None:
+                    out.append(f',\n      "condition": {_quote(flow.condition.text)}')
+                if flow.origin is not None:
+                    out.append(f',\n      "origin": {_quote(flow.origin.label)}')
+                if flow.return_to is not None:
+                    end = isinstance(flow.return_to, EndMarker)
+                    label = "end" if end else flow.return_to.label
+                    out.append(f',\n      "return_to": {_quote(label)}')
+                out += (',\n      "steps": ', _steps_json("      ", flow), "\n    },")
+            out[-1] = "\n    }\n  ]"
+    if len(out) == 1:
+        return "{}\n"
+    out[1] = out[1][1:]  # no "," before the first member
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _step_obj(step: Step) -> dict:
-    obj: dict = {}
-    if step.label is not None:
-        obj["label"] = step.label
-    obj["text"] = " ".join(s.text for s in step.sentences)
-    return obj
+def _array(pad: str, items: list[str]) -> str:
+    """A JSON array at indent pad of its elements' JSON texts."""
+    inner = ",\n" + pad + "  "
+    return f"[\n{pad}  {inner.join(items)}\n{pad}]" if items else "[]"
 
 
-def _flow_obj(flow: BranchFlow) -> dict:
-    obj: dict = {"id": flow.id}
-    if flow.condition is not None:
-        obj["condition"] = flow.condition.text
-    if flow.origin is not None:
-        obj["origin"] = flow.origin.label
-    if flow.return_to is not None:
-        obj["return_to"] = (
-            "end" if isinstance(flow.return_to, EndMarker) else flow.return_to.label
-        )
-    obj["steps"] = [_step_obj(s) for s in flow.steps]
-    return obj
+def _steps_json(pad: str, flow: Flow | BranchFlow) -> str:
+    q, nl, end = _quote, "\n" + pad + "    ", "\n" + pad + "  }"
+    items = []
+    for step in flow.steps:
+        sents = step.sentences  # mostly one: then no join
+        text = sents[0].text if len(sents) == 1 else " ".join([s.text for s in sents])
+        if step.label is None:
+            items.append(f'{{{nl}"text": {q(text)}{end}')
+        else:
+            items.append(f'{{{nl}"label": {q(step.label)},{nl}"text": {q(text)}{end}')
+    return _array(pad, items)
 
 
 class _SchemaError(Exception):

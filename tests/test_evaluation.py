@@ -161,6 +161,51 @@ def test_per_category_split():
     assert rep.totals.tp == 1 and rep.totals.fp == 1
 
 
+def test_tallies_against_a_hand_computed_report(monkeypatch):
+    import ucsmell.evaluation as evaluation
+    from ucsmell.model import Characteristic as C, Scope as S
+
+    made = []
+
+    class CountedTally(Tally):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(evaluation, "Tally", CountedTally)
+    findings = [
+        finding("long-sentence", line=5, word="a long one"),  # no hint: tp
+        finding("pronoun", line=2, word="it"),  # hint "it" holds: tp
+        finding("actor-actor", line=3, word="Actor"),  # hint "them" fails: fp
+        finding("short-sentence", line=9, word="Ok"),  # no entry: fp
+        finding("unordered-flow", line=1, word="1"),  # entry a line off: tp
+        finding("pronoun", line=7, word="it"),  # no entry: fp
+    ]
+    oracle = [
+        entry("pronoun", line=2, hint="it"),
+        entry("actor-actor", line=3, hint="them"),  # fn
+        entry("long-sentence", line=5),
+        entry("unordered-flow", line=2),
+        entry("missing-name-section", item="Name", line=1),  # fn, own category
+    ]
+    rep = match(findings, oracle)
+    assert [(f.smell_id, e.smell_id) for f, e in rep.matched_pairs] == [
+        ("pronoun", "pronoun"),
+        ("long-sentence", "long-sentence"),
+        ("unordered-flow", "unordered-flow"),
+    ]
+    # Categories in the order first seen: findings first, then unmatched entries.
+    assert [(k, (t.tp, t.fp, t.fn)) for k, t in rep.per_category.items()] == [
+        ((C.GRANULARITY, S.SENTENCE), (1, 1, 0)),
+        ((C.AMBIGUITY, S.WORD), (1, 2, 1)),
+        ((C.AMBIGUITY, S.SECTION), (1, 0, 0)),
+        ((C.LACK, S.SECTION), (0, 0, 1)),
+    ]
+    assert (rep.totals.tp, rep.totals.fp, rep.totals.fn) == (3, 3, 2)
+    # One tally for the totals and one per category, none per finding.
+    assert len(made) == 1 + len(rep.per_category)
+
+
 def test_render_table_shape():
     rep = match([finding()], [entry()])
     table = render_table(rep)
