@@ -90,6 +90,7 @@ def _load_detector_config(args) -> engine.DetectorConfig:
     if args.min_sentences_for_distribution is not None:
         overrides["min_sentences_for_distribution"] = args.min_sentences_for_distribution
     if args.disable:
+        engine._check_smell_ids(args.disable, "--disable")
         overrides["enabled_smells"] = cfg.enabled_ids() - set(args.disable)
     if overrides:
         cfg = cfg._replace(**overrides)

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Optional
 from . import metrics
 from .catalogue import detectable_ids
 from .model import (
-    CANONICAL_SECTIONS,
     EMPTY_SPAN,
     _NOUNS,
     _TAGS,
@@ -37,8 +36,7 @@ from .model import (
     UseCaseDescription,
     WordEvidence,
 )
-from .textanalysis import _MODIFIER, _PRONOUN, _VERB, Lexicon, analyze_document
-from .textanalysis import words_tagged
+from .textanalysis import _PRONOUN, Lexicon, analyze_document, words_tagged
 
 ACTOR_WORD = "actor"
 
@@ -68,6 +66,8 @@ class DetectorConfig(_ConfigFields):
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.enabled_smells is not None:
+            _check_smell_ids(self.enabled_smells, "enabled_smells")
         return self
 
     @classmethod
@@ -82,22 +82,23 @@ class DetectorConfig(_ConfigFields):
         return self.enabled_smells
 
 
-_BOOL_KEYS = {"suppress_actor_word_when_single_actor", "count_los_in_tokens"}
+def _check_smell_ids(ids, where: str) -> None:
+    """Reject ids that name no detectable smell."""
+    unknown = set(ids) - detectable_ids()
+    if unknown:
+        names = ", ".join(repr(i) for i in sorted(unknown))
+        raise ValueError(f"unknown smell id in {where}: {names}")
+
+
 _BOOL_VALUES = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
 }
-_NUMBER_KEYS = {
-    "stddev_k": (float, "a number"),
-    **dict.fromkeys(
-        (
-            "min_sentences_for_distribution",
-            "multi_action_verb_threshold",
-            "repeated_noun_threshold",
-            "same_reason_threshold",
-        ),
-        (int, "an integer"),
-    ),
+# A config value is read as its field's default is typed.
+_READERS = {
+    bool: (lambda value: _BOOL_VALUES[value.lower()], "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
 }
 
 
@@ -111,25 +112,16 @@ def parse_config(text: str) -> DetectorConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value")
         key, value = (p.strip() for p in line.split("=", 1))
-        if key in _NUMBER_KEYS:
-            convert, kind = _NUMBER_KEYS[key]
+        if key == "enabled_smells":
+            kwargs[key] = frozenset(s.strip() for s in value.split(",") if s.strip())
+        elif key in _ConfigFields._field_defaults:
+            read, kind = _READERS[type(_ConfigFields._field_defaults[key])]
             try:
-                kwargs[key] = convert(value)
-            except ValueError:
+                kwargs[key] = read(value)
+            except (KeyError, ValueError):
                 raise ValueError(
                     f"config line {lineno}: {key} must be {kind}, got {value!r}"
                 ) from None
-        elif key in _BOOL_KEYS:
-            try:
-                kwargs[key] = _BOOL_VALUES[value.lower()]
-            except KeyError:
-                raise ValueError(
-                    f"config line {lineno}: {key} must be a boolean, got {value!r}"
-                ) from None
-        elif key == "enabled_smells":
-            kwargs[key] = frozenset(
-                s.strip() for s in value.split(",") if s.strip()
-            )
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return DetectorConfig(**kwargs)
@@ -206,7 +198,7 @@ class _Context:
         once per document for the high and the low rule."""
         if metric_name not in self._limits:
             if metric_name == "NOM":
-                values = [s._tagged[_TAGS].count(_MODIFIER) for s in self.sentences]
+                values = [metrics.NOM(s) for s in self.sentences]
             elif self.cfg.count_los_in_tokens:
                 values = [len(s._tagged[_TAGS]) for s in self.sentences]
             else:
@@ -365,7 +357,7 @@ def _actor_word(ctx, smell_id, add):
 
 def _multiple_actions(ctx, smell_id, add):
     for kind, s in zip(ctx.kinds, ctx.sentences):
-        if s._tagged[_TAGS].count(_VERB) >= ctx.cfg.multi_action_verb_threshold:
+        if metrics.NOV(s) >= ctx.cfg.multi_action_verb_threshold:
             add(_sentence_finding(ctx, smell_id, kind, s, "NOV"))
 
 
@@ -436,4 +428,4 @@ RULES: dict[str, Rule] = {
 }
 
 # Findings sort by section in canonical order.
-_ITEM_ORDER = {kind.title: i for i, kind in enumerate(CANONICAL_SECTIONS)}
+_ITEM_ORDER = {kind.title: i for i, kind in enumerate(SectionKind)}

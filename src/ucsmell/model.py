@@ -65,6 +65,9 @@ class Scope(Enum):
 
 
 class SectionKind(Enum):
+    """The sections of a description, declared in canonical order: the
+    order of the JSON format's keys and of sorted findings."""
+
     NAME = "Name"
     OVERVIEW = "Overview"
     ACTORS = "Actors"
@@ -79,17 +82,8 @@ class SectionKind(Enum):
         return self.value
 
 
-# Canonical presentation order, also used to sort findings deterministically.
-CANONICAL_SECTIONS = [
-    SectionKind.NAME,
-    SectionKind.OVERVIEW,
-    SectionKind.ACTORS,
-    SectionKind.PRECONDITIONS,
-    SectionKind.POSTCONDITIONS,
-    SectionKind.BASIC_FLOW,
-    SectionKind.ALTERNATE_FLOWS,
-    SectionKind.EXCEPTION_FLOWS,
-]
+# Each section's document field, which is also its key in the JSON format.
+SECTION_FIELD = {kind: kind.value.lower().replace(" ", "_") for kind in SectionKind}
 
 
 class _SpanFields(NamedTuple):
@@ -294,22 +288,10 @@ class ActorDecl(NamedTuple):
     description: Optional[str] = None
 
 
-_DOCUMENT_CONTENT = (
-    "name",
-    "overview",
-    "actors",
-    "preconditions",
-    "postconditions",
-    "basic_flow",
-    "alternate_flows",
-    "exception_flows",
-)
-
-
 class UseCaseDescription(_Record):
-    __slots__ = (*_DOCUMENT_CONTENT, "source", "section_order", "section_header_lines")
-    _fields = (*_DOCUMENT_CONTENT, "source", "section_order")
-    _compared = _DOCUMENT_CONTENT
+    _compared = tuple(SECTION_FIELD.values())
+    _fields = (*_compared, "source", "section_order")
+    __slots__ = (*_fields, "section_header_lines")
 
     def __init__(
         self,
@@ -342,23 +324,14 @@ class UseCaseDescription(_Record):
         )
 
     def section_present(self, kind: SectionKind) -> bool:
-        if kind is SectionKind.NAME:
-            return bool(self.name and self.name.strip())
-        if kind is SectionKind.OVERVIEW:
-            return bool(self.overview and self.overview.strip())
-        if kind is SectionKind.ACTORS:
-            return bool(self.actors)
-        if kind is SectionKind.PRECONDITIONS:
-            return bool(self.preconditions)
-        if kind is SectionKind.POSTCONDITIONS:
-            return bool(self.postconditions)
-        if kind is SectionKind.BASIC_FLOW:
-            return self.basic_flow is not None and bool(self.basic_flow.steps)
-        if kind is SectionKind.ALTERNATE_FLOWS:
-            return bool(self.alternate_flows)
-        if kind is SectionKind.EXCEPTION_FLOWS:
-            return bool(self.exception_flows)
-        raise ValueError(kind)
+        """Whether the section has content: text that is not blank, a
+        basic flow with steps, or a non-empty list."""
+        value = getattr(self, SECTION_FIELD[kind])
+        if isinstance(value, str):
+            return bool(value.strip())
+        if isinstance(value, Flow):
+            return bool(value.steps)
+        return bool(value)
 
     def branch_flows(self, kind: SectionKind) -> list[BranchFlow]:
         if kind is SectionKind.ALTERNATE_FLOWS:

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 from .model import (
     END,
+    SECTION_FIELD,
     ActorDecl,
     BranchFlow,
     EndMarker,
@@ -42,25 +43,13 @@ class ParseDiagnostic(NamedTuple):
     line: int
 
 
-_HEADERS = {
-    "name": SectionKind.NAME,
-    "overview": SectionKind.OVERVIEW,
-    "description": SectionKind.OVERVIEW,
-    "actors": SectionKind.ACTORS,
-    "preconditions": SectionKind.PRECONDITIONS,
-    "postconditions": SectionKind.POSTCONDITIONS,
-    "basic flow": SectionKind.BASIC_FLOW,
-    "alternate flows": SectionKind.ALTERNATE_FLOWS,
-    "exception flows": SectionKind.EXCEPTION_FLOWS,
-}
+# Each section's header, lowercased, and its one alias.
+_HEADERS = {kind.value.lower(): kind for kind in SectionKind}
+_HEADERS["description"] = SectionKind.OVERVIEW
 _TEXT_SECTIONS = (SectionKind.NAME, SectionKind.OVERVIEW)
 _CONDITION_SECTIONS = (SectionKind.PRECONDITIONS, SectionKind.POSTCONDITIONS)
 
-_HEADER_RE = re.compile(
-    r"^(name|overview|description|actors|preconditions|postconditions|"
-    r"basic flow|alternate flows|exception flows)\s*:\s*(.*)$",
-    re.IGNORECASE,
-)
+_HEADER_RE = re.compile(rf"^({'|'.join(_HEADERS)})\s*:\s*(.*)$", re.IGNORECASE)
 _STEP_RE = re.compile(r"^(\d+)[.)]\s+(.*)$")
 _BRANCH_STEP_RE = re.compile(r"^([AE]\d+\.\d+)[.)]?\s+(.*)$")
 _BRANCH_HEADER_RE = re.compile(r"^([AE])(\d+)(?!\.\d)\b[\s.:\-]*(.*)$")
@@ -215,11 +204,9 @@ def parse_text(
             else:
                 doc.actors.append(ActorDecl(stripped))
         elif current in _CONDITION_SECTIONS:
+            field = SECTION_FIELD[current]
             sents = _sentences_of(lines, lineno, stripped, col)
-            if current is SectionKind.PRECONDITIONS:
-                doc.preconditions = (doc.preconditions or []) + sents
-            else:
-                doc.postconditions = (doc.postconditions or []) + sents
+            setattr(doc, field, (getattr(doc, field) or []) + sents)
         else:  # branch flow sections
             flows = doc.branch_flows(current)
             bm = _BRANCH_STEP_RE.match(stripped)
@@ -394,66 +381,46 @@ def parse_json(
         doc = _doc_from_obj(obj, name, diags)
     except _SchemaError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, str(exc), 0)]
-    # Like parse_text, keep every flow and warn about each repeated id.
-    for flows in (doc.alternate_flows, doc.exception_flows):
-        seen: set[str] = set()
-        for flow in flows:
-            if flow.id in seen:
-                msg = f"duplicate flow id '{flow.id}'"
-                diags.append(ParseDiagnostic(Severity.WARNING, msg, 0))
-            seen.add(flow.id)
     return doc, diags
 
 
 def _doc_from_obj(obj, name: SourceRef, diags: list) -> UseCaseDescription:
     _expect(isinstance(obj, dict), "top level must be an object")
     doc = UseCaseDescription(source=name)
-    if "name" in obj:
-        _expect(isinstance(obj["name"], str), "'name' must be a string")
-        doc.name = obj["name"]
-        doc.section_order.append(SectionKind.NAME)
-    if "overview" in obj:
-        _expect(isinstance(obj["overview"], str), "'overview' must be a string")
-        doc.overview = obj["overview"]
-        doc.section_order.append(SectionKind.OVERVIEW)
-    if "actors" in obj:
-        _expect(isinstance(obj["actors"], list), "'actors' must be an array")
-        doc.actors = []
-        for a in obj["actors"]:
+    for kind, key in SECTION_FIELD.items():  # in section order, as serialize writes
+        if key not in obj:
+            continue
+        value = obj[key]
+        if kind in _TEXT_SECTIONS:
+            _expect(isinstance(value, str), f"'{key}' must be a string")
+        elif kind in _CONDITION_SECTIONS:
             _expect(
-                isinstance(a, dict) and isinstance(a.get("name"), str),
-                "actor entries must be objects with a 'name' string",
-            )
-            doc.actors.append(ActorDecl(a["name"], a.get("description")))
-        doc.section_order.append(SectionKind.ACTORS)
-    for key, kind in (
-        ("preconditions", SectionKind.PRECONDITIONS),
-        ("postconditions", SectionKind.POSTCONDITIONS),
-    ):
-        if key in obj:
-            _expect(
-                isinstance(obj[key], list)
-                and all(isinstance(s, str) for s in obj[key]),
+                isinstance(value, list) and all(isinstance(s, str) for s in value),
                 f"'{key}' must be an array of strings",
             )
-            sents = [
-                Sentence(text=t) for raw in obj[key] for t, _ in split_sentences(raw)
-            ]
-            setattr(doc, key, sents)
-            doc.section_order.append(kind)
-    if "basic_flow" in obj:
-        _expect(isinstance(obj["basic_flow"], list), "'basic_flow' must be an array")
-        doc.basic_flow = Flow(steps=[_step_from_obj(s) for s in obj["basic_flow"]])
-        doc.section_order.append(SectionKind.BASIC_FLOW)
-    for key, kind in (
-        ("alternate_flows", SectionKind.ALTERNATE_FLOWS),
-        ("exception_flows", SectionKind.EXCEPTION_FLOWS),
-    ):
-        if key in obj:
-            _expect(isinstance(obj[key], list), f"'{key}' must be an array")
-            setattr(doc, key, [_branch_from_obj(f, diags) for f in obj[key]])
-            doc.section_order.append(kind)
+            value = [Sentence(text=t) for raw in value for t, _ in split_sentences(raw)]
+        else:
+            _expect(isinstance(value, list), f"'{key}' must be an array")
+            if kind is SectionKind.ACTORS:
+                value = [_actor_from_obj(a) for a in value]
+            elif kind is SectionKind.BASIC_FLOW:
+                value = Flow(steps=[_step_from_obj(s) for s in value])
+            else:
+                ids: set[str] = set()
+                value = [_branch_from_obj(f, ids, diags) for f in value]
+        setattr(doc, key, value)
+        doc.section_order.append(kind)
     return doc
+
+
+def _actor_from_obj(obj) -> ActorDecl:
+    _expect(
+        isinstance(obj, dict) and isinstance(obj.get("name"), str),
+        "actor entries must be objects with a 'name' string",
+    )
+    desc = obj.get("description")
+    _expect(desc is None or isinstance(desc, str), "actor 'description' must be a string")
+    return ActorDecl(obj["name"], desc)
 
 
 def _step_from_obj(obj) -> Step:
@@ -472,12 +439,18 @@ def _step_from_obj(obj) -> Step:
     )
 
 
-def _branch_from_obj(obj, diags: list) -> BranchFlow:
+def _branch_from_obj(obj, ids: set[str], diags: list) -> BranchFlow:
+    """The flow obj describes. ids holds the ids of the section's earlier
+    flows: like parse_text, warn of a repeated one before the condition."""
     _expect(
         isinstance(obj, dict) and isinstance(obj.get("id"), str) and obj["id"],
         "flows must be objects with a non-empty 'id' string",
     )
     flow = BranchFlow(id=obj["id"])
+    if flow.id in ids:
+        msg = f"duplicate flow id '{flow.id}'"
+        diags.append(ParseDiagnostic(Severity.WARNING, msg, 0))
+    ids.add(flow.id)
     if obj.get("condition") is not None:
         _expect(isinstance(obj["condition"], str), "'condition' must be a string")
         sents = split_sentences(obj["condition"])

@@ -296,8 +296,12 @@ def _eval_argv(tmp_path, fixtures_dir):
 def _bad_options(tmp_path):
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("no_such_key = 1\n")
+    unknown_smell = tmp_path / "unknown.cfg"
+    unknown_smell.write_text("enabled_smells = pronon, long-sentence\n")
     missing = str(tmp_path / "missing.txt")
     return {
+        "disable-unknown-smell": ["--disable", "pronon"],
+        "config-unknown-smell": ["--config", str(unknown_smell)],
         "stddev-k": ["--stddev-k", "0"],
         "stddev-k-nan": ["--stddev-k", "nan"],
         "stddev-k-inf": ["--stddev-k", "inf"],
@@ -317,6 +321,8 @@ def _bad_options(tmp_path):
         "missing-config",
         "missing-lexicon",
         "rejected-config",
+        "disable-unknown-smell",
+        "config-unknown-smell",
     ],
 )
 def test_bad_option_exits_two_with_a_message(tmp_path, capsys, fixtures_dir,
@@ -330,6 +336,22 @@ def test_bad_option_exits_two_with_a_message(tmp_path, capsys, fixtures_dir,
     assert captured.out == ""
     assert captured.err.startswith("ucsmell: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_unknown_smell_ids_exit_two_naming_them(tmp_path, capsys, fixtures_dir):
+    atm = str(fixtures_dir / "atm.ucd")
+    code = run(["lint", atm, "--disable", "pronon", "--disable", "actor-actor",
+                "--disable", "no-such-smell"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "ucsmell: unknown smell id in --disable: 'no-such-smell', 'pronon'\n"
+    )
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text("enabled_smells = pronon, long-sentence\n")
+    assert run(["lint", atm, "--config", str(cfg), "--format", "json"]) == 2
+    assert capsys.readouterr() == (
+        "", "ucsmell: unknown smell id in enabled_smells: 'pronon'\n"
+    )
 
 
 def test_negative_fail_threshold_exits_two_with_a_message(capsys, fixtures_dir):

@@ -70,6 +70,53 @@ def test_parse_config_rejects_unknown_key():
 
 
 @pytest.mark.parametrize(
+    "ids, message",
+    [
+        ({"pronon"}, "unknown smell id in enabled_smells: 'pronon'"),
+        ({"pronon", "long-sentence"}, "unknown smell id in enabled_smells: 'pronon'"),
+        # A catalogue smell that no rule detects is not enabled either.
+        ({"distorted-flow-structure"},
+         "unknown smell id in enabled_smells: 'distorted-flow-structure'"),
+        ({"b", "a", "pronoun"}, "unknown smell id in enabled_smells: 'a', 'b'"),
+    ],
+    ids=["typo", "typo-beside-a-known-id", "not-detectable", "two-unknown"],
+)
+def test_enabled_smells_must_be_detectable_ids(ids, message):
+    for make in (
+        lambda: DetectorConfig(enabled_smells=frozenset(ids)),
+        lambda: DetectorConfig()._replace(enabled_smells=frozenset(ids)),
+        lambda: parse_config(f"enabled_smells = {', '.join(sorted(ids))}\n"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    assert DetectorConfig(enabled_smells=frozenset()).enabled_ids() == frozenset()
+    every = DetectorConfig(enabled_smells=detectable_ids())
+    assert every.enabled_ids() == detectable_ids()
+
+
+def test_parse_config_takes_each_type_from_the_field_default():
+    text = (
+        "stddev_k = 3\nmin_sentences_for_distribution = 7\n"
+        "multi_action_verb_threshold = 3\nrepeated_noun_threshold = 4\n"
+        "same_reason_threshold = 5\nsuppress_actor_word_when_single_actor = yes\n"
+        "count_los_in_tokens = off\n"
+    )
+    cfg = parse_config(text)
+    assert cfg == DetectorConfig(3.0, 7, 3, 4, 5, True, False, None)
+    assert [type(v) for v in cfg] == [float, int, int, int, int, bool, bool, type(None)]
+    for key in ("multi_action_verb_threshold", "same_reason_threshold"):
+        with pytest.raises(ValueError) as info:
+            parse_config(f"{key} = 2.0\n")
+        assert str(info.value) == f"config line 1: {key} must be an integer, got '2.0'"
+    with pytest.raises(ValueError) as info:
+        parse_config("suppress_actor_word_when_single_actor = 2\n")
+    assert str(info.value) == (
+        "config line 1: suppress_actor_word_when_single_actor must be a boolean, got '2'"
+    )
+
+
+@pytest.mark.parametrize(
     "spelling, value",
     [("1", True), ("YES", True), ("On", True), ("True", True),
      ("0", False), ("no", False), ("OFF", False), ("False", False)],

@@ -6,7 +6,10 @@ import pytest
 from ucsmell.engine import DetectorConfig
 from ucsmell.model import (
     END,
+    SECTION_FIELD,
+    ActorDecl,
     BranchFlow,
+    Flow,
     FlowEvidence,
     Finding,
     PosTag,
@@ -125,6 +128,36 @@ def test_document_equality_ignores_positions_and_tokens():
     assert a.alternate_flows[0] == b.alternate_flows[0]
     b.alternate_flows[0].steps[0].sentences[0].text = "It fails."
     assert a != b
+
+
+def test_sections_in_canonical_order_with_their_fields():
+    assert [kind.value for kind in SectionKind] == [
+        "Name", "Overview", "Actors", "Preconditions", "Postconditions",
+        "Basic Flow", "Alternate Flows", "Exception Flows",
+    ]
+    assert tuple(SECTION_FIELD) == tuple(SectionKind)
+    assert tuple(SECTION_FIELD.values()) == (
+        "name", "overview", "actors", "preconditions", "postconditions",
+        "basic_flow", "alternate_flows", "exception_flows",
+    )
+    assert UseCaseDescription._compared == tuple(SECTION_FIELD.values())
+
+
+def test_section_present():
+    step = Step("1", 1, [Sentence("A does B.")])
+    flow = BranchFlow("A1")
+    full = UseCaseDescription(
+        name="X", overview="Y", actors=[ActorDecl("Clerk")],
+        preconditions=[Sentence("P.")], postconditions=[Sentence("Q.")],
+        basic_flow=Flow([step]), alternate_flows=[flow], exception_flows=[flow],
+    )
+    assert all(full.section_present(kind) for kind in SectionKind)
+    empty = UseCaseDescription(
+        name=" \t", overview="", actors=[], preconditions=[], postconditions=None,
+        basic_flow=Flow([]),
+    )
+    assert not any(empty.section_present(kind) for kind in SectionKind)
+    assert not any(UseCaseDescription().section_present(kind) for kind in SectionKind)
 
 
 def test_plain_sentence_has_no_tokens_and_zero_counts():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ucsmell.engine import DetectorConfig, detect
-from ucsmell.model import END, SectionKind, StepRef
+from ucsmell.model import END, ActorDecl, SectionKind, StepRef
 from ucsmell.parser import (
     Severity,
     parse_json,
@@ -57,6 +57,28 @@ def test_headers_case_insensitive():
     assert len(doc.basic_flow.steps) == 1
 
 
+@pytest.mark.parametrize(
+    "header, kind",
+    [
+        ("nAmE", SectionKind.NAME),
+        ("OvErViEw", SectionKind.OVERVIEW),
+        ("DESCRIPTION", SectionKind.OVERVIEW),
+        ("aCtOrS", SectionKind.ACTORS),
+        ("PreConditions", SectionKind.PRECONDITIONS),
+        ("postCONDITIONS", SectionKind.POSTCONDITIONS),
+        ("bAsIc FlOw", SectionKind.BASIC_FLOW),
+        ("ALTERNATE flows", SectionKind.ALTERNATE_FLOWS),
+        ("Exception FLOWS", SectionKind.EXCEPTION_FLOWS),
+    ],
+)
+def test_every_header_spelling_in_mixed_case(header, kind):
+    doc, _ = parse_text(f"  {header} :\n")
+    assert doc.section_order == [kind]
+    assert doc.section_header_lines == {kind: 1}
+    doc, _ = parse_text(f"{header}s:\n")  # no other spelling is a header
+    assert doc is None
+
+
 def test_unknown_line_outside_section_warns():
     doc, diags = parse_text("stray text\nName: X\nBasic Flow:\n1. A does B.\n")
     assert doc is not None
@@ -91,6 +113,24 @@ def test_duplicate_flow_id_warns():
     )
     _, diags = parse_text(text)
     assert any("duplicate flow id" in d.message for d in diags)
+
+
+def test_flow_ids_repeat_within_a_branch_section_only():
+    text = (
+        "Basic Flow:\n1. A does B.\n"
+        "Alternate Flows:\nA1 If x at step 1\nA1.1 B happens.\n"
+        "Exception Flows:\nA1 If y at step 1\nA1.1 C fails.\n"
+        "Alternate Flows:\nA1 If z at step 1\nA1.1 D happens.\n"
+    )
+    doc, diags = parse_text(text)
+    assert [(d.message, d.line) for d in diags] == [
+        ("duplicate section header 'Alternate Flows'", 9),
+        ("duplicate flow id 'A1'", 10),
+    ]
+    assert [f.id for f in doc.alternate_flows] == ["A1", "A1"]
+    assert [f.id for f in doc.exception_flows] == ["A1"]
+    _, json_diags = parse_json(serialize(doc))
+    assert [d.message for d in json_diags] == ["duplicate flow id 'A1'"]
 
 
 def test_split_sentences_basic():
@@ -237,6 +277,87 @@ def test_parse_json_wrong_field_type():
     doc, diags = parse_json(json.dumps({"name": 42}))
     assert doc is None
     assert "'name'" in diags[0].message
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("name", 42, "'name' must be a string"),
+        ("overview", ["x"], "'overview' must be a string"),
+        ("actors", "Clerk", "'actors' must be an array"),
+        ("preconditions", "A exists.", "'preconditions' must be an array of strings"),
+        ("postconditions", [1], "'postconditions' must be an array of strings"),
+        ("basic_flow", {"text": "A does B."}, "'basic_flow' must be an array"),
+        ("alternate_flows", {}, "'alternate_flows' must be an array"),
+        ("exception_flows", None, "'exception_flows' must be an array"),
+    ],
+)
+def test_parse_json_names_each_top_level_key_of_the_wrong_type(key, value, message):
+    doc, diags = parse_json(json.dumps({key: value}))
+    assert doc is None
+    assert diags == [(Severity.ERROR, message, 0)]
+    # Keys are checked in section order: an earlier section's error wins.
+    obj = {"exception_flows": 1, key: value}
+    assert parse_json(json.dumps(obj))[1] == diags
+
+
+@pytest.mark.parametrize("description", [["x"], 3, {"text": "x"}, True])
+def test_parse_json_rejects_an_actor_description_that_is_not_a_string(description):
+    obj = {"actors": [{"name": "Clerk", "description": description}]}
+    doc, diags = parse_json(json.dumps(obj))
+    assert doc is None
+    assert diags == [(Severity.ERROR, "actor 'description' must be a string", 0)]
+
+
+@pytest.mark.parametrize(
+    "actor", [{"name": "Clerk"}, {"name": "Clerk", "description": None}]
+)
+def test_parse_json_actor_without_a_description(actor):
+    doc, diags = parse_json(json.dumps({"actors": [actor]}))
+    assert not diags
+    assert doc.actors == [ActorDecl("Clerk")]
+    assert serialize(doc) == '{\n  "actors": [\n    {\n      "name": "Clerk"\n    }\n  ]\n}\n'
+
+
+def test_front_ends_warn_in_document_order():
+    condition = "If the card is invalid. The system beeps."
+    text = (
+        "Basic Flow:\n1. A does B.\nAlternate Flows:\n"
+        "A1 If x at step 1\nA1.1 B happens.\n"
+        "A1 If y at step 1\nA1.1 C happens.\n"
+        f"Exception Flows:\nE1 {condition}\nE1.1 D fails.\n"
+    )
+    steps = [{"label": "1", "text": "A does B."}]
+    alternate = [
+        {"id": "A1", "condition": "If x at step 1",
+         "steps": [{"label": "A1.1", "text": "B happens."}]},
+        {"id": "A1", "condition": "If y at step 1",
+         "steps": [{"label": "A1.1", "text": "C happens."}]},
+    ]
+    exception = [
+        {"id": "E1", "condition": condition,
+         "steps": [{"label": "E1.1", "text": "D fails."}]},
+    ]
+    obj = {"basic_flow": steps, "alternate_flows": alternate,
+           "exception_flows": exception}
+    text_doc, text_diags = parse_text(text)
+    json_doc, json_diags = parse_json(json.dumps(obj))
+    assert json_doc == text_doc
+    messages = [
+        "duplicate flow id 'A1'",
+        "content after the condition's first sentence ignored",
+    ]
+    assert [d.message for d in text_diags] == messages
+    assert [d.message for d in json_diags] == messages
+    # A repeated id is warned at its flow, before that flow's condition.
+    exception.append(dict(exception[0]))
+    _, json_diags = parse_json(json.dumps(obj))
+    assert [d.message for d in json_diags] == messages + [
+        "duplicate flow id 'E1'",
+        "content after the condition's first sentence ignored",
+    ]
+    _, text_diags = parse_text(text + f"E1 {condition}\nE1.1 D fails.\n")
+    assert [d.message for d in text_diags] == [d.message for d in json_diags]
 
 
 def test_unlabeled_return_line_is_marker_not_step():
