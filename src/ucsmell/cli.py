@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import engine, report
 from .catalogue import catalogue, smell_space_cell
-from .model import Characteristic, Scope, SourceRef, UseCaseDescription
+from .model import Characteristic, Scope, UseCaseDescription
 from .parser import parse_json, parse_text
 from .textanalysis import load_lexicon
 
@@ -111,7 +111,7 @@ def _parse_file(path: str) -> tuple[Optional[UseCaseDescription], list]:
         print(f"{path}: {exc}", file=sys.stderr)
         return None, []
     parse = parse_json if path.endswith(".json") else parse_text
-    return parse(text, SourceRef(path))
+    return parse(text)
 
 
 def _report_diagnostics(path: str, diags) -> None:

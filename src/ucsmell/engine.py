@@ -246,26 +246,19 @@ def _missing_section(kind: SectionKind) -> Rule:
     return rule
 
 
-def _unordered_flow(ctx, smell_id, add):
-    """One finding per flow, naming the first ordering check it fails."""
-    for kind in (SectionKind.BASIC_FLOW, _ALT, _EXC):
-        for flow in metrics.section_flows(ctx.d, kind):
-            for suffix, check in metrics.ORDERING_CHECKS.items():
-                if check(flow):
-                    name = metrics.predicate_name(kind, suffix)
-                    add(_flow_finding(ctx, smell_id, kind, flow, name))
-                    break
-
-
-def _per_flow(kind: SectionKind, suffix: str, finding) -> Rule:
-    """One finding per branch flow of the section that fails the check."""
-    check = metrics.FLOW_CHECKS[suffix]
-    name = metrics.predicate_name(kind, suffix)
+def _per_flow(kinds: tuple, suffixes: tuple, finding) -> Rule:
+    """One finding per flow of the sections that fails a check, naming
+    the first check it fails."""
+    checks = [(suffix, metrics.FLOW_CHECKS[suffix]) for suffix in suffixes]
 
     def rule(ctx, smell_id, add):
-        for flow in ctx.d.branch_flows(kind):
-            if check(flow):
-                add(finding(ctx, smell_id, kind, flow, name))
+        for kind in kinds:
+            for flow in metrics.section_flows(ctx.d, kind):
+                for suffix, check in checks:
+                    if check(flow):
+                        name = metrics.predicate_name(kind, suffix)
+                        add(finding(ctx, smell_id, kind, flow, name))
+                        break
 
     return rule
 
@@ -404,13 +397,15 @@ RULES: dict[str, Rule] = {
     "missing-postconditions-section": _missing_section(SectionKind.POSTCONDITIONS),
     "missing-description-section": _missing_section(SectionKind.OVERVIEW),
     "missing-name-section": _missing_section(SectionKind.NAME),
-    "unordered-flow": _unordered_flow,
-    "origin-free-alternate-flow": _per_flow(_ALT, "OriginDescribed?", _flow_finding),
-    "origin-free-exception-flow": _per_flow(_EXC, "OriginDescribed?", _flow_finding),
-    "alternate-flow-without-return": _per_flow(_ALT, "ReturnExist?", _last_sentence),
-    "exception-flow-without-return": _per_flow(_EXC, "ReturnExist?", _last_sentence),
-    "unexplained-alternate-flow": _per_flow(_ALT, "ReasonExist?", _first_sentence),
-    "unexplained-exception-flow": _per_flow(_EXC, "ReasonExist?", _first_sentence),
+    "unordered-flow": _per_flow(
+        (SectionKind.BASIC_FLOW, _ALT, _EXC), tuple(metrics.ORDERING_CHECKS), _flow_finding
+    ),
+    "origin-free-alternate-flow": _per_flow((_ALT,), ("OriginDescribed?",), _flow_finding),
+    "origin-free-exception-flow": _per_flow((_EXC,), ("OriginDescribed?",), _flow_finding),
+    "alternate-flow-without-return": _per_flow((_ALT,), ("ReturnExist?",), _last_sentence),
+    "exception-flow-without-return": _per_flow((_EXC,), ("ReturnExist?",), _last_sentence),
+    "unexplained-alternate-flow": _per_flow((_ALT,), ("ReasonExist?",), _first_sentence),
+    "unexplained-exception-flow": _per_flow((_EXC,), ("ReasonExist?",), _first_sentence),
     "multiple-alternate-flows-at-an-alternate-branch-condition": _shared_reason(
         _ALT, "NOAFR"
     ),

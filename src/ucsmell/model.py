@@ -4,7 +4,7 @@ Everything here is plain data: the parser produces a UseCaseDescription,
 the text analyzer, the only writer of a sentence's tagging record, fills
 that record in, and the metrics/engine modules count from it; a
 sentence's tokens are rebuilt from it on each read. Position data
-(spans, line numbers, section order) is excluded from equality so that
+(spans, line numbers, header lines) is excluded from equality so that
 documents loaded from different serializations of the same content
 compare equal.
 
@@ -159,10 +159,6 @@ class _FrozenRecord(_Record):
         return self.__class__, self._key()
 
 
-class SourceRef(NamedTuple):
-    name: str
-
-
 class StepRef(NamedTuple):
     section: SectionKind
     label: str
@@ -289,8 +285,7 @@ class ActorDecl(NamedTuple):
 
 
 class UseCaseDescription(_Record):
-    _compared = tuple(SECTION_FIELD.values())
-    _fields = (*_compared, "source", "section_order")
+    _fields = _compared = tuple(SECTION_FIELD.values())
     __slots__ = (*_fields, "section_header_lines")
 
     def __init__(
@@ -303,8 +298,6 @@ class UseCaseDescription(_Record):
         basic_flow: Optional[Flow] = None,
         alternate_flows: Optional[list[BranchFlow]] = None,
         exception_flows: Optional[list[BranchFlow]] = None,
-        source: SourceRef = SourceRef("<memory>"),
-        section_order: Optional[list[SectionKind]] = None,
         section_header_lines: Optional[dict[SectionKind, int]] = None,
     ) -> None:
         self.name = name
@@ -315,8 +308,6 @@ class UseCaseDescription(_Record):
         self.basic_flow = basic_flow
         self.alternate_flows = [] if alternate_flows is None else alternate_flows
         self.exception_flows = [] if exception_flows is None else exception_flows
-        self.source = source
-        self.section_order = [] if section_order is None else section_order
         # 1-based line of each section header; lets findings report
         # section-relative line numbers. Zero/absent when unknown.
         self.section_header_lines = (

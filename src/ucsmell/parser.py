@@ -25,7 +25,6 @@ from .model import (
     Flow,
     SectionKind,
     Sentence,
-    SourceRef,
     Step,
     StepRef,
     UseCaseDescription,
@@ -65,8 +64,6 @@ RETURN_RE = re.compile(
 # A sentence terminator splits unless it sits in a digit context, as in
 # step labels ("A1.1") or trailing numerals ("step 2.").
 _SENT_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
-# Both front-ends keep a branch condition's first sentence and warn so.
-_CONDITION_REST_IGNORED = "content after the condition's first sentence ignored"
 
 
 def split_sentences(block: str) -> list[tuple[str, int]]:
@@ -131,12 +128,17 @@ def _sentences_of(lines: _Lines, lineno: int, text: str, col: int) -> list[Sente
     ]
 
 
-def parse_text(
-    source: str, name: SourceRef = SourceRef("<memory>")
-) -> tuple[Optional[UseCaseDescription], list[ParseDiagnostic]]:
+def _step(lines: _Lines, lineno: int, line: str, col: int, label, number, text) -> Step:
+    """The step written as line at column col of line lineno, whose text
+    ends the line."""
+    sentences = _sentences_of(lines, lineno, text, col + len(line) - len(text))
+    return Step(label, number, sentences, lines.span(lineno, line, col))
+
+
+def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDiagnostic]]:
     diags: list[ParseDiagnostic] = []
     lines = _Lines(source)
-    doc = UseCaseDescription(source=name)
+    doc = UseCaseDescription()
     current: Optional[SectionKind] = None
     current_branch: Optional[BranchFlow] = None
     text_accum: dict[SectionKind, list[str]] = {}
@@ -154,10 +156,9 @@ def parse_text(
         m = _HEADER_RE.match(stripped) if ":" in stripped else None
         if m:
             kind = _HEADERS[m.group(1).lower()]
-            if kind in doc.section_order:
+            if kind in doc.section_header_lines:
                 warn(f"duplicate section header '{kind.title}'", lineno)
             else:
-                doc.section_order.append(kind)
                 doc.section_header_lines[kind] = lineno
             current = kind
             current_branch = None
@@ -178,18 +179,10 @@ def parse_text(
             if doc.basic_flow is None:
                 doc.basic_flow = Flow(steps=[])
             sm = _STEP_RE.match(stripped)
-            if sm:
-                label, text = sm.groups()
-                number, text_col = int(label), col + (len(stripped) - len(text))
-            else:
-                label, number, text, text_col = None, None, stripped, col
+            label, text = sm.groups() if sm else (None, stripped)
+            number = label and int(label)
             doc.basic_flow.steps.append(
-                Step(
-                    label=label,
-                    number=number,
-                    sentences=_sentences_of(lines, lineno, text, text_col),
-                    span=lines.span(lineno, stripped, col),
-                )
+                _step(lines, lineno, stripped, col, label, number, text)
             )
         elif current in _TEXT_SECTIONS:
             text_accum[current].append(stripped)
@@ -231,15 +224,11 @@ def parse_text(
                 warn(f"line before any flow header: {stripped[:40]!r}", lineno)
                 continue
             if bm:
-                label, text = bm.group(1), bm.group(2)
-                text_col = col + (len(stripped) - len(text))
-                step = Step(
-                    label=label,
-                    number=_trailing_number(label),
-                    sentences=_sentences_of(lines, lineno, text, text_col),
-                    span=lines.span(lineno, stripped, col),
+                label, text = bm.groups()
+                number = _trailing_number(label)
+                current_branch.steps.append(
+                    _step(lines, lineno, stripped, col, label, number, text)
                 )
-                current_branch.steps.append(step)
                 _note_return(current_branch, text)
             else:
                 _branch_content(lines, lineno, stripped, col, current_branch, warn)
@@ -247,7 +236,7 @@ def parse_text(
     doc.name = " ".join(text_accum.get(SectionKind.NAME, [])) or None
     doc.overview = " ".join(text_accum.get(SectionKind.OVERVIEW, [])) or None
 
-    if not doc.section_order:
+    if not doc.section_header_lines:
         diags.append(ParseDiagnostic(Severity.ERROR, "no sections found", 0))
         return None, diags
     if doc.basic_flow is None or not doc.basic_flow.steps:
@@ -272,13 +261,7 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
         flow.origin = StepRef(SectionKind.BASIC_FLOW, om.group(1))
         return
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
-        sents = _sentences_of(lines, lineno, text, col)
-        flow.condition = sents[0]
-        if len(sents) > 1:
-            warn(_CONDITION_REST_IGNORED, lineno)
-        am = _AT_STEP_RE.search(text)
-        if am:
-            flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
+        _read_condition(flow, text, _sentences_of(lines, lineno, text, col), lineno, warn)
         return
     rm = RETURN_RE.search(text)
     if rm is not None:
@@ -286,14 +269,19 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
         if rm.start() == 0 and rm.end() >= len(text.rstrip(" .!?")):
             return  # the whole line is just the return marker
     # Plain unlabeled content becomes an unnumbered step.
-    flow.steps.append(
-        Step(
-            label=None,
-            number=None,
-            sentences=_sentences_of(lines, lineno, text, col),
-            span=lines.span(lineno, text, col),
-        )
-    )
+    flow.steps.append(_step(lines, lineno, text, col, None, None, text))
+
+
+def _read_condition(flow: BranchFlow, text: str, sents: list, lineno: int, warn) -> None:
+    """Keep the first of sents, the sentences of a branch condition's text,
+    and take the flow's origin from the text's "at step N"."""
+    if sents:  # a blank condition is none, as a branch without If/When
+        flow.condition = sents[0]
+    if len(sents) > 1:
+        warn("content after the condition's first sentence ignored", lineno)
+    am = _AT_STEP_RE.search(text)
+    if am:
+        flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
 
 
 # --- canonical JSON -------------------------------------------------------
@@ -369,24 +357,26 @@ def _expect(cond: bool, msg: str) -> None:
         raise _SchemaError(msg)
 
 
-def parse_json(
-    source: str, name: SourceRef = SourceRef("<memory>")
-) -> tuple[Optional[UseCaseDescription], list[ParseDiagnostic]]:
+def parse_json(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDiagnostic]]:
     try:
         obj = json.loads(source)
     except json.JSONDecodeError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, f"invalid JSON: {exc}", exc.lineno)]
     diags: list[ParseDiagnostic] = []
+
+    def warn(msg: str, lineno: int) -> None:
+        diags.append(ParseDiagnostic(Severity.WARNING, msg, lineno))
+
     try:
-        doc = _doc_from_obj(obj, name, diags)
+        doc = _doc_from_obj(obj, warn)
     except _SchemaError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, str(exc), 0)]
     return doc, diags
 
 
-def _doc_from_obj(obj, name: SourceRef, diags: list) -> UseCaseDescription:
+def _doc_from_obj(obj, warn) -> UseCaseDescription:
     _expect(isinstance(obj, dict), "top level must be an object")
-    doc = UseCaseDescription(source=name)
+    doc = UseCaseDescription()
     for kind, key in SECTION_FIELD.items():  # in section order, as serialize writes
         if key not in obj:
             continue
@@ -407,9 +397,8 @@ def _doc_from_obj(obj, name: SourceRef, diags: list) -> UseCaseDescription:
                 value = Flow(steps=[_step_from_obj(s) for s in value])
             else:
                 ids: set[str] = set()
-                value = [_branch_from_obj(f, ids, diags) for f in value]
+                value = [_branch_from_obj(f, ids, warn) for f in value]
         setattr(doc, key, value)
-        doc.section_order.append(kind)
     return doc
 
 
@@ -439,7 +428,7 @@ def _step_from_obj(obj) -> Step:
     )
 
 
-def _branch_from_obj(obj, ids: set[str], diags: list) -> BranchFlow:
+def _branch_from_obj(obj, ids: set[str], warn) -> BranchFlow:
     """The flow obj describes. ids holds the ids of the section's earlier
     flows: like parse_text, warn of a repeated one before the condition."""
     _expect(
@@ -448,19 +437,13 @@ def _branch_from_obj(obj, ids: set[str], diags: list) -> BranchFlow:
     )
     flow = BranchFlow(id=obj["id"])
     if flow.id in ids:
-        msg = f"duplicate flow id '{flow.id}'"
-        diags.append(ParseDiagnostic(Severity.WARNING, msg, 0))
+        warn(f"duplicate flow id '{flow.id}'", 0)
     ids.add(flow.id)
-    if obj.get("condition") is not None:
-        _expect(isinstance(obj["condition"], str), "'condition' must be a string")
-        sents = split_sentences(obj["condition"])
-        if sents:  # a blank condition is none, as a branch without If/When
-            flow.condition = Sentence(text=sents[0][0])
-        if len(sents) > 1:
-            diags.append(ParseDiagnostic(Severity.WARNING, _CONDITION_REST_IGNORED, 0))
-        am = _AT_STEP_RE.search(obj["condition"])
-        if am:
-            flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
+    text = obj.get("condition")
+    if text is not None:
+        _expect(isinstance(text, str), "'condition' must be a string")
+        sents = [Sentence(text=t) for t, _ in split_sentences(text)]
+        _read_condition(flow, text, sents, 0, warn)
     if obj.get("origin") is not None:
         _expect(isinstance(obj["origin"], str), "'origin' must be a string")
         flow.origin = StepRef(SectionKind.BASIC_FLOW, obj["origin"])

@@ -269,8 +269,9 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
     return word, known_verb, suffix_tag, other
 
 
-# A determiner introduces a noun phrase, so the word right after one is
-# never read as a verb ("the search page", "a display case").
+# A determiner opens a noun phrase that runs on through the modifiers after
+# it, so no word in it, nor the word after those modifiers, is read as a
+# verb ("the search page", "a display case", "the new book").
 _DETERMINERS = frozenset({"the", "a", "an"})
 _SUBJECT_TAGS = (_NOUN, _PRONOUN)
 
@@ -281,7 +282,7 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, tuple[str, .
     memo = lex._word_facts
     tags: list[str] = []
     nouns: list[str] = []
-    prev_word: Optional[str] = None
+    in_phrase = False  # after a determiner and any modifiers that follow it
     prev_tag: Optional[str] = None
     verb_seen = False
     for surface in surfaces:
@@ -289,7 +290,7 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, tuple[str, .
         if facts is None:
             facts = memo[surface] = _facts_of(surface, lex)
         word, known_verb, suffix_tag, pos = facts
-        if prev_word not in _DETERMINERS:
+        if not in_phrase:
             if known_verb:
                 pos = _VERB
             # The suffix rule fires only directly after a noun/pronoun (the
@@ -300,7 +301,7 @@ def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, tuple[str, .
         tags.append(pos)
         if pos == _NOUN:
             nouns.append(word)
-        prev_word = word
+        in_phrase = word in _DETERMINERS or (in_phrase and pos == _MODIFIER)
         prev_tag = pos
         verb_seen = verb_seen or pos == _VERB
     return "".join(tags), tuple(nouns)

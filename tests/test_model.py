@@ -16,7 +16,6 @@ from ucsmell.model import (
     SectionKind,
     Sentence,
     SentenceEvidence,
-    SourceRef,
     SourceSpan,
     Step,
     StepRef,
@@ -106,23 +105,21 @@ def test_frozen_records_copy_and_pickle():
 
 
 def test_document_equality_ignores_positions_and_tokens():
-    def document(line, span, analyzed, order):
+    def document(line, span, analyzed):
         sentence = Sentence("It works.", line, span)
         step = Step("1", 1, [sentence], span)
         flow = BranchFlow("A1", Sentence("If x.", line, span), steps=[step], span=span)
         doc = UseCaseDescription(
             name="X",
             alternate_flows=[flow],
-            source=SourceRef(f"doc-{line}"),
-            section_order=order,
             section_header_lines={SectionKind.NAME: line},
         )
         if analyzed:
             analyze_document(doc, load_lexicon())
         return doc
 
-    a = document(2, SourceSpan(3, 12, 2), True, [SectionKind.NAME])
-    b = document(0, SourceSpan(0, 0, 0), False, [])
+    a = document(2, SourceSpan(3, 12, 2), True)
+    b = document(0, SourceSpan(0, 0, 0), False)
     assert a.alternate_flows[0].steps[0].sentences[0].tokens
     assert a == b
     assert a.alternate_flows[0] == b.alternate_flows[0]

@@ -73,7 +73,6 @@ def test_headers_case_insensitive():
 )
 def test_every_header_spelling_in_mixed_case(header, kind):
     doc, _ = parse_text(f"  {header} :\n")
-    assert doc.section_order == [kind]
     assert doc.section_header_lines == {kind: 1}
     doc, _ = parse_text(f"{header}s:\n")  # no other spelling is a header
     assert doc is None
@@ -170,19 +169,52 @@ def test_sentence_spans_point_into_source(atm_doc):
         assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
 
 
+# Each document with the label and number of each step, by flow.
 NON_ASCII_DOCS = [
-    "Basic Flow:\n1. Der Kunde wählt café. Er zahlt.\n",
-    "Preconditions:\n  Ünïcödé précondition holds. Then ok.\n"
-    "Basic Flow:\n1. Señor José pays 5 €. The system prints it.\n"
-    "Alternate Flows:\nA1 Wenn der Bär kommt at step 1\n"
-    "A1.1 Dér Bär isst. Alles gut.\n",
-    "Basic Flow:\r\n\t1. 😀 emoji first. Then ascii words.\r\n"
-    "2. Plain ascii line.\r\n",
+    pytest.param(
+        "Basic Flow:\n1. Der Kunde wählt café. Er zahlt.\n",
+        {"basic": [("1", 1)]},
+        id="german",
+    ),
+    pytest.param(
+        "Preconditions:\n  Ünïcödé précondition holds. Then ok.\n"
+        "Basic Flow:\n1. Señor José pays 5 €. The system prints it.\n"
+        "Alternate Flows:\nA1 Wenn der Bär kommt at step 1\n"
+        "A1.1 Dér Bär isst. Alles gut.\n",
+        {"basic": [("1", 1)], "A1": [(None, None), ("A1.1", 1)]},  # "Wenn" is no If
+        id="mixed",
+    ),
+    pytest.param(
+        "Basic Flow:\r\n\t1. 😀 emoji first. Then ascii words.\r\n"
+        "2. Plain ascii line.\r\n",
+        {"basic": [("1", 1), ("2", 2)]},
+        id="emoji-crlf",
+    ),
+    # Every step form: numbered and unnumbered basic lines, labelled
+    # branch steps, an unlabeled branch line and a branch header's rest.
+    pytest.param(
+        "Basic Flow:\n 1. Der Kunde wählt.\n  Dann zahlt er. Gut.\n2) Die Kasse öffnet.\n"
+        "Exception Flows:\nE1 When der Bär kommt at step 1\n"
+        "  E1.2 Dér Bär isst.\n\tÄrger folgt. Dann Ruhe.\nE1.3) Schluss.\n"
+        "E2 – Der Bär schläft. Still.\n",
+        {
+            "basic": [("1", 1), (None, None), ("2", 2)],
+            "E1": [("E1.2", 2), (None, None), ("E1.3", 3)],
+            "E2": [(None, None)],
+        },
+        id="step-forms",
+    ),
 ]
 
 
-@pytest.mark.parametrize("source", NON_ASCII_DOCS, ids=["german", "mixed", "emoji-crlf"])
-def test_non_ascii_spans_slice_the_utf8_source(source, lexicon):
+def _step_labels(doc):
+    flows = [("basic", doc.basic_flow)]
+    flows += [(f.id, f) for f in doc.alternate_flows + doc.exception_flows]
+    return {key: [(st.label, st.number) for st in flow.steps] for key, flow in flows}
+
+
+@pytest.mark.parametrize("source, steps", NON_ASCII_DOCS)
+def test_non_ascii_spans_slice_the_utf8_source(source, steps, lexicon):
     doc, _ = parse_text(source)
     analyze_document(doc, lexicon)
     raw = source.encode("utf-8")
@@ -190,6 +222,15 @@ def test_non_ascii_spans_slice_the_utf8_source(source, lexicon):
         assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
         for tok in s.tokens:
             assert raw[tok.span.start : tok.span.end].decode("utf-8") == tok.surface
+    assert _step_labels(doc) == steps
+    for flow in [doc.basic_flow, *doc.alternate_flows, *doc.exception_flows]:
+        for step in flow.steps:
+            # A step's span is its line from its label, or from its first
+            # sentence when it has none, to the end of its last sentence.
+            text = raw[step.span.start : step.span.end].decode("utf-8")
+            assert text.startswith(step.label or step.sentences[0].text)
+            assert text.endswith(step.sentences[-1].text)
+    assert _step_labels(parse_json(serialize(doc))[0]) == steps
 
 
 @pytest.mark.parametrize("name", ["atm.ucd", "clean.ucd", "search.ucd"])

@@ -1,6 +1,7 @@
 """analyze_sentence against a brute-force copy of the two-pass tagger it
 replaced: tokenize the sentence, then classify each word from scratch
-with the previous word, its tag and whether a verb was seen. The tokens
+with whether it follows a determiner and the modifiers after one, the
+previous word's tag and whether a verb was seen. The tokens
 built lazily after an analysis, whatever changes in the sentence before
 they are read, against the same reference, and the words of each tag
 quoted from the analysis against the reference and those tokens. The
@@ -42,10 +43,9 @@ def ref_tokenize(text, base_offset):
     return words
 
 
-def ref_classify(word, prev_word, prev_tag, verb_seen, lex):
+def ref_classify(word, after_determiner, prev_tag, verb_seen, lex):
     if word in lex.pronouns:
         return PosTag.PRONOUN
-    after_determiner = prev_word in _DETERMINERS
     if not after_determiner and any(s in lex.verbs for s in _verb_stems(word)):
         return PosTag.VERB
     if (
@@ -71,12 +71,16 @@ def ref_classify(word, prev_word, prev_tag, verb_seen, lex):
 
 def ref_analyze(text, base_offset, line, lex):
     out = []
-    prev_word, prev_tag, verb_seen = None, None, False
+    after_determiner, prev_tag, verb_seen = False, None, False
     for surface, start, end in ref_tokenize(text, base_offset):
         word = surface.lower()
-        pos = ref_classify(word, prev_word, prev_tag, verb_seen, lex)
+        pos = ref_classify(word, after_determiner, prev_tag, verb_seen, lex)
         out.append((surface, pos, start, end, line))
-        prev_word, prev_tag = word, pos
+        # A determiner's noun phrase runs on through the modifiers after it.
+        after_determiner = word in _DETERMINERS or (
+            after_determiner and pos is PosTag.MODIFIER
+        )
+        prev_tag = pos
         verb_seen = verb_seen or pos is PosTag.VERB
     return out
 
@@ -141,6 +145,9 @@ def _sentences(draw):
     line=st.integers(min_value=0, max_value=500),
     lex=st.sampled_from([BUNDLED, CUSTOM]),
 )
+# A determiner, modifiers, then a word that is a verb outside the phrase.
+@example(text="The customer opened the new search page.", base=0, line=1, lex=BUNDLED)
+@example(text="The big only show glows.", base=7, line=2, lex=CUSTOM)
 def test_analyze_sentence_matches_reference(text, base, line, lex):
     s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
     analyze_sentence(s, lex)

@@ -121,9 +121,19 @@ def test_inflected_lexicon_verbs(lexicon):
 
 
 def test_determiner_blocks_verb_reading(lexicon):
-    # "search" is a lexicon verb, but after a determiner it is a noun.
-    assert pos_of("The user opens the search page.", "search", lexicon) is PosTag.NOUN
-    assert pos_of("The clerk takes the book.", "book", lexicon) is PosTag.NOUN
+    # "search" and "book" are lexicon verbs, but in a determiner's noun
+    # phrase they are nouns. The phrase runs on through the modifiers
+    # after the determiner.
+    for text, noun in (
+        ("The user opens the search page.", "search"),
+        ("The clerk takes the book.", "book"),
+        ("The customer opened the new search page.", "search"),
+        ("The member places the new book on the lending desk.", "book"),
+    ):
+        assert pos_of(text, noun, lexicon) is PosTag.NOUN, text
+        s = Sentence(text)
+        analyze_sentence(s, lexicon)
+        assert NOV(s) == 1, text
 
 
 def test_suffix_rule_tags_unknown_main_verb(lexicon):
