@@ -212,7 +212,7 @@ def _cmd_eval(args) -> int:
     try:
         with open(args.oracle, encoding="utf-8-sig") as fh:
             oracle = evaluation.load_oracle(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"{args.oracle}: {exc}", file=sys.stderr)
         return report.EXIT_PARSE_ERROR
     findings = engine.detect(doc, cfg, lex)

@@ -1,13 +1,15 @@
 """Detection engine: maps metric/predicate outputs to Finding records.
 
-RULES holds one rule per detectable smell. detect calls each enabled rule
-with the context shared by all rules, its smell id and the function that
-collects findings. A rule reads the document through the checks and
-predicates of the metrics module, whose names label its findings. The
-word and sentence rules count NOP, NOV, NOM and NON from the record
-tagging keeps on each sentence (its tag codes and nouns). To quote the
-words counted, the pronoun and "actor" rules read them from the same
-record (textanalysis.words_tagged), so a run builds no tokens.
+RULES holds one rule per detectable smell. detect tags the whole document
+with one call to analyze_document (one table step per word), then calls
+each enabled rule with the context shared by all rules, its smell id and
+the function that collects findings. A rule reads the document through
+the checks and predicates of the metrics module, whose names label its
+findings. The word and sentence rules count NOP, NOV, NOM and NON from
+the record tagging keeps on each sentence (its tag codes and nouns). To
+quote the words counted, the pronoun and "actor" rules read them from the
+same record (textanalysis.words_tagged, which stops at the last word of
+the tag), so a run builds no tokens.
 
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is

@@ -80,8 +80,9 @@ class EvalReport(_Record):
 def load_oracle(source: str) -> list[OracleEntry]:
     """Load oracle entries from a JSON array; exact duplicates collapse.
 
-    Raises ValueError unless smell_id and item_name are strings, line is
-    an integer (not a boolean) and evidence_hint is a string or absent.
+    Raises ValueError unless smell_id names a catalogue entry, item_name
+    is a string, line is an integer (not a boolean) and evidence_hint is
+    a string or absent.
     """
     try:
         data = json.loads(source)
@@ -111,7 +112,12 @@ def load_oracle(source: str) -> list[OracleEntry]:
             and isinstance(entry.evidence_hint, (str, type(None)))
         ):
             raise ValueError(f"oracle entry {i} has wrong field types")
-        by_id(entry.smell_id)  # raises KeyError on unknown ids
+        try:
+            by_id(entry.smell_id)
+        except KeyError:
+            raise ValueError(
+                f"oracle entry {i} names an unknown smell id: {entry.smell_id!r}"
+            ) from None
         if entry not in seen:
             seen.add(entry)
             entries.append(entry)

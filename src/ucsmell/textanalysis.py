@@ -3,18 +3,19 @@
 Use case steps are short subject-verb-object sentences, so a closed-class
 lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
 noun counts the metrics need. split_words is the one word splitter: it
-splits a plain ASCII sentence (letters, digits, spaces and commas, then
-its closing '.', '!' or '?') at its spaces and commas, and any other
+splits a plain ASCII sentence (letters, digits, whitespace and commas,
+then its closing '.', '!' or '?') at its whitespace and commas, any other
 text with the word pattern, whose words are runs of letters and digits
 of any script with the combining marks that follow them.
-analyze_sentence is the only writer of a sentence's tagging state: one
-record (an exact tuple) of its text, span start and line, its tags as a
-string of one-letter codes, and its nouns. The metrics are the only
-counters of that record and the rules read it directly, so neither
-walks tokens; words_tagged quotes the words of one tag from it, finding
-each word with str.find from the end of the word before; and the
-read-only Sentence.tokens rebuilds every token from it, through
-tagged_tokens, on each read.
+A lexicon keeps one row per distinct surface: the tag and next tagger
+state for each of 8 states, then the word lowercased; tagging a word is
+one step through its row. One loop, behind analyze_sentence and
+analyze_document, is the only writer of a sentence's tagging record: an
+exact tuple of its text, span start and line, its tags as a string of
+one-letter codes, and its nouns, which the metrics count and the rules
+read. One offset loop finds each word from the end of the one before,
+for words_tagged (one tag's words, up to the last) and for the read-only
+Sentence.tokens (every word, rebuilt on each read by tagged_tokens).
 Everything is deterministic: same sentence and lexicon, same tags.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .model import PosTag, Sentence, SourceSpan, Token, _FrozenRecord
 
@@ -70,7 +71,7 @@ class Lexicon(_FrozenRecord):
         "modifiers",
         "stopwords",
         "verb_suffix_rules",
-        "_word_facts",
+        "_rows",
     )
     _fields = _compared = (
         "pronouns",
@@ -93,9 +94,9 @@ class Lexicon(_FrozenRecord):
         object.__setattr__(self, "modifiers", modifiers)
         object.__setattr__(self, "stopwords", stopwords)
         object.__setattr__(self, "verb_suffix_rules", verb_suffix_rules)
-        # surface -> its _WordFacts. Kept per instance, so a lexicon never
+        # surface -> its _row_of. Kept per instance, so a lexicon never
         # sees another lexicon's answers.
-        object.__setattr__(self, "_word_facts", {})
+        object.__setattr__(self, "_rows", {})
 
 
 _TAG_FIELDS = {
@@ -152,13 +153,13 @@ def split_words(text: str) -> list[str]:
 
     Equal to _WORD_RE.findall(text). An ASCII text whose body (the text
     less its trailing run of '.', '!' and '?') holds only letters, digits,
-    spaces and commas, as most use case steps do, is split at its spaces
-    and commas without the pattern.
+    whitespace and commas, as most use case steps do, is split at its
+    whitespace and commas without the pattern.
     """
     if text.isascii():
-        body = text.rstrip(".!?").replace(",", " ")
-        if body.replace(" ", "").isalnum():
-            return body.split()
+        words = text.rstrip(".!?").replace(",", " ").split()
+        if "".join(words).isalnum():
+            return words
     return _WORD_RE.findall(text)
 
 
@@ -167,42 +168,43 @@ def split_words(text: str) -> list[str]:
 _span = tuple.__new__
 
 
-def _words(
-    text: str, base_offset: int, words: list[str]
-) -> Iterator[tuple[str, int, int]]:
-    """(surface, byte start, byte end) of each of words, which are the
-    words of text as split_words gives them, or the first of them; each
-    is found only when it is read.
+def _spans(record: tuple, code: Optional[str]) -> list[tuple[str, SourceSpan]]:
+    """The surface and span of each word of an analysis record's text
+    tagged code (every word when code is None), in order, on its line.
 
     Each word is found with text.find from the end of the one before: no
     letter or digit lies between two words, so the first match is the
-    word itself. Offsets index the UTF-8 encoding of text, shifted by
-    base_offset; for ASCII text they equal the character offsets.
+    word itself. The words after the last one wanted are never read.
+    Offsets index the UTF-8 encoding of text, shifted by the record's
+    span start; for ASCII text they equal the character offsets.
     """
-    end = 0
-    if text.isascii():
-        for surface in words:
-            start = text.find(surface, end)
-            end = start + len(surface)
-            yield surface, base_offset + start, base_offset + end
-        return
-    byte = base_offset
-    for surface in words:
+    text, base_offset, line, tags, _ = record
+    wanted = len(tags) if code is None else tags.rfind(code) + 1
+    if not wanted:
+        return []
+    ascii = text.isascii()
+    out = []
+    end, byte_end = 0, base_offset  # of the word before, in text and in bytes
+    for surface, tag in zip(split_words(text), tags[:wanted]):
         start = text.find(surface, end)
-        byte += len(text[end:start].encode("utf-8"))
-        byte_end = byte + len(surface.encode("utf-8"))
-        yield surface, byte, byte_end
-        end, byte = start + len(surface), byte_end
+        if ascii:
+            byte = base_offset + start
+            byte_end = byte + len(surface)
+        else:
+            byte = byte_end + len(text[end:start].encode("utf-8"))
+            byte_end = byte + len(surface.encode("utf-8"))
+        end = start + len(surface)
+        if tag == code or code is None:
+            out.append((surface, _span(SourceSpan, (byte, byte_end, line))))
+    return out
 
 
 def tagged_tokens(record: tuple) -> list[Token]:
     """The words of an analysis record's text as tokens on its line,
     tagged in order by its tag codes."""
-    text, base_offset, line, tags, _ = record
-    words = _words(text, base_offset, split_words(text))
     return [
-        Token(surface, _TAG_OF_CODE[code], _span(SourceSpan, (start, end, line)))
-        for (surface, start, end), code in zip(words, tags)
+        Token(surface, _TAG_OF_CODE[code], span)
+        for (surface, span), code in zip(_spans(record, None), record[3])
     ]
 
 
@@ -212,20 +214,9 @@ def words_tagged(sentence: Sentence, pos: PosTag) -> list[tuple[str, SourceSpan]
 
     Reads the analysis record, not Sentence.tokens, so it builds a span
     only for the words it returns; the spans are the ones those tokens
-    carry, since both come from _words.
+    carry, since both come from _spans.
     """
-    text, base_offset, line, tags, _ = sentence._tagged
-    code = _CODE_OF_TAG[pos]
-    # The words after the last one tagged pos are never read.
-    wanted = tags.rfind(code) + 1
-    if not wanted:
-        return []
-    words = _words(text, base_offset, split_words(text)[:wanted])
-    return [
-        (surface, _span(SourceSpan, (start, end, line)))
-        for tag, (surface, start, end) in zip(tags, words)
-        if tag == code
-    ]
+    return _spans(sentence._tagged, _CODE_OF_TAG[pos])
 
 
 def _verb_stems(word: str) -> Iterable[str]:
@@ -250,7 +241,7 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
     if word in lex.pronouns:
         return word, False, None, _PRONOUN
     known_verb = any(stem in lex.verbs for stem in _verb_stems(word))
-    # Suffix fallback for verbs missing from the lexicon; _tag_words applies it
+    # Suffix fallback for verbs missing from the lexicon; _step applies it
     # only in the subject slot.
     suffix_tag = None
     if word not in lex.stopwords and word not in lex.modifiers:
@@ -273,50 +264,74 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
 # it, so no word in it, nor the word after those modifiers, is read as a
 # verb ("the search page", "a display case", "the new book").
 _DETERMINERS = frozenset({"the", "a", "an"})
-_SUBJECT_TAGS = (_NOUN, _PRONOUN)
+
+# A tagger state is the sum of the flags that hold after the words read
+# so far; a sentence starts in state 0.
+_IN_PHRASE, _VERB_SEEN, _AFTER_SUBJECT = 1, 2, 4  # the last: a noun or pronoun
+# (known verb, suffix tag, other tag, is a determiner) -> the _step of
+# each state, in state order; shared by every lexicon.
+_TRANSITIONS: dict[tuple, tuple[tuple[str, int], ...]] = {}
 
 
-def _tag_words(surfaces: Iterable[str], lex: Lexicon) -> tuple[str, tuple[str, ...]]:
-    """The tag code of each word of one sentence, in order, as one
-    string, and the sentence's nouns, lowercased."""
-    memo = lex._word_facts
-    tags: list[str] = []
-    nouns: list[str] = []
-    in_phrase = False  # after a determiner and any modifiers that follow it
-    prev_tag: Optional[str] = None
-    verb_seen = False
-    for surface in surfaces:
-        facts = memo.get(surface)
-        if facts is None:
-            facts = memo[surface] = _facts_of(surface, lex)
-        word, known_verb, suffix_tag, pos = facts
-        if not in_phrase:
-            if known_verb:
-                pos = _VERB
-            # The suffix rule fires only directly after a noun/pronoun (the
-            # subject slot) and only for the first verb of the sentence, so
-            # object nouns like "found products" stay nouns.
-            elif suffix_tag and not verb_seen and prev_tag in _SUBJECT_TAGS:
-                pos = suffix_tag
-        tags.append(pos)
-        if pos == _NOUN:
-            nouns.append(word)
-        in_phrase = word in _DETERMINERS or (in_phrase and pos == _MODIFIER)
-        prev_tag = pos
-        verb_seen = verb_seen or pos == _VERB
-    return "".join(tags), tuple(nouns)
+def _step(
+    known_verb: bool, suffix_tag: Optional[str], other: str, determiner: bool, state: int
+) -> tuple[str, int]:
+    """The tag code of a word of these facts read in state, and the next state."""
+    pos = other
+    if not state & _IN_PHRASE:
+        if known_verb:
+            pos = _VERB
+        # The suffix rule fires only directly after a noun/pronoun (the
+        # subject slot) and only for the first verb of the sentence, so
+        # object nouns like "found products" stay nouns.
+        elif suffix_tag and state & (_VERB_SEEN | _AFTER_SUBJECT) == _AFTER_SUBJECT:
+            pos = suffix_tag
+    phrase = determiner or (state & _IN_PHRASE and pos == _MODIFIER)
+    return pos, (
+        (_IN_PHRASE if phrase else 0)
+        | (_VERB_SEEN if state & _VERB_SEEN or pos == _VERB else 0)
+        | (_AFTER_SUBJECT if pos in (_NOUN, _PRONOUN) else 0)
+    )
+
+
+def _row_of(surface: str, lex: Lexicon) -> tuple:
+    """What lex says about surface in each state, the memo's row: the
+    8 (tag code, next state) pairs, in state order, then the word
+    lowercased."""
+    word, *facts = _facts_of(surface, lex)
+    key = (*facts, word in _DETERMINERS)
+    if key not in _TRANSITIONS:
+        _TRANSITIONS[key] = tuple(_step(*key, state) for state in range(8))
+    return (*_TRANSITIONS[key], word)
+
+
+def _analyze(pairs: Iterable[tuple[object, Sentence]], lex: Lexicon) -> None:
+    """Tag the sentence of each (section kind, sentence) pair: keep the
+    record the metrics and the rules read."""
+    rows = lex._rows
+    for _, sentence in pairs:
+        text = sentence.text
+        tags: list[str] = []
+        nouns: list[str] = []
+        state = 0
+        for surface in split_words(text):
+            row = rows.get(surface)
+            if row is None:
+                row = rows[surface] = _row_of(surface, lex)
+            pos, state = row[state]
+            tags.append(pos)
+            if pos == _NOUN:
+                nouns.append(row[8])  # the word, lowercased
+        sentence._tagged = (text, sentence._start, sentence.line, "".join(tags), tuple(nouns))
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     """Tag sentence and keep the record the metrics and the rules read.
     Its tokens are rebuilt from the kept tags, by tagged_tokens, on each
     read; words_tagged reads the same tags without building them."""
-    text = sentence.text
-    tags, nouns = _tag_words(split_words(text), lex)
-    sentence._tagged = (text, sentence._start, sentence.line, tags, nouns)
+    _analyze(((None, sentence),), lex)
 
 
 def analyze_document(doc, lex: Lexicon) -> None:
     """Tag every sentence of a parsed document in place."""
-    for _, sentence in doc.iter_sentences():
-        analyze_sentence(sentence, lex)
+    _analyze(doc.iter_sentences(), lex)

@@ -270,6 +270,20 @@ def test_eval_oracle_with_wrong_field_types_exits_two(
     assert captured.err.strip() == f"{oracle}: oracle entry 0 has wrong field types"
 
 
+def test_eval_oracle_with_an_unknown_smell_id_names_the_entry(
+    tmp_path, capsys, fixtures_dir
+):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps([{"smell_id": "nope", "item_name": "x", "line": 1}]))
+    code = run(["eval", str(fixtures_dir / "atm.ucd"), "--oracle", str(oracle)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"{oracle}: oracle entry 0 names an unknown smell id: 'nope'\n"
+    )
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["lint", "--no-such-flag"])

@@ -562,8 +562,8 @@ class _ScanLog:
         raise AssertionError(f"finditer scanned {text!r}")
 
 
-# A text the splitter takes apart at its spaces and commas.
-_PLAIN_TEXT = re.compile(r"[A-Za-z0-9 ,]*[A-Za-z0-9][A-Za-z0-9 ,]*[.!?]*")
+# A text the splitter takes apart at its whitespace and commas.
+_PLAIN_TEXT = re.compile(r"[A-Za-z0-9\s,]*[A-Za-z0-9][A-Za-z0-9\s,]*[.!?]*")
 
 
 # search.ucd quotes no word, but has a sentence that is not plain.

@@ -69,7 +69,9 @@ def test_load_oracle_rejects_bad_input():
         load_oracle(json.dumps({"smell_id": "pronoun"}))
     with pytest.raises(ValueError):
         load_oracle(json.dumps([{"smell_id": "pronoun"}]))  # missing keys
-    with pytest.raises(KeyError):
+    with pytest.raises(
+        ValueError, match=r"^oracle entry 0 names an unknown smell id: 'nope'$"
+    ):
         load_oracle(
             json.dumps([{"smell_id": "nope", "item_name": "x", "line": 1}])
         )

@@ -8,17 +8,28 @@ quoted from the analysis against the reference and those tokens. The
 word splitter against the pattern it stands for, which on ASCII text
 finds what the ASCII-only pattern it replaced found. NOP, NOV, NOM and
 NON, and the analysis record's word count, against brute-force counts
-over the tokens."""
+over the tokens. Every row of the tagger's table, for every vocabulary
+word and suffixed forms of it, against the reference's classification
+and state update. A document's analysis against the analysis of each of
+its sentences alone."""
 
 import re
 
+import seeding
 from hypothesis import example, given, settings, strategies as st
 
 from ucsmell.metrics import NOM, NON, NOP, NOV
 from ucsmell.model import PosTag, Sentence, SourceSpan
+from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import (
+    _AFTER_SUBJECT,
+    _IN_PHRASE,
+    _TAG_OF_CODE,
+    _VERB_SEEN,
     Lexicon,
+    _row_of,
     _verb_stems,
+    analyze_document,
     analyze_sentence,
     load_lexicon,
     split_words,
@@ -69,6 +80,15 @@ def ref_classify(word, after_determiner, prev_tag, verb_seen, lex):
     return PosTag.NOUN
 
 
+def ref_next(word, pos, after_determiner, verb_seen):
+    """(after_determiner, previous tag, verb_seen) after word, tagged pos."""
+    # A determiner's noun phrase runs on through the modifiers after it.
+    after_determiner = word in _DETERMINERS or (
+        after_determiner and pos is PosTag.MODIFIER
+    )
+    return after_determiner, pos, verb_seen or pos is PosTag.VERB
+
+
 def ref_analyze(text, base_offset, line, lex):
     out = []
     after_determiner, prev_tag, verb_seen = False, None, False
@@ -76,12 +96,9 @@ def ref_analyze(text, base_offset, line, lex):
         word = surface.lower()
         pos = ref_classify(word, after_determiner, prev_tag, verb_seen, lex)
         out.append((surface, pos, start, end, line))
-        # A determiner's noun phrase runs on through the modifiers after it.
-        after_determiner = word in _DETERMINERS or (
-            after_determiner and pos is PosTag.MODIFIER
+        after_determiner, prev_tag, verb_seen = ref_next(
+            word, pos, after_determiner, verb_seen
         )
-        prev_tag = pos
-        verb_seen = verb_seen or pos is PosTag.VERB
     return out
 
 
@@ -107,15 +124,12 @@ _VOCAB = sorted(
      for group in (lex.pronouns, lex.verbs, lex.modifiers, lex.stopwords)
      for w in group}
 )
+_SUFFIXES = ["", "s", "es", "ies", "ed", "ied", "ly", "ize", "ous", "er"]
 _stem = st.text(alphabet="abcdefghijklmnopqrstuvwxyzéü", min_size=1, max_size=7)
 _word = st.one_of(
     st.sampled_from(_VOCAB),
     st.sampled_from(["the", "a", "an", "The", "A", "AN"]),
-    st.builds(
-        str.__add__,
-        _stem,
-        st.sampled_from(["", "s", "es", "ies", "ed", "ied", "ly", "ize", "ous", "er"]),
-    ),
+    st.builds(str.__add__, _stem, st.sampled_from(_SUFFIXES)),
     st.integers(min_value=0, max_value=9999).map(str),
     st.sampled_from(
         ["log-in", "user's", "café", "naïve", "straße", "日本", "ÉTÉ", "clerk’s", "o’clock",
@@ -200,6 +214,14 @@ def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
     line=st.integers(min_value=0, max_value=500),
     lex=st.sampled_from([BUNDLED, CUSTOM]),
 )
+# A repeated word, found from the end of the one before ("edit" holds
+# "it"); commas and runs of spaces; the wanted word last; non-ASCII text,
+# precomposed and decomposed.
+@example(text="It edits it, then it stops.", base=0, line=1, lex=BUNDLED)
+@example(text="The clerk ,  prints   it ,, and  it", base=3, line=2, lex=BUNDLED)
+@example(text="The system shows it", base=9, line=4, lex=BUNDLED)
+@example(text="Le café’s naïve clerk shows it to the straße.", base=5, line=3, lex=BUNDLED)
+@example(text="Le cafe\u0301 shows it to E\u0301TE\u0301, it glows.", base=1, line=1, lex=CUSTOM)
 def test_words_tagged_agree_with_tokens(text, base, line, lex):
     s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
     assert all(words_tagged(s, pos) == [] for pos in PosTag)  # never analyzed
@@ -215,9 +237,80 @@ def test_words_tagged_agree_with_tokens(text, base, line, lex):
         assert words_tagged(s, pos) == want
 
 
-# Pieces of text around the splitter's fast path: words joined by spaces
-# and commas with a trailing run of '.', '!' and '?' take it; apostrophes,
-# hyphens (leading, trailing, doubled), tabs, inner punctuation and
+def _surfaces():
+    """Every vocabulary word with each test suffix, as written and capitalized."""
+    words = {w + suffix for w in _VOCAB for suffix in _SUFFIXES}
+    words |= {"42", "2\u0300", "café", "straße"}
+    return sorted(words | {w.capitalize() for w in words})
+
+
+_STATES = [
+    (after_determiner, verb_seen, prev_tag)
+    for after_determiner in (False, True)
+    for verb_seen in (False, True)
+    for prev_tag in (None, *PosTag)
+]
+
+
+def _state(after_determiner, verb_seen, prev_tag):
+    return (
+        _IN_PHRASE * after_determiner
+        + _VERB_SEEN * verb_seen
+        + _AFTER_SUBJECT * (prev_tag in (PosTag.NOUN, PosTag.PRONOUN))
+    )
+
+
+def test_every_table_row_matches_the_reference():
+    # The CUSTOM lexicon's suffix rules tag "-ous" as a modifier and "-er"
+    # as other, so some suffix tags do not set "verb seen".
+    for lex in (BUNDLED, CUSTOM):
+        for surface in _surfaces():
+            row = _row_of(surface, lex)
+            word = surface.lower()
+            assert len(row) == 9 and row[8] == word
+            for after_determiner, verb_seen, prev_tag in _STATES:
+                pos = ref_classify(word, after_determiner, prev_tag, verb_seen, lex)
+                next_determiner, _, next_verb_seen = ref_next(
+                    word, pos, after_determiner, verb_seen
+                )
+                code, state = row[_state(after_determiner, verb_seen, prev_tag)]
+                assert (_TAG_OF_CODE[code], state) == (
+                    pos, _state(next_determiner, next_verb_seen, pos)
+                ), (surface, after_determiner, verb_seen, prev_tag)
+
+
+def test_each_lexicon_keeps_its_own_rows():
+    surfaces = ["Frobs", "it", "shows", "glows", "the", "Carries"]
+    for lex in (BUNDLED, CUSTOM):
+        analyze_sentence(Sentence(" ".join(surfaces)), lex)
+        assert {w: lex._rows[w] for w in surfaces} == {w: _row_of(w, lex) for w in surfaces}
+    assert BUNDLED._rows["Frobs"] != CUSTOM._rows["Frobs"]  # a pronoun in CUSTOM
+
+
+def _documents(fixtures_dir):
+    texts = [p.read_text("utf-8") for p in sorted(fixtures_dir.glob("*.ucd"))]
+    texts += [d.text for d in seeding.seeded_documents() + seeding.clean_documents()]
+    for text in texts:
+        doc = parse_text(text)[0]
+        yield doc
+        yield parse_json(serialize(doc))[0]
+
+
+def test_document_analysis_equals_each_sentence_analyzed_alone(fixtures_dir):
+    for lex in (BUNDLED, CUSTOM):
+        for doc in _documents(fixtures_dir):
+            analyze_document(doc, lex)
+            whole = [s._tagged for _, s in doc.iter_sentences()]
+            assert whole and all(r[3] for r in whole)
+            for _, s in doc.iter_sentences():
+                analyze_sentence(s, BUNDLED if lex is CUSTOM else CUSTOM)
+                analyze_sentence(s, lex)
+            assert [s._tagged for _, s in doc.iter_sentences()] == whole
+
+
+# Pieces of text around the splitter's fast path: words joined by spaces,
+# tabs and commas with a trailing run of '.', '!' and '?' take it;
+# apostrophes, hyphens (leading, trailing, doubled), inner punctuation and
 # non-ASCII characters send a text to the pattern.
 _split_piece = st.one_of(
     st.text(alphabet="abzAZ09 ,", min_size=1, max_size=6),
@@ -246,6 +339,7 @@ _split_text = st.one_of(
 @example(text=" , ...")
 @example(text="The clerk,  prints 3 forms,again!?")
 @example(text="It ends. Then-")
+@example(text="The clerk\tprints it,\n\x1cthen stops.")  # ASCII whitespace of str.split
 def test_split_words_equals_the_pattern(text):
     assert split_words(text) == _WORD_RE.findall(text)
     if text.isascii():
