@@ -5,11 +5,12 @@ with one call to analyze_document (one table step per word), then calls
 each enabled rule with the context shared by all rules, its smell id and
 the function that collects findings. A rule reads the document through
 the checks and predicates of the metrics module, whose names label its
-findings. The word and sentence rules count NOP, NOV, NOM and NON from
-the record tagging keeps on each sentence (its tag codes and nouns). To
-quote the words counted, the pronoun and "actor" rules read them from the
-same record (textanalysis.words_tagged, which stops at the last word of
-the tag), so a run builds no tokens.
+findings, and builds each finding with _Context.finding, which places it
+on its line within its section. The word and sentence rules count NOP,
+NOV, NOM and NON from the record tagging keeps on each sentence (its tag
+codes and nouns). To quote the words counted, the pronoun and "actor"
+rules read them from the same record (textanalysis.words_tagged, which
+stops at the last word of the tag), so a run builds no tokens.
 
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is
@@ -189,11 +190,15 @@ class _Context:
             add_sentence(s)
         self._limits: dict[str, tuple[list[int], float, float]] = {}
 
-    def rel_line(self, kind: SectionKind, line: int) -> int:
-        """Line number within the section (1 = first content line; the
-        line itself when the section's header line is unknown)."""
+    def finding(
+        self, smell_id, kind: SectionKind, metric, line: int, evidence, span=EMPTY_SPAN
+    ) -> Finding:
+        """The finding at source line, placed on its line within the section
+        (1 = first content line; as is when the header line is unknown)."""
         header = self.d.section_header_lines.get(kind, 0)
-        return line - header if header and line > header else line
+        if header and line > header:
+            line -= header
+        return Finding(smell_id, kind.title, metric, line, evidence, span)
 
     def limits(self, metric_name: str) -> tuple[list[int], float, float]:
         """A sentence measure's values and its mean -/+ k·stddev, computed
@@ -243,7 +248,7 @@ def _missing_section(kind: SectionKind) -> Rule:
 
     def rule(ctx, smell_id, add):
         if not ctx.d.section_present(kind):  # the check PREDICATES[name] runs
-            add(Finding(smell_id, kind.title, name, 0, SentenceEvidence(kind.title)))
+            add(ctx.finding(smell_id, kind, name, 0, SentenceEvidence(kind.title)))
 
     return rule
 
@@ -276,9 +281,8 @@ def _shared_reason(kind: SectionKind, metric_name: str) -> Rule:
             for f in flows:
                 items.extend(s.text for s in _sentences(f))
             span = flows[0].span
-            line = ctx.rel_line(kind, span.line)
             evidence = FlowEvidence(tuple(items))
-            add(Finding(smell_id, kind.title, metric_name, line, evidence, span))
+            add(ctx.finding(smell_id, kind, metric_name, span.line, evidence, span))
 
     return rule
 
@@ -295,27 +299,27 @@ def _flow_finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
     else:
         items = tuple(texts)
         span = flow.steps[0].span if flow.steps else EMPTY_SPAN
-    line = ctx.rel_line(kind, span.line)
-    return Finding(smell_id, kind.title, metric_name, line, FlowEvidence(items), span)
+    evidence = FlowEvidence(items)
+    return ctx.finding(smell_id, kind, metric_name, span.line, evidence, span)
 
 
-def _quote_sentence(index: int, line_without_sentences):
-    """A finding builder quoting the flow's sentence at index, or its id
-    when the flow has no sentence."""
+def _quote_sentence(index: int):
+    """A finding builder quoting the flow's sentence at index, or its id,
+    on its header line, when the flow has no sentence."""
 
     def finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
         sents = _sentences(flow)
         if sents:
             return _sentence_finding(ctx, smell_id, kind, sents[index], metric_name)
-        line = ctx.rel_line(kind, line_without_sentences(flow))
+        span = flow.span
         evidence = SentenceEvidence(flow.id)
-        return Finding(smell_id, kind.title, metric_name, line, evidence, flow.span)
+        return ctx.finding(smell_id, kind, metric_name, span.line, evidence, span)
 
     return finding
 
 
-_first_sentence = _quote_sentence(0, lambda flow: flow.span.line)
-_last_sentence = _quote_sentence(-1, lambda flow: 0)
+_first_sentence = _quote_sentence(0)
+_last_sentence = _quote_sentence(-1)
 
 
 # --- word and sentence rules ------------------------------------------------
@@ -328,10 +332,8 @@ def _pronoun(ctx, smell_id, add):
     for kind, s in zip(ctx.kinds, ctx.sentences):
         if _PRONOUN not in s._tagged[_TAGS]:
             continue
-        line = ctx.rel_line(kind, s.line)
         for surface, span in words_tagged(s, pronoun):
-            evidence = WordEvidence(surface)
-            add(Finding(smell_id, kind.title, "NOP", line, evidence, span))
+            add(ctx.finding(smell_id, kind, "NOP", s.line, WordEvidence(surface), span))
 
 
 def _actor_word(ctx, smell_id, add):
@@ -343,11 +345,10 @@ def _actor_word(ctx, smell_id, add):
     for kind, s in zip(ctx.kinds, ctx.sentences):
         if ACTOR_WORD not in s._tagged[_NOUNS]:
             continue
-        line = ctx.rel_line(kind, s.line)
         for surface, span in words_tagged(s, noun):
             if surface.lower() == ACTOR_WORD:
                 evidence = WordEvidence(surface)
-                add(Finding(smell_id, kind.title, metric_name, line, evidence, span))
+                add(ctx.finding(smell_id, kind, metric_name, s.line, evidence, span))
 
 
 def _multiple_actions(ctx, smell_id, add):
@@ -386,9 +387,8 @@ def _outlier(metric_name: str, high: bool) -> Rule:
 
 
 def _sentence_finding(ctx, smell_id, kind, s: Sentence, metric_name) -> Finding:
-    line = ctx.rel_line(kind, s.line)
     evidence = SentenceEvidence(s.text)
-    return Finding(smell_id, kind.title, metric_name, line, evidence, s.span)
+    return ctx.finding(smell_id, kind, metric_name, s.line, evidence, s.span)
 
 
 RULES: dict[str, Rule] = {

@@ -239,9 +239,14 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
     if not doc.section_header_lines:
         diags.append(ParseDiagnostic(Severity.ERROR, "no sections found", 0))
         return None, diags
-    if doc.basic_flow is None or not doc.basic_flow.steps:
+    return _checked(doc, warn), diags
+
+
+def _checked(doc: UseCaseDescription, warn) -> UseCaseDescription:
+    """doc, warned of when it has no basic flow: both front-ends' last check."""
+    if not doc.section_present(SectionKind.BASIC_FLOW):
         warn("no basic flow section", 0)
-    return doc, diags
+    return doc
 
 
 def _note_return(flow: BranchFlow, text: str) -> None:
@@ -371,7 +376,7 @@ def parse_json(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
         doc = _doc_from_obj(obj, warn)
     except _SchemaError as exc:
         return None, [ParseDiagnostic(Severity.ERROR, str(exc), 0)]
-    return doc, diags
+    return _checked(doc, warn), diags
 
 
 def _doc_from_obj(obj, warn) -> UseCaseDescription:

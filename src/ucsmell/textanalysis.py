@@ -1,7 +1,7 @@
 """Tokenizer and coarse rule-and-lexicon part-of-speech tagger.
 
 Use case steps are short subject-verb-object sentences, so a closed-class
-lexicon plus a few suffix rules is enough for the pronoun/verb/modifier/
+lexicon plus two verb suffixes is enough for the pronoun/verb/modifier/
 noun counts the metrics need. split_words is the one word splitter: it
 splits a plain ASCII sentence (letters, digits, whitespace and commas,
 then its closing '.', '!' or '?') at its whitespace and commas, any other
@@ -40,10 +40,7 @@ _WORD_RE = re.compile(rf"{_PART}(?:['\u2019-]{_PART})*")
 # pronoun (the subject position). "-ing" is deliberately absent: in this
 # kind of text gerunds almost always act as nouns or qualifiers
 # ("warning message", "matching products").
-DEFAULT_VERB_SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
-    ("s", PosTag.VERB),
-    ("ed", PosTag.VERB),
-)
+_VERB_SUFFIXES = ("s", "ed")
 
 
 # An analysis keeps each word's tag as a one-letter code, the first
@@ -55,31 +52,10 @@ _NOUN, _VERB, _MODIFIER, _PRONOUN, _OTHER = (
     for tag in (PosTag.NOUN, PosTag.VERB, PosTag.MODIFIER, PosTag.PRONOUN, PosTag.OTHER)
 )
 
-# What a lexicon says about one surface form by itself: the word
-# lowercased (the memo's copy, which every recorded noun of that form
-# shares), whether it is a known verb (through _verb_stems), the code of
-# the suffix-rule tag it may take in the subject slot (None when no rule
-# applies), and its tag code when no verb reading applies. A pronoun's
-# facts end in (False, None, _PRONOUN), so it is never a verb.
-_WordFacts = tuple[str, bool, Optional[str], str]
-
 
 class Lexicon(_FrozenRecord):
-    __slots__ = (
-        "pronouns",
-        "verbs",
-        "modifiers",
-        "stopwords",
-        "verb_suffix_rules",
-        "_rows",
-    )
-    _fields = _compared = (
-        "pronouns",
-        "verbs",
-        "modifiers",
-        "stopwords",
-        "verb_suffix_rules",
-    )
+    __slots__ = ("pronouns", "verbs", "modifiers", "stopwords", "_rows")
+    _fields = _compared = ("pronouns", "verbs", "modifiers", "stopwords")
 
     def __init__(
         self,
@@ -87,13 +63,11 @@ class Lexicon(_FrozenRecord):
         verbs: frozenset[str],
         modifiers: frozenset[str],
         stopwords: frozenset[str],
-        verb_suffix_rules: tuple[tuple[str, PosTag], ...] = DEFAULT_VERB_SUFFIX_RULES,
     ) -> None:
         object.__setattr__(self, "pronouns", pronouns)
         object.__setattr__(self, "verbs", verbs)
         object.__setattr__(self, "modifiers", modifiers)
         object.__setattr__(self, "stopwords", stopwords)
-        object.__setattr__(self, "verb_suffix_rules", verb_suffix_rules)
         # surface -> its _row_of. Kept per instance, so a lexicon never
         # sees another lexicon's answers.
         object.__setattr__(self, "_rows", {})
@@ -234,21 +208,21 @@ def _verb_stems(word: str) -> Iterable[str]:
         yield word[:-3] + "y"
 
 
-def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
-    word = surface.lower()
-    if word == surface:
-        word = surface  # one string for both
+def _facts_of(word: str, lex: Lexicon) -> tuple[bool, bool, str]:
+    """What lex says about a lowercased word by itself: whether it is a
+    known verb (through _verb_stems), whether its suffix marks a verb, and
+    its tag code when it is not read as a verb. A pronoun's facts are
+    (False, False, _PRONOUN), so it is never a verb."""
     if word in lex.pronouns:
-        return word, False, None, _PRONOUN
+        return False, False, _PRONOUN
     known_verb = any(stem in lex.verbs for stem in _verb_stems(word))
     # Suffix fallback for verbs missing from the lexicon; _step applies it
     # only in the subject slot.
-    suffix_tag = None
-    if word not in lex.stopwords and word not in lex.modifiers:
-        for suffix, tag in lex.verb_suffix_rules:
-            if word.endswith(suffix) and len(word) > len(suffix) + 2:
-                suffix_tag = _CODE_OF_TAG[tag]
-                break
+    suffix_verb = (
+        word not in lex.stopwords
+        and word not in lex.modifiers
+        and any(word.endswith(x) and len(word) > len(x) + 2 for x in _VERB_SUFFIXES)
+    )
     if word in lex.modifiers or (
         word.endswith("ly") and len(word) > 4 and word not in lex.stopwords
     ):
@@ -257,7 +231,7 @@ def _facts_of(surface: str, lex: Lexicon) -> _WordFacts:
         other = _OTHER
     else:
         other = _NOUN
-    return word, known_verb, suffix_tag, other
+    return known_verb, suffix_verb, other
 
 
 # A determiner opens a noun phrase that runs on through the modifiers after
@@ -268,13 +242,13 @@ _DETERMINERS = frozenset({"the", "a", "an"})
 # A tagger state is the sum of the flags that hold after the words read
 # so far; a sentence starts in state 0.
 _IN_PHRASE, _VERB_SEEN, _AFTER_SUBJECT = 1, 2, 4  # the last: a noun or pronoun
-# (known verb, suffix tag, other tag, is a determiner) -> the _step of
-# each state, in state order; shared by every lexicon.
+# (known verb, suffix marks a verb, other tag, is a determiner) -> the
+# _step of each state, in state order; shared by every lexicon.
 _TRANSITIONS: dict[tuple, tuple[tuple[str, int], ...]] = {}
 
 
 def _step(
-    known_verb: bool, suffix_tag: Optional[str], other: str, determiner: bool, state: int
+    known_verb: bool, suffix_verb: bool, other: str, determiner: bool, state: int
 ) -> tuple[str, int]:
     """The tag code of a word of these facts read in state, and the next state."""
     pos = other
@@ -284,8 +258,8 @@ def _step(
         # The suffix rule fires only directly after a noun/pronoun (the
         # subject slot) and only for the first verb of the sentence, so
         # object nouns like "found products" stay nouns.
-        elif suffix_tag and state & (_VERB_SEEN | _AFTER_SUBJECT) == _AFTER_SUBJECT:
-            pos = suffix_tag
+        elif suffix_verb and state & (_VERB_SEEN | _AFTER_SUBJECT) == _AFTER_SUBJECT:
+            pos = _VERB
     phrase = determiner or (state & _IN_PHRASE and pos == _MODIFIER)
     return pos, (
         (_IN_PHRASE if phrase else 0)
@@ -297,9 +271,12 @@ def _step(
 def _row_of(surface: str, lex: Lexicon) -> tuple:
     """What lex says about surface in each state, the memo's row: the
     8 (tag code, next state) pairs, in state order, then the word
-    lowercased."""
-    word, *facts = _facts_of(surface, lex)
-    key = (*facts, word in _DETERMINERS)
+    lowercased (the memo's copy, which every recorded noun of that form
+    shares)."""
+    word = surface.lower()
+    if word == surface:
+        word = surface  # one string for both
+    key = (*_facts_of(word, lex), word in _DETERMINERS)
     if key not in _TRANSITIONS:
         _TRANSITIONS[key] = tuple(_step(*key, state) for state in range(8))
     return (*_TRANSITIONS[key], word)

@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+# The test helpers (seeding) and the benchmark's document generator
+# (largedoc) are imported by name.
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
 
 from ucsmell import DetectorConfig, load_lexicon, parse_text
 

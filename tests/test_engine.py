@@ -2,6 +2,7 @@ import re
 import unicodedata
 from collections import Counter
 
+import largedoc
 import pytest
 import seeding
 from hypothesis import given, settings, strategies as st
@@ -239,6 +240,36 @@ def test_clean_fixture_has_no_findings(clean_doc, lexicon, default_config):
     assert detect(clean_doc, default_config, lexicon) == []
 
 
+# A branch flow with no sentence: its findings quote its id.
+_SENTENCELESS_BRANCH = (
+    "Name: X\nBasic Flow:\n1. The user pays.\nAlternate Flows:\nA1.\nOrigin: 1\n"
+)
+
+
+def test_a_finding_is_on_the_line_of_its_span(fixtures_dir, lexicon):
+    texts = [p.read_text("utf-8") for p in sorted(fixtures_dir.glob("*.ucd"))]
+    texts += [d.text for d in seeding.seeded_documents() + seeding.clean_documents()]
+    texts += [largedoc.generate(1, 1000).text, _SENTENCELESS_BRANCH]
+    kinds = {kind.title: kind for kind in SectionKind}
+    placed, misplaced = 0, []
+    for text in texts:
+        doc, _ = parse_text(text)
+        for f in detect(doc, DetectorConfig(), lexicon):
+            if not f.span.line:
+                continue
+            header = doc.section_header_lines[kinds[f.item_name]]
+            placed += 1
+            if f.line != f.span.line - header:
+                misplaced.append(f)
+    assert placed > 400
+    assert misplaced == []
+    sentenceless = findings_for(_SENTENCELESS_BRANCH, lexicon)
+    assert {(f.smell_id, f.line, f.span.line) for f in sentenceless} >= {
+        ("alternate-flow-without-return", 1, 5),
+        ("unexplained-alternate-flow", 1, 5),
+    }
+
+
 def test_findings_are_deterministically_ordered(atm_doc, lexicon, default_config):
     a = detect(atm_doc, default_config, lexicon)
     b = detect(atm_doc, default_config, lexicon)
@@ -403,11 +434,7 @@ def test_each_detect_honours_its_own_config(atm_doc, lexicon):
 
 def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
     no_pronouns = Lexicon(
-        frozenset(),
-        lexicon.verbs,
-        lexicon.modifiers,
-        lexicon.stopwords,
-        lexicon.verb_suffix_rules,
+        frozenset(), lexicon.verbs, lexicon.modifiers, lexicon.stopwords
     )
     fresh_doc = parse_fixture("atm.ucd")[0]
 
@@ -422,12 +449,12 @@ def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
 
 
 def test_detect_tallies_with_the_lexicon_it_is_given(lexicon):
-    # Without verbs, modifiers or suffix rules every content word is a noun.
-    nouns_only = Lexicon(
-        lexicon.pronouns, frozenset(), frozenset(), lexicon.stopwords, ()
-    )
+    # Without verbs or modifiers every content word is a noun: "then", a
+    # stopword, keeps "checks" out of the subject slot, where its suffix
+    # would make it a verb.
+    nouns_only = Lexicon(lexicon.pronouns, frozenset(), frozenset(), lexicon.stopwords)
     doc, _ = parse_text(
-        base_doc("1. The system checks the valid card and checks the code.\n")
+        base_doc("1. The system then checks the valid card and checks the code.\n")
     )
     step = doc.basic_flow.steps[0].sentences[0]
 

@@ -355,9 +355,17 @@ def test_parse_json_rejects_an_actor_description_that_is_not_a_string(descriptio
 )
 def test_parse_json_actor_without_a_description(actor):
     doc, diags = parse_json(json.dumps({"actors": [actor]}))
-    assert not diags
+    assert diags == [(Severity.WARNING, "no basic flow section", 0)]
     assert doc.actors == [ActorDecl("Clerk")]
     assert serialize(doc) == '{\n  "actors": [\n    {\n      "name": "Clerk"\n    }\n  ]\n}\n'
+
+
+def test_both_front_ends_warn_of_a_missing_basic_flow():
+    doc, diags = parse_text("Name: X\nActors:\nA\n")
+    warning = [(Severity.WARNING, "no basic flow section", 0)]
+    assert diags == warning
+    assert parse_json(serialize(doc)) == (doc, warning)
+    assert parse_json(json.dumps({"basic_flow": []}))[1] == warning
 
 
 def test_front_ends_warn_in_document_order():
@@ -443,15 +451,18 @@ def test_json_condition_keeps_its_first_sentence_with_a_warning():
     flows = [{"id": "A1", "condition": condition, "steps": steps}]
     doc, diags = parse_json(json.dumps({"alternate_flows": flows}))
     assert doc.alternate_flows[0].condition.text == "If the card is invalid."
+    no_basic_flow = (Severity.WARNING, "no basic flow section", 0)
     assert [(d.severity, d.message, d.line) for d in diags] == [
-        (Severity.WARNING, "content after the condition's first sentence ignored", 0)
+        (Severity.WARNING, "content after the condition's first sentence ignored", 0),
+        no_basic_flow,
     ]
     text_doc, _ = parse_text(f"Alternate Flows:\nA1 {condition}\nA1.1 C does D.\n")
     assert doc.alternate_flows == text_doc.alternate_flows
-    # A condition with no sentence is no condition, without a warning.
+    # A condition with no sentence is no condition, without a warning of
+    # its own.
     flows[0]["condition"] = "  "
     doc, diags = parse_json(json.dumps({"alternate_flows": flows}))
-    assert (doc.alternate_flows[0].condition, diags) == (None, [])
+    assert (doc.alternate_flows[0].condition, diags) == (None, [no_basic_flow])
 
 
 @pytest.mark.parametrize("blank", ["", "   ", "\n\t"])

@@ -2,12 +2,11 @@
 json.dumps(obj, indent=2, ensure_ascii=False) plus a newline."""
 
 import json
-import pathlib
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import largedoc
 import seeding
 from conftest import FIXTURES
 from ucsmell.model import (
@@ -23,9 +22,6 @@ from ucsmell.model import (
     UseCaseDescription,
 )
 from ucsmell.parser import parse_text, serialize
-
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
-import largedoc  # noqa: E402
 
 
 def reference(doc: UseCaseDescription) -> str:
