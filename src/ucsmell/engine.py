@@ -1,16 +1,21 @@
 """Detection engine: maps metric/predicate outputs to Finding records.
 
 RULES holds one rule per detectable smell. detect tags the whole document
-with one call to analyze_document (one table step per word), then calls
-each enabled rule with the context shared by all rules, its smell id and
-the function that collects findings. A rule reads the document through
-the checks and predicates of the metrics module, whose names label its
-findings, and builds each finding with _Context.finding, which places it
-on its line within its section. The word and sentence rules count NOP,
-NOV, NOM and NON from the record tagging keeps on each sentence (its tag
-codes and nouns). To quote the words counted, the pronoun and "actor"
-rules read them from the same record (textanalysis.words_tagged, which
-stops at the last word of the tag), so a run builds no tokens.
+with one call to analyze_document (one table step per word), which walks
+the document once and returns each sentence's section kind and the
+sentences, in two lists; the context shared by all rules is built from
+those lists, so the document is not walked again. detect then calls each
+enabled rule with that context, its smell id and the function that
+collects findings. A rule reads the document through the checks and
+predicates of the metrics module, whose names label its findings, and
+builds each finding with _Context.finding, which places it on its line
+within its section from each section's title and header line, resolved
+once per document. The word and sentence rules count NOP, NOV, NOM and
+NON from the record tagging keeps on each sentence (its tag codes and
+nouns). To quote the words counted, the pronoun and "actor" rules read
+them from the same record (textanalysis._spans, the loop behind
+words_tagged, which stops at the last word of the tag), so a run builds
+no tokens.
 
 Sentence-granularity smells (long/short, over/under qualified) are judged
 against the distribution of values over the whole document: a value is
@@ -32,14 +37,13 @@ from .model import (
     BranchFlow,
     Finding,
     FlowEvidence,
-    PosTag,
     SectionKind,
     Sentence,
     SentenceEvidence,
     UseCaseDescription,
     WordEvidence,
 )
-from .textanalysis import _PRONOUN, Lexicon, analyze_document, words_tagged
+from .textanalysis import _NOUN, _PRONOUN, Lexicon, _spans, analyze_document
 
 ACTOR_WORD = "actor"
 
@@ -175,19 +179,30 @@ def _sqrt_of_fraction(num: int, den: int) -> float:
     return math.ldexp(root, shift)
 
 
+# Builds a finding from its six fields without Finding's own __new__.
+_finding = tuple.__new__
+
+
 class _Context:
     """What the rules share about one document, built once per detect: each
-    sentence and its section, in two parallel lists, and the distributions."""
+    sentence and its section, in the two parallel lists analyze_document
+    returns, each section's title and header line, and the distributions."""
 
-    def __init__(self, d: UseCaseDescription, cfg: DetectorConfig) -> None:
+    def __init__(
+        self,
+        d: UseCaseDescription,
+        cfg: DetectorConfig,
+        kinds: list[SectionKind],
+        sentences: list[Sentence],
+    ) -> None:
         self.d = d
         self.cfg = cfg
-        self.kinds: list[SectionKind] = []
-        self.sentences: list[Sentence] = []
-        add_kind, add_sentence = self.kinds.append, self.sentences.append
-        for kind, s in d.iter_sentences():
-            add_kind(kind)
-            add_sentence(s)
+        self.kinds = kinds
+        self.sentences = sentences
+        headers = d.section_header_lines
+        self._places = {  # each kind's title and header line
+            kind: (kind.title, headers.get(kind, 0)) for kind in SectionKind
+        }
         self._limits: dict[str, tuple[list[int], float, float]] = {}
 
     def finding(
@@ -195,10 +210,10 @@ class _Context:
     ) -> Finding:
         """The finding at source line, placed on its line within the section
         (1 = first content line; as is when the header line is unknown)."""
-        header = self.d.section_header_lines.get(kind, 0)
+        title, header = self._places[kind]
         if header and line > header:
             line -= header
-        return Finding(smell_id, kind.title, metric, line, evidence, span)
+        return _finding(Finding, (smell_id, title, metric, line, evidence, span))
 
     def limits(self, metric_name: str) -> tuple[list[int], float, float]:
         """A sentence measure's values and its mean -/+ k·stddev, computed
@@ -227,8 +242,7 @@ def detect(
 ) -> list[Finding]:
     """Tag d with lex, then run every enabled detection rule and return
     the ordered findings. Tags from an earlier analysis are replaced."""
-    analyze_document(d, lex)
-    ctx = _Context(d, cfg)
+    ctx = _Context(d, cfg, *analyze_document(d, lex))
     enabled = cfg.enabled_ids()
     findings: list[Finding] = []
     for smell_id, rule in RULES.items():
@@ -328,11 +342,10 @@ _last_sentence = _quote_sentence(-1)
 
 
 def _pronoun(ctx, smell_id, add):
-    pronoun = PosTag.PRONOUN  # looked up once: enum lookups are slow on 3.11
     for kind, s in zip(ctx.kinds, ctx.sentences):
         if _PRONOUN not in s._tagged[_TAGS]:
             continue
-        for surface, span in words_tagged(s, pronoun):
+        for surface, span in _spans(s._tagged, _PRONOUN):
             add(ctx.finding(smell_id, kind, "NOP", s.line, WordEvidence(surface), span))
 
 
@@ -341,11 +354,10 @@ def _actor_word(ctx, smell_id, add):
     if ctx.cfg.suppress_actor_word_when_single_actor and actors and len(actors) == 1:
         return
     metric_name = f'NON("{ACTOR_WORD}")'
-    noun = PosTag.NOUN
     for kind, s in zip(ctx.kinds, ctx.sentences):
         if ACTOR_WORD not in s._tagged[_NOUNS]:
             continue
-        for surface, span in words_tagged(s, noun):
+        for surface, span in _spans(s._tagged, _NOUN):
             if surface.lower() == ACTOR_WORD:
                 evidence = WordEvidence(surface)
                 add(ctx.finding(smell_id, kind, metric_name, s.line, evidence, span))

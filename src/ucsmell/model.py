@@ -338,16 +338,19 @@ class UseCaseDescription(_Record):
         conditions, in canonical section order. Name/Overview are free
         text, not sentences, and are not included.
         """
+        K = SectionKind  # each kind looked up once: enum lookups are slow on 3.11
+        pre, post, basic = K.PRECONDITIONS, K.POSTCONDITIONS, K.BASIC_FLOW
+        alt, exc = K.ALTERNATE_FLOWS, K.EXCEPTION_FLOWS
         for s in self.preconditions or []:
-            yield SectionKind.PRECONDITIONS, s
+            yield pre, s
         for s in self.postconditions or []:
-            yield SectionKind.POSTCONDITIONS, s
+            yield post, s
         if self.basic_flow is not None:
             for step in self.basic_flow.steps:
                 for s in step.sentences:
-                    yield SectionKind.BASIC_FLOW, s
-        for kind in (SectionKind.ALTERNATE_FLOWS, SectionKind.EXCEPTION_FLOWS):
-            for flow in self.branch_flows(kind):
+                    yield basic, s
+        for kind, flows in ((alt, self.alternate_flows), (exc, self.exception_flows)):
+            for flow in flows:
                 if flow.condition is not None:
                     yield kind, flow.condition
                 for step in flow.steps:

@@ -120,18 +120,24 @@ class _Lines:
         start += len(self.lines[lineno - 1][:col].encode("utf-8"))
         return start, start + len(text.encode("utf-8")), lineno
 
-
-def _sentences_of(lines: _Lines, lineno: int, text: str, col: int) -> list[Sentence]:
-    return [
-        Sentence(text=sent, line=lineno, span=lines.span(lineno, sent, col + off))
-        for sent, off in split_sentences(text)
-    ]
+    def sentences(self, lineno: int, text: str, col: int) -> list[Sentence]:
+        """The sentences of text found at character column col of line
+        lineno, each with the span that span gives it."""
+        base, ascii = self.offsets[lineno - 1] + col, self.ascii[lineno - 1]
+        out = []
+        for sent, off in split_sentences(text):
+            if ascii:  # span's first case, inline
+                span = base + off, base + off + len(sent), lineno
+            else:
+                span = self.span(lineno, sent, col + off)
+            out.append(Sentence(sent, lineno, span))
+        return out
 
 
 def _step(lines: _Lines, lineno: int, line: str, col: int, label, number, text) -> Step:
     """The step written as line at column col of line lineno, whose text
     ends the line."""
-    sentences = _sentences_of(lines, lineno, text, col + len(line) - len(text))
+    sentences = lines.sentences(lineno, text, col + len(line) - len(text))
     return Step(label, number, sentences, lines.span(lineno, line, col))
 
 
@@ -142,6 +148,7 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
     current: Optional[SectionKind] = None
     current_branch: Optional[BranchFlow] = None
     text_accum: dict[SectionKind, list[str]] = {}
+    basic = SectionKind.BASIC_FLOW  # looked up once: enum lookups are slow on 3.11
 
     def warn(msg: str, lineno: int) -> None:
         diags.append(ParseDiagnostic(Severity.WARNING, msg, lineno))
@@ -175,7 +182,7 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
             warn(f"line outside any section: {stripped[:40]!r}", lineno)
             continue
 
-        if current is SectionKind.BASIC_FLOW:  # first: the common case
+        if current is basic:  # first: the common case
             if doc.basic_flow is None:
                 doc.basic_flow = Flow(steps=[])
             sm = _STEP_RE.match(stripped)
@@ -198,7 +205,7 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
                 doc.actors.append(ActorDecl(stripped))
         elif current in _CONDITION_SECTIONS:
             field = SECTION_FIELD[current]
-            sents = _sentences_of(lines, lineno, stripped, col)
+            sents = lines.sentences(lineno, stripped, col)
             setattr(doc, field, (getattr(doc, field) or []) + sents)
         else:  # branch flow sections
             flows = doc.branch_flows(current)
@@ -266,7 +273,7 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
         flow.origin = StepRef(SectionKind.BASIC_FLOW, om.group(1))
         return
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
-        _read_condition(flow, text, _sentences_of(lines, lineno, text, col), lineno, warn)
+        _read_condition(flow, text, lines.sentences(lineno, text, col), lineno, warn)
         return
     rm = RETURN_RE.search(text)
     if rm is not None:

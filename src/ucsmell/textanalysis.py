@@ -13,9 +13,12 @@ one step through its row. One loop, behind analyze_sentence and
 analyze_document, is the only writer of a sentence's tagging record: an
 exact tuple of its text, span start and line, its tags as a string of
 one-letter codes, and its nouns, which the metrics count and the rules
-read. One offset loop finds each word from the end of the one before,
-for words_tagged (one tag's words, up to the last) and for the read-only
-Sentence.tokens (every word, rebuilt on each read by tagged_tokens).
+read. analyze_document walks the document once and returns the section
+kinds and the sentences it tagged, as two lists, from which the engine
+builds its rules' context. One offset loop finds each word from the end
+of the one before, for words_tagged (one tag's words, up to the last)
+and for the read-only Sentence.tokens (every word, rebuilt on each read
+by tagged_tokens).
 Everything is deterministic: same sentence and lexicon, same tags.
 """
 
@@ -282,11 +285,19 @@ def _row_of(surface: str, lex: Lexicon) -> tuple:
     return (*_TRANSITIONS[key], word)
 
 
-def _analyze(pairs: Iterable[tuple[object, Sentence]], lex: Lexicon) -> None:
+def _analyze(
+    pairs: Iterable[tuple[object, Sentence]], lex: Lexicon
+) -> tuple[list, list[Sentence]]:
     """Tag the sentence of each (section kind, sentence) pair: keep the
-    record the metrics and the rules read."""
+    record the metrics and the rules read. Return the kinds and the
+    sentences, in two lists in pair order."""
     rows = lex._rows
-    for _, sentence in pairs:
+    kinds: list = []
+    sentences: list[Sentence] = []
+    add_kind, add_sentence = kinds.append, sentences.append
+    for kind, sentence in pairs:
+        add_kind(kind)
+        add_sentence(sentence)
         text = sentence.text
         tags: list[str] = []
         nouns: list[str] = []
@@ -300,6 +311,7 @@ def _analyze(pairs: Iterable[tuple[object, Sentence]], lex: Lexicon) -> None:
             if pos == _NOUN:
                 nouns.append(row[8])  # the word, lowercased
         sentence._tagged = (text, sentence._start, sentence.line, "".join(tags), tuple(nouns))
+    return kinds, sentences
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
@@ -309,6 +321,8 @@ def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
     _analyze(((None, sentence),), lex)
 
 
-def analyze_document(doc, lex: Lexicon) -> None:
-    """Tag every sentence of a parsed document in place."""
-    _analyze(doc.iter_sentences(), lex)
+def analyze_document(doc, lex: Lexicon) -> tuple[list, list[Sentence]]:
+    """Tag every sentence of a parsed document in place, in one walk of
+    doc.iter_sentences(). Return what that walk gave, as two lists: the
+    section kind of each sentence, and the sentences."""
+    return _analyze(doc.iter_sentences(), lex)

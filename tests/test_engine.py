@@ -17,7 +17,14 @@ from ucsmell.engine import (
     load_config,
     parse_config,
 )
-from ucsmell.model import PosTag, SectionKind, Sentence, WordEvidence
+from ucsmell.model import (
+    Finding,
+    PosTag,
+    SectionKind,
+    Sentence,
+    UseCaseDescription,
+    WordEvidence,
+)
 from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import Lexicon, analyze_sentence
 
@@ -268,6 +275,38 @@ def test_a_finding_is_on_the_line_of_its_span(fixtures_dir, lexicon):
         ("alternate-flow-without-return", 1, 5),
         ("unexplained-alternate-flow", 1, 5),
     }
+
+
+@pytest.mark.parametrize("front_end", ["text", "json"])
+def test_detect_walks_the_document_once(fixtures_dir, lexicon, monkeypatch, front_end):
+    """detect tags the document and builds its rules' context from one walk
+    of iter_sentences: analyze_document returns what that walk gave, and
+    every finding is exactly a Finding of its six fields."""
+    walk = UseCaseDescription.iter_sentences
+    walked = []
+
+    def counted(doc):
+        walked.append(doc)
+        return walk(doc)
+
+    found = 0
+    for path in sorted(fixtures_dir.glob("*.ucd")):
+        doc, _ = parse_text(path.read_text("utf-8"))
+        if front_end == "json":
+            doc, _ = parse_json(serialize(doc))
+        kinds, sentences = textanalysis.analyze_document(doc, lexicon)
+        pairs = list(doc.iter_sentences())
+        assert kinds == [kind for kind, _ in pairs]
+        assert [id(s) for s in sentences] == [id(s) for _, s in pairs]
+
+        monkeypatch.setattr(UseCaseDescription, "iter_sentences", counted)
+        findings = detect(doc, DetectorConfig(), lexicon)
+        monkeypatch.undo()
+        assert len(walked) == 1 and walked.pop() is doc, path.name
+        assert all(type(f) is Finding for f in findings)
+        assert all(f == Finding(*f) for f in findings)
+        found += len(findings)
+    assert found
 
 
 def test_findings_are_deterministically_ordered(atm_doc, lexicon, default_config):

@@ -13,7 +13,7 @@ from ucsmell.parser import (
 )
 from ucsmell.textanalysis import analyze_document
 
-from conftest import parse_fixture
+from conftest import FIXTURES, parse_fixture
 
 
 def test_atm_fixture_structure(atm_doc):
@@ -164,7 +164,7 @@ def test_multi_sentence_step():
 
 
 def test_sentence_spans_point_into_source(atm_doc):
-    raw = open("fixtures/atm.ucd", "rb").read()
+    raw = (FIXTURES / "atm.ucd").read_bytes()
     for _, s in atm_doc.iter_sentences():
         assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
 
