@@ -1,32 +1,28 @@
 """Detection engine: maps metric/predicate outputs to Finding records.
 
-RULES holds one rule per detectable smell. detect tags the whole document
-with one call to analyze_document (one table step per word), which walks
-the document once and returns each sentence's section kind and the
-sentences, in two lists; the context shared by all rules is built from
-those lists, so the document is not walked again. detect then calls each
-enabled rule with that context, its smell id and the function that
-collects findings. A rule reads the document through the checks and
-predicates of the metrics module, whose names label its findings, and
-builds each finding with _Context.finding, which places it on its line
-within its section from each section's title and header line, resolved
-once per document. The word and sentence rules count NOP, NOV, NOM and
-NON from the record tagging keeps on each sentence (its tag codes and
-nouns). To quote the words counted, the pronoun and "actor" rules read
-them from the same record (textanalysis._spans, the loop behind
-words_tagged, which stops at the last word of the tag), so a run builds
-no tokens.
-
-Sentence-granularity smells (long/short, over/under qualified) are judged
-against the distribution of values over the whole document: a value is
-smelly when it lies more than k standard deviations from the mean. The
-distribution rules stay inert on documents with too few sentences.
+RULES is the rule table, one Rule row per detectable smell: the scan that
+reads the document, the sections it reads, the metric its findings carry,
+its threshold (a DetectorConfig field; stddev_k for the document's mean ±
+k·stddev, which stays inert on documents with too few sentences; none
+when a predicate must hold) and one argument of the scan. detect tags the
+whole document with one call to analyze_document, which walks it once and
+returns each sentence's section kind and the sentences, in two lists; the
+context shared by all rules is built from them, so the document is not
+walked again. detect then calls each enabled row's scan with that context,
+the smell id, the row and the function that collects findings. A scan
+reads the document through the metrics module, looked up by the row's
+names, and builds each finding with _Context.finding, which places it on
+its line within its section from each section's title and header line,
+resolved once per document. The word and sentence scans count NOP, NOV,
+NOM and NON from the record tagging keeps on each sentence (its tag codes
+and nouns), and the pronoun and "actor" rows quote the words counted from
+the same record (textanalysis._spans), so a run builds no tokens.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import metrics
 from .catalogue import detectable_ids
@@ -66,11 +62,9 @@ class DetectorConfig(_ConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.stddev_k < math.inf:  # also rejects nan
             raise ValueError("stddev_k must be positive and finite")
-        for name in (
-            "multi_action_verb_threshold",
-            "repeated_noun_threshold",
-            "same_reason_threshold",
-        ):
+        if self.min_sentences_for_distribution < 0:
+            raise ValueError("min_sentences_for_distribution must be >= 0")
+        for name in _COUNT_THRESHOLDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.enabled_smells is not None:
@@ -215,26 +209,45 @@ class _Context:
             line -= header
         return _finding(Finding, (smell_id, title, metric, line, evidence, span))
 
-    def limits(self, metric_name: str) -> tuple[list[int], float, float]:
+    def values(self, name: str) -> list[int]:
+        """Each sentence's value of the metrics function called name; with
+        count_los_in_tokens, LOS counts words."""
+        if name == "LOS" and self.cfg.count_los_in_tokens:
+            return [len(s._tagged[_TAGS]) for s in self.sentences]
+        measure = getattr(metrics, name)  # per call, so a wrapper on metrics sees it
+        return [measure(s) for s in self.sentences]
+
+    def limits(self, name: str) -> tuple[list[int], float, float]:
         """A sentence measure's values and its mean -/+ k·stddev, computed
         once per document for the high and the low rule."""
-        if metric_name not in self._limits:
-            if metric_name == "NOM":
-                values = [metrics.NOM(s) for s in self.sentences]
-            elif self.cfg.count_los_in_tokens:
-                values = [len(s._tagged[_TAGS]) for s in self.sentences]
-            else:
-                values = [metrics.LOS(s) for s in self.sentences]
+        if name not in self._limits:
+            values = self.values(name)
             dist = distribution(values)
             spread = self.cfg.stddev_k * dist.stddev
-            self._limits[metric_name] = (values, dist.mean - spread, dist.mean + spread)
-        return self._limits[metric_name]
+            self._limits[name] = (values, dist.mean - spread, dist.mean + spread)
+        return self._limits[name]
 
 
-Rule = Callable[[_Context, str, Callable[[Finding], None]], None]
+class Rule:
+    """One detectable smell as a row: the scan that reads the document, the
+    sections it reads, the metric its findings carry (a metrics function
+    name, a predicate name, or the FLOW_CHECKS suffixes tried in turn), the
+    DetectorConfig field its value is held against (None when a predicate
+    must hold or a word must not occur), and one argument of the scan."""
+
+    __slots__ = ("scan", "sections", "metric", "threshold", "arg")
+
+    def __init__(self, scan, sections, metric, threshold=None, arg=None) -> None:
+        self.scan, self.sections, self.metric = scan, sections, metric
+        self.threshold, self.arg = threshold, arg
+
 
 _ALT = SectionKind.ALTERNATE_FLOWS
 _EXC = SectionKind.EXCEPTION_FLOWS
+_ANY = tuple(SectionKind)  # the sentence rules read every sentence
+_FLOWS = (SectionKind.BASIC_FLOW, _ALT, _EXC)
+_STDDEV = "stddev_k"  # the threshold of a rule judged by the distribution
+_HIGH, _LOW = True, False  # the side of its bound a value is flagged on
 
 
 def detect(
@@ -247,130 +260,105 @@ def detect(
     findings: list[Finding] = []
     for smell_id, rule in RULES.items():
         if smell_id in enabled:
-            rule(ctx, smell_id, findings.append)
+            rule.scan(ctx, smell_id, rule, findings.append)
     findings.sort(
         key=lambda f: (_ITEM_ORDER[f.item_name], f.line, f.smell_id, f.span.start)
     )
     return findings
 
 
-# --- section and flow rules -------------------------------------------------
+# --- section and flow scans -------------------------------------------------
 
 
-def _missing_section(kind: SectionKind) -> Rule:
-    name = metrics.SECTION_EXIST[kind]
-
-    def rule(ctx, smell_id, add):
-        if not ctx.d.section_present(kind):  # the check PREDICATES[name] runs
-            add(ctx.finding(smell_id, kind, name, 0, SentenceEvidence(kind.title)))
-
-    return rule
+def _missing(ctx, smell_id, rule, add):
+    """A finding when the rule's section is absent."""
+    kind = rule.sections[0]
+    if not ctx.d.section_present(kind):  # the check PREDICATES[rule.metric] runs
+        add(ctx.finding(smell_id, kind, rule.metric, 0, SentenceEvidence(kind.title)))
 
 
-def _per_flow(kinds: tuple, suffixes: tuple, finding) -> Rule:
-    """One finding per flow of the sections that fails a check, naming
-    the first check it fails."""
-    checks = [(suffix, metrics.FLOW_CHECKS[suffix]) for suffix in suffixes]
-
-    def rule(ctx, smell_id, add):
-        for kind in kinds:
-            for flow in metrics.section_flows(ctx.d, kind):
-                for suffix, check in checks:
-                    if check(flow):
-                        name = metrics.predicate_name(kind, suffix)
-                        add(finding(ctx, smell_id, kind, flow, name))
-                        break
-
-    return rule
+def _flows(ctx, smell_id, rule, add):
+    """One finding per flow of the rule's sections that fails one of its
+    checks, naming the first check it fails."""
+    checks = metrics.FLOW_CHECKS
+    for kind in rule.sections:
+        for flow in metrics.section_flows(ctx.d, kind):
+            for suffix in rule.metric:
+                if checks[suffix](flow):
+                    name = metrics.predicate_name(kind, suffix)
+                    add(_flow_finding(ctx, smell_id, kind, flow, name, rule.arg))
+                    break
 
 
-def _shared_reason(kind: SectionKind, metric_name: str) -> Rule:
-    """One finding per group of flows sharing one branch condition."""
+def _flow_finding(ctx, smell_id, kind, flow, metric_name, index) -> Finding:
+    """A finding quoting the flow's id and sentences, or, given an index,
+    the flow's sentence at index (its id, on its header line, when it has
+    no sentence)."""
+    sents = _sentences(flow)
+    if index is not None:
+        if sents:
+            return _sentence_finding(ctx, smell_id, kind, sents[index], metric_name)
+        evidence, span = SentenceEvidence(flow.id), flow.span
+    else:
+        texts = [s.text for s in sents]
+        if isinstance(flow, BranchFlow):
+            evidence, span = FlowEvidence((flow.id, *texts)), flow.span
+        else:
+            evidence = FlowEvidence(tuple(texts))
+            span = flow.steps[0].span if flow.steps else EMPTY_SPAN
+    return ctx.finding(smell_id, kind, metric_name, span.line, evidence, span)
 
-    def rule(ctx, smell_id, add):
-        for _, flows in metrics.reason_groups(ctx.d.branch_flows(kind)):
-            if len(flows) < ctx.cfg.same_reason_threshold:
-                continue
-            items = [f.id for f in flows]
-            for f in flows:
-                items.extend(s.text for s in _sentences(f))
-            span = flows[0].span
-            evidence = FlowEvidence(tuple(items))
-            add(ctx.finding(smell_id, kind, metric_name, span.line, evidence, span))
 
-    return rule
+def _shared_reason(ctx, smell_id, rule, add):
+    """One finding per group of at least the threshold's number of flows
+    sharing one branch condition."""
+    kind = rule.sections[0]
+    threshold = getattr(ctx.cfg, rule.threshold)
+    for _, flows in metrics.reason_groups(ctx.d.branch_flows(kind)):
+        if len(flows) < threshold:
+            continue
+        items = [f.id for f in flows]
+        for f in flows:
+            items.extend(s.text for s in _sentences(f))
+        span = flows[0].span
+        evidence = FlowEvidence(tuple(items))
+        add(ctx.finding(smell_id, kind, rule.metric, span.line, evidence, span))
 
 
 def _sentences(flow) -> list[Sentence]:
     return [s for step in flow.steps for s in step.sentences]
 
 
-def _flow_finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
-    texts = [s.text for s in _sentences(flow)]
-    if isinstance(flow, BranchFlow):
-        items = (flow.id, *texts)
-        span = flow.span
-    else:
-        items = tuple(texts)
-        span = flow.steps[0].span if flow.steps else EMPTY_SPAN
-    evidence = FlowEvidence(items)
-    return ctx.finding(smell_id, kind, metric_name, span.line, evidence, span)
-
-
-def _quote_sentence(index: int):
-    """A finding builder quoting the flow's sentence at index, or its id,
-    on its header line, when the flow has no sentence."""
-
-    def finding(ctx, smell_id, kind, flow, metric_name) -> Finding:
-        sents = _sentences(flow)
-        if sents:
-            return _sentence_finding(ctx, smell_id, kind, sents[index], metric_name)
-        span = flow.span
-        evidence = SentenceEvidence(flow.id)
-        return ctx.finding(smell_id, kind, metric_name, span.line, evidence, span)
-
-    return finding
-
-
-_first_sentence = _quote_sentence(0)
-_last_sentence = _quote_sentence(-1)
-
-
-# --- word and sentence rules ------------------------------------------------
+# --- word and sentence scans ------------------------------------------------
 # detect has just tagged every sentence, so each keeps its record (text,
 # span start, line, tag codes, nouns).
 
 
-def _pronoun(ctx, smell_id, add):
+def _words(ctx, smell_id, rule, add):
+    """Each word its metric counts, by the tag code the rule names: every
+    pronoun (NOP), or every noun "actor" (NON), which a document with one
+    actor is spared under suppress_actor_word_when_single_actor."""
+    code, metric, word = rule.arg, rule.metric, None
+    field, needle = _TAGS, code  # a sentence lacking needle is not quoted
+    if code == _NOUN:
+        actors = ctx.d.actors
+        if ctx.cfg.suppress_actor_word_when_single_actor and actors and len(actors) == 1:
+            return
+        word, metric = ACTOR_WORD, f'{metric}("{ACTOR_WORD}")'
+        field, needle = _NOUNS, word
     for kind, s in zip(ctx.kinds, ctx.sentences):
-        if _PRONOUN not in s._tagged[_TAGS]:
+        record = s._tagged
+        if needle not in record[field]:
             continue
-        for surface, span in _spans(s._tagged, _PRONOUN):
-            add(ctx.finding(smell_id, kind, "NOP", s.line, WordEvidence(surface), span))
-
-
-def _actor_word(ctx, smell_id, add):
-    actors = ctx.d.actors
-    if ctx.cfg.suppress_actor_word_when_single_actor and actors and len(actors) == 1:
-        return
-    metric_name = f'NON("{ACTOR_WORD}")'
-    for kind, s in zip(ctx.kinds, ctx.sentences):
-        if ACTOR_WORD not in s._tagged[_NOUNS]:
-            continue
-        for surface, span in _spans(s._tagged, _NOUN):
-            if surface.lower() == ACTOR_WORD:
+        for surface, span in _spans(record, code):
+            if word is None or surface.lower() == word:
                 evidence = WordEvidence(surface)
-                add(ctx.finding(smell_id, kind, metric_name, s.line, evidence, span))
+                add(ctx.finding(smell_id, kind, metric, s.line, evidence, span))
 
 
-def _multiple_actions(ctx, smell_id, add):
-    for kind, s in zip(ctx.kinds, ctx.sentences):
-        if metrics.NOV(s) >= ctx.cfg.multi_action_verb_threshold:
-            add(_sentence_finding(ctx, smell_id, kind, s, "NOV"))
-
-
-def _repeated_noun(ctx, smell_id, add):
-    threshold = ctx.cfg.repeated_noun_threshold
+def _repeats(ctx, smell_id, rule, add):
+    """Each noun a sentence holds at least the threshold's number of times."""
+    threshold = getattr(ctx.cfg, rule.threshold)
     for kind, s in zip(ctx.kinds, ctx.sentences):
         nouns = s._tagged[_NOUNS]
         if threshold > 1 and len(set(nouns)) == len(nouns):
@@ -380,22 +368,25 @@ def _repeated_noun(ctx, smell_id, add):
             counts[noun] = counts.get(noun, 0) + 1
         for noun, n in counts.items():
             if n >= threshold:
-                add(_sentence_finding(ctx, smell_id, kind, s, f'NON("{noun}")'))
+                add(_sentence_finding(ctx, smell_id, kind, s, f'{rule.metric}("{noun}")'))
 
 
-def _outlier(metric_name: str, high: bool) -> Rule:
-    """Sentences whose value lies beyond the document's mean ± k·stddev."""
-
-    def rule(ctx, smell_id, add):
-        n = len(ctx.sentences)
-        if n == 0 or n < ctx.cfg.min_sentences_for_distribution:
+def _beyond(ctx, smell_id, rule, add):
+    """Sentences whose value lies beyond its bound on the rule's side: a
+    count threshold t bounds it at t − 1 from above; stddev_k at the
+    document's mean ± k·stddev, on documents with enough sentences."""
+    high = rule.arg
+    if rule.threshold == _STDDEV:
+        if len(ctx.sentences) < max(1, ctx.cfg.min_sentences_for_distribution):
             return
-        values, lo, hi = ctx.limits(metric_name)
-        for kind, s, v in zip(ctx.kinds, ctx.sentences, values):
-            if (v > hi) if high else (v < lo):
-                add(_sentence_finding(ctx, smell_id, kind, s, metric_name))
-
-    return rule
+        values, lo, hi = ctx.limits(rule.metric)
+        bound = hi if high else lo
+    else:
+        values = ctx.values(rule.metric)
+        bound = getattr(ctx.cfg, rule.threshold) - 1
+    for kind, s, v in zip(ctx.kinds, ctx.sentences, values):
+        if (v > bound) if high else (v < bound):
+            add(_sentence_finding(ctx, smell_id, kind, s, rule.metric))
 
 
 def _sentence_finding(ctx, smell_id, kind, s: Sentence, metric_name) -> Finding:
@@ -403,38 +394,46 @@ def _sentence_finding(ctx, smell_id, kind, s: Sentence, metric_name) -> Finding:
     return ctx.finding(smell_id, kind, metric_name, s.line, evidence, s.span)
 
 
+def _section_rule(kind: SectionKind) -> Rule:
+    """A missing-section smell's row: the section's predicate must hold."""
+    return Rule(_missing, (kind,), metrics.SECTION_EXIST[kind])
+
+
 RULES: dict[str, Rule] = {
-    "missing-actor-section": _missing_section(SectionKind.ACTORS),
-    "missing-exception-flows-section": _missing_section(_EXC),
-    "missing-alternate-flows-section": _missing_section(_ALT),
-    "missing-preconditions-section": _missing_section(SectionKind.PRECONDITIONS),
-    "missing-postconditions-section": _missing_section(SectionKind.POSTCONDITIONS),
-    "missing-description-section": _missing_section(SectionKind.OVERVIEW),
-    "missing-name-section": _missing_section(SectionKind.NAME),
-    "unordered-flow": _per_flow(
-        (SectionKind.BASIC_FLOW, _ALT, _EXC), tuple(metrics.ORDERING_CHECKS), _flow_finding
+    "missing-actor-section": _section_rule(SectionKind.ACTORS),
+    "missing-exception-flows-section": _section_rule(_EXC),
+    "missing-alternate-flows-section": _section_rule(_ALT),
+    "missing-preconditions-section": _section_rule(SectionKind.PRECONDITIONS),
+    "missing-postconditions-section": _section_rule(SectionKind.POSTCONDITIONS),
+    "missing-description-section": _section_rule(SectionKind.OVERVIEW),
+    "missing-name-section": _section_rule(SectionKind.NAME),
+    "unordered-flow": Rule(_flows, _FLOWS, tuple(metrics.ORDERING_CHECKS)),
+    "origin-free-alternate-flow": Rule(_flows, (_ALT,), ("OriginDescribed?",)),
+    "origin-free-exception-flow": Rule(_flows, (_EXC,), ("OriginDescribed?",)),
+    "alternate-flow-without-return": Rule(_flows, (_ALT,), ("ReturnExist?",), arg=-1),
+    "exception-flow-without-return": Rule(_flows, (_EXC,), ("ReturnExist?",), arg=-1),
+    "unexplained-alternate-flow": Rule(_flows, (_ALT,), ("ReasonExist?",), arg=0),
+    "unexplained-exception-flow": Rule(_flows, (_EXC,), ("ReasonExist?",), arg=0),
+    "multiple-alternate-flows-at-an-alternate-branch-condition": Rule(
+        _shared_reason, (_ALT,), "NOAFR", "same_reason_threshold"
     ),
-    "origin-free-alternate-flow": _per_flow((_ALT,), ("OriginDescribed?",), _flow_finding),
-    "origin-free-exception-flow": _per_flow((_EXC,), ("OriginDescribed?",), _flow_finding),
-    "alternate-flow-without-return": _per_flow((_ALT,), ("ReturnExist?",), _last_sentence),
-    "exception-flow-without-return": _per_flow((_EXC,), ("ReturnExist?",), _last_sentence),
-    "unexplained-alternate-flow": _per_flow((_ALT,), ("ReasonExist?",), _first_sentence),
-    "unexplained-exception-flow": _per_flow((_EXC,), ("ReasonExist?",), _first_sentence),
-    "multiple-alternate-flows-at-an-alternate-branch-condition": _shared_reason(
-        _ALT, "NOAFR"
+    "multiple-exception-flows-at-an-exception-branch-condition": Rule(
+        _shared_reason, (_EXC,), "NOEFR", "same_reason_threshold"
     ),
-    "multiple-exception-flows-at-an-exception-branch-condition": _shared_reason(
-        _EXC, "NOEFR"
+    "pronoun": Rule(_words, _ANY, "NOP", arg=_PRONOUN),
+    "actor-actor": Rule(_words, _ANY, "NON", arg=_NOUN),
+    "sentence-with-multiple-actions": Rule(
+        _beyond, _ANY, "NOV", "multi_action_verb_threshold", _HIGH
     ),
-    "pronoun": _pronoun,
-    "actor-actor": _actor_word,
-    "sentence-with-multiple-actions": _multiple_actions,
-    "repeating-the-same-noun": _repeated_noun,
-    "long-sentence": _outlier("LOS", high=True),
-    "short-sentence": _outlier("LOS", high=False),
-    "relatively-over-qualified-sentence": _outlier("NOM", high=True),
-    "relatively-under-qualified-sentence": _outlier("NOM", high=False),
+    "repeating-the-same-noun": Rule(_repeats, _ANY, "NON", "repeated_noun_threshold"),
+    "long-sentence": Rule(_beyond, _ANY, "LOS", _STDDEV, _HIGH),
+    "short-sentence": Rule(_beyond, _ANY, "LOS", _STDDEV, _LOW),
+    "relatively-over-qualified-sentence": Rule(_beyond, _ANY, "NOM", _STDDEV, _HIGH),
+    "relatively-under-qualified-sentence": Rule(_beyond, _ANY, "NOM", _STDDEV, _LOW),
 }
+
+# The thresholds a count is held against, each at least 1.
+_COUNT_THRESHOLDS = sorted({r.threshold for r in RULES.values()} - {None, _STDDEV})
 
 # Findings sort by section in canonical order.
 _ITEM_ORDER = {kind.title: i for i, kind in enumerate(SectionKind)}

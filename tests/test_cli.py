@@ -35,6 +35,19 @@ def test_lint_json_matches_golden(capsys, fixtures_dir):
     assert out == golden
 
 
+def test_lint_under_every_threshold_matches_golden(capsys, fixtures_dir, monkeypatch):
+    # fixtures/thresholds.cfg moves every threshold and flag off its
+    # default, so a rule that reads one from the wrong place, or ignores
+    # it, changes these records.
+    monkeypatch.chdir(fixtures_dir.parent)
+    paths = [f"fixtures/{name}.ucd" for name in ("atm", "clean", "nonascii", "search")]
+    code = run(["lint", "--format", "json", "--config", "fixtures/thresholds.cfg", *paths])
+    out = capsys.readouterr().out
+    assert code == 1
+    golden = (fixtures_dir / "thresholds_findings.golden.json").read_bytes()
+    assert out.encode("utf-8") == golden
+
+
 def test_default_lint_builds_no_tokens(capsys, fixtures_dir, monkeypatch):
     def no_tokens(*args):
         raise AssertionError("lint built tokens")
@@ -312,6 +325,8 @@ def _bad_options(tmp_path):
     bad_config.write_text("no_such_key = 1\n")
     unknown_smell = tmp_path / "unknown.cfg"
     unknown_smell.write_text("enabled_smells = pronon, long-sentence\n")
+    negative = tmp_path / "negative.cfg"
+    negative.write_text("min_sentences_for_distribution = -3\n")
     missing = str(tmp_path / "missing.txt")
     return {
         "disable-unknown-smell": ["--disable", "pronon"],
@@ -319,6 +334,8 @@ def _bad_options(tmp_path):
         "stddev-k": ["--stddev-k", "0"],
         "stddev-k-nan": ["--stddev-k", "nan"],
         "stddev-k-inf": ["--stddev-k", "inf"],
+        "min-sentences-negative": ["--min-sentences-for-distribution", "-3"],
+        "config-min-sentences-negative": ["--config", str(negative)],
         "missing-config": ["--config", missing],
         "missing-lexicon": ["--lexicon", missing],
         "rejected-config": ["--config", str(bad_config)],
@@ -332,6 +349,8 @@ def _bad_options(tmp_path):
         "stddev-k",
         "stddev-k-nan",
         "stddev-k-inf",
+        "min-sentences-negative",
+        "config-min-sentences-negative",
         "missing-config",
         "missing-lexicon",
         "rejected-config",

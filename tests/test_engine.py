@@ -55,6 +55,10 @@ def test_config_validation():
         DetectorConfig(stddev_k=0)
     with pytest.raises(ValueError):
         DetectorConfig(multi_action_verb_threshold=0)
+    with pytest.raises(ValueError, match="min_sentences_for_distribution must be >= 0"):
+        DetectorConfig(min_sentences_for_distribution=-1)
+    # 0 is valid: the distribution rules then run on any non-empty document.
+    assert DetectorConfig(min_sentences_for_distribution=0).min_sentences_for_distribution == 0
 
 
 def test_parse_config():
@@ -755,6 +759,31 @@ def test_count_los_in_tokens_measures_sentences_in_words(lexicon):
 def test_rule_table_has_one_rule_per_detectable_smell():
     assert set(RULES) == detectable_ids()
     assert len(RULES) == len(detectable_ids()) == 24
+    for smell_id, rule in RULES.items():
+        assert rule.sections and set(rule.sections) <= set(SectionKind), smell_id
+        if isinstance(rule.metric, tuple):  # FLOW_CHECKS suffixes, tried in turn
+            assert rule.metric and set(rule.metric) <= set(metrics.FLOW_CHECKS), smell_id
+            names = [
+                metrics.predicate_name(kind, suffix)
+                for kind in rule.sections
+                for suffix in rule.metric
+            ]
+            assert set(names) <= set(metrics.PREDICATES), smell_id
+        elif rule.metric in metrics.PREDICATES:
+            assert rule.metric == metrics.SECTION_EXIST[rule.sections[0]], smell_id
+        else:
+            assert callable(getattr(metrics, rule.metric, None)), smell_id
+        assert rule.threshold is None or rule.threshold in DetectorConfig._fields
+    count_thresholds = {r.threshold for r in RULES.values()} - {None, "stddev_k"}
+    assert count_thresholds == {
+        "multi_action_verb_threshold",
+        "repeated_noun_threshold",
+        "same_reason_threshold",
+    }
+    # Every count threshold is checked when a config is made.
+    for name in count_thresholds:
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            DetectorConfig(**{name: 0})
 
 
 _ORDERING_SECTIONS = {
