@@ -18,7 +18,7 @@ import sys
 from ucsmell.catalogue import by_id, catalogue
 from ucsmell.engine import load_config
 from ucsmell.evaluation import OracleEntry, match, render_table
-from ucsmell.model import Finding, WordEvidence
+from ucsmell.model import Evidence, Finding
 
 # (smell standing in for the category, section, #indicated, #correct,
 #  published precision or None where the source table has no data)
@@ -66,7 +66,7 @@ def build_sets():
                     item_name=item,
                     metric="synthetic",
                     line=line,
-                    evidence=WordEvidence("x"),
+                    evidence=Evidence("x"),
                 )
             )
             if i < correct:

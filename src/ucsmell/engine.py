@@ -3,20 +3,22 @@
 RULES is the rule table, one Rule row per detectable smell: the scan that
 reads the document, the sections it reads, the metric its findings carry,
 its threshold (a DetectorConfig field; stddev_k for the document's mean ±
-k·stddev, which stays inert on documents with too few sentences; none
-when a predicate must hold) and one argument of the scan. detect tags the
-whole document with one call to analyze_document, which walks it once and
+k·stddev, which stays inert on documents with too few sentences; none when
+a predicate must hold), one argument of the scan, and the JSON key (word,
+sentence or flow) of its findings' evidence. detect tags the whole
+document with one call to analyze_document, which walks it once and
 returns each sentence's section kind and the sentences, in two lists; the
 context shared by all rules is built from them, so the document is not
 walked again. detect then calls each enabled row's scan with that context,
 the smell id, the row and the function that collects findings. A scan
 reads the document through the metrics module, looked up by the row's
-names, and builds each finding with _Context.finding, which places it on
-its line within its section from each section's title and header line,
-resolved once per document. The word and sentence scans count NOP, NOV,
-NOM and NON from the record tagging keeps on each sentence (its tag codes
-and nouns), and the pronoun and "actor" rows quote the words counted from
-the same record (textanalysis._spans), so a run builds no tokens.
+names, and builds each finding with _Context.finding, which wraps the text
+it quotes in an Evidence and places it on its line within its section from
+each section's title and header line, resolved once per document. The word
+and sentence scans count NOP, NOV, NOM and NON from the record tagging
+keeps on each sentence (its tag codes and nouns), and the pronoun and
+"actor" rows quote the words counted from the same record
+(textanalysis._spans), so a run builds no tokens.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .model import (
     _NOUNS,
     _TAGS,
     BranchFlow,
+    Evidence,
     Finding,
-    FlowEvidence,
     SectionKind,
     Sentence,
-    SentenceEvidence,
     UseCaseDescription,
-    WordEvidence,
 )
 from .textanalysis import _NOUN, _PRONOUN, Lexicon, _spans, analyze_document
 
@@ -200,14 +200,14 @@ class _Context:
         self._limits: dict[str, tuple[list[int], float, float]] = {}
 
     def finding(
-        self, smell_id, kind: SectionKind, metric, line: int, evidence, span=EMPTY_SPAN
+        self, smell_id, kind: SectionKind, metric, line: int, text, span=EMPTY_SPAN
     ) -> Finding:
-        """The finding at source line, placed on its line within the section
-        (1 = first content line; as is when the header line is unknown)."""
+        """The finding quoting text at source line, placed on its line within
+        the section (1 = first content line; as is when the header is unknown)."""
         title, header = self._places[kind]
         if header and line > header:
             line -= header
-        return _finding(Finding, (smell_id, title, metric, line, evidence, span))
+        return _finding(Finding, (smell_id, title, metric, line, Evidence(text), span))
 
     def values(self, name: str) -> list[int]:
         """Each sentence's value of the metrics function called name; with
@@ -233,13 +233,17 @@ class Rule:
     sections it reads, the metric its findings carry (a metrics function
     name, a predicate name, or the FLOW_CHECKS suffixes tried in turn), the
     DetectorConfig field its value is held against (None when a predicate
-    must hold or a word must not occur), and one argument of the scan."""
+    must hold or a word must not occur), one argument of the scan, and the
+    JSON key its findings' evidence goes under: "word" for a quoted word,
+    "flow" for a flow's id and sentences, "sentence" for the rest."""
 
-    __slots__ = ("scan", "sections", "metric", "threshold", "arg")
+    __slots__ = ("scan", "sections", "metric", "threshold", "arg", "evidence")
 
-    def __init__(self, scan, sections, metric, threshold=None, arg=None) -> None:
+    def __init__(
+        self, scan, sections, metric, threshold=None, arg=None, evidence="sentence"
+    ) -> None:
         self.scan, self.sections, self.metric = scan, sections, metric
-        self.threshold, self.arg = threshold, arg
+        self.threshold, self.arg, self.evidence = threshold, arg, evidence
 
 
 _ALT = SectionKind.ALTERNATE_FLOWS
@@ -274,7 +278,7 @@ def _missing(ctx, smell_id, rule, add):
     """A finding when the rule's section is absent."""
     kind = rule.sections[0]
     if not ctx.d.section_present(kind):  # the check PREDICATES[rule.metric] runs
-        add(ctx.finding(smell_id, kind, rule.metric, 0, SentenceEvidence(kind.title)))
+        add(ctx.finding(smell_id, kind, rule.metric, 0, kind.title))
 
 
 def _flows(ctx, smell_id, rule, add):
@@ -298,15 +302,14 @@ def _flow_finding(ctx, smell_id, kind, flow, metric_name, index) -> Finding:
     if index is not None:
         if sents:
             return _sentence_finding(ctx, smell_id, kind, sents[index], metric_name)
-        evidence, span = SentenceEvidence(flow.id), flow.span
+        text, span = flow.id, flow.span
     else:
-        texts = [s.text for s in sents]
+        text = tuple(s.text for s in sents)
         if isinstance(flow, BranchFlow):
-            evidence, span = FlowEvidence((flow.id, *texts)), flow.span
+            text, span = (flow.id, *text), flow.span
         else:
-            evidence = FlowEvidence(tuple(texts))
             span = flow.steps[0].span if flow.steps else EMPTY_SPAN
-    return ctx.finding(smell_id, kind, metric_name, span.line, evidence, span)
+    return ctx.finding(smell_id, kind, metric_name, span.line, text, span)
 
 
 def _shared_reason(ctx, smell_id, rule, add):
@@ -321,8 +324,7 @@ def _shared_reason(ctx, smell_id, rule, add):
         for f in flows:
             items.extend(s.text for s in _sentences(f))
         span = flows[0].span
-        evidence = FlowEvidence(tuple(items))
-        add(ctx.finding(smell_id, kind, rule.metric, span.line, evidence, span))
+        add(ctx.finding(smell_id, kind, rule.metric, span.line, tuple(items), span))
 
 
 def _sentences(flow) -> list[Sentence]:
@@ -352,8 +354,7 @@ def _words(ctx, smell_id, rule, add):
             continue
         for surface, span in _spans(record, code):
             if word is None or surface.lower() == word:
-                evidence = WordEvidence(surface)
-                add(ctx.finding(smell_id, kind, metric, s.line, evidence, span))
+                add(ctx.finding(smell_id, kind, metric, s.line, surface, span))
 
 
 def _repeats(ctx, smell_id, rule, add):
@@ -390,8 +391,7 @@ def _beyond(ctx, smell_id, rule, add):
 
 
 def _sentence_finding(ctx, smell_id, kind, s: Sentence, metric_name) -> Finding:
-    evidence = SentenceEvidence(s.text)
-    return ctx.finding(smell_id, kind, metric_name, s.line, evidence, s.span)
+    return ctx.finding(smell_id, kind, metric_name, s.line, s.text, s.span)
 
 
 def _section_rule(kind: SectionKind) -> Rule:
@@ -407,21 +407,27 @@ RULES: dict[str, Rule] = {
     "missing-postconditions-section": _section_rule(SectionKind.POSTCONDITIONS),
     "missing-description-section": _section_rule(SectionKind.OVERVIEW),
     "missing-name-section": _section_rule(SectionKind.NAME),
-    "unordered-flow": Rule(_flows, _FLOWS, tuple(metrics.ORDERING_CHECKS)),
-    "origin-free-alternate-flow": Rule(_flows, (_ALT,), ("OriginDescribed?",)),
-    "origin-free-exception-flow": Rule(_flows, (_EXC,), ("OriginDescribed?",)),
+    "unordered-flow": Rule(
+        _flows, _FLOWS, tuple(metrics.ORDERING_CHECKS), evidence="flow"
+    ),
+    "origin-free-alternate-flow": Rule(
+        _flows, (_ALT,), ("OriginDescribed?",), evidence="flow"
+    ),
+    "origin-free-exception-flow": Rule(
+        _flows, (_EXC,), ("OriginDescribed?",), evidence="flow"
+    ),
     "alternate-flow-without-return": Rule(_flows, (_ALT,), ("ReturnExist?",), arg=-1),
     "exception-flow-without-return": Rule(_flows, (_EXC,), ("ReturnExist?",), arg=-1),
     "unexplained-alternate-flow": Rule(_flows, (_ALT,), ("ReasonExist?",), arg=0),
     "unexplained-exception-flow": Rule(_flows, (_EXC,), ("ReasonExist?",), arg=0),
     "multiple-alternate-flows-at-an-alternate-branch-condition": Rule(
-        _shared_reason, (_ALT,), "NOAFR", "same_reason_threshold"
+        _shared_reason, (_ALT,), "NOAFR", "same_reason_threshold", evidence="flow"
     ),
     "multiple-exception-flows-at-an-exception-branch-condition": Rule(
-        _shared_reason, (_EXC,), "NOEFR", "same_reason_threshold"
+        _shared_reason, (_EXC,), "NOEFR", "same_reason_threshold", evidence="flow"
     ),
-    "pronoun": Rule(_words, _ANY, "NOP", arg=_PRONOUN),
-    "actor-actor": Rule(_words, _ANY, "NON", arg=_NOUN),
+    "pronoun": Rule(_words, _ANY, "NOP", arg=_PRONOUN, evidence="word"),
+    "actor-actor": Rule(_words, _ANY, "NON", arg=_NOUN, evidence="word"),
     "sentence-with-multiple-actions": Rule(
         _beyond, _ANY, "NOV", "multi_action_verb_threshold", _HIGH
     ),

@@ -3,14 +3,14 @@ human-annotated oracle.
 
 A finding matches an oracle entry when both name the same smell and
 section and their line numbers differ by at most one (annotations made
-on printed sheets are only approximately line-aligned). Matching is
-one-to-one and greedy: within each (smell, section) group, oracle entries
-are taken in line order, and each is paired with the first unmatched
-compatible finding in (line, span start) order. An entry with an
-evidence_hint is compatible only with findings whose evidence text
-contains the hint. Without hints this greedy choice is a maximum
-matching for the +/-1 interval criterion; with hints it need not be, and
-the result can depend on the order of entries that share a line.
+on printed sheets are only approximately line-aligned). An entry with an
+evidence_hint matches only findings whose evidence text contains the
+hint. Matching is one-to-one and maximum within each (smell, section)
+group, so the tallies do not depend on the order of the oracle. Oracle
+entries are taken in line order, and each first takes the earliest free
+compatible finding in (line, span start) order; augmenting paths
+(Kuhn's algorithm) then match every entry left over that can still be
+matched.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .catalogue import by_id
-from .model import (
-    Characteristic,
-    Finding,
-    FlowEvidence,
-    Scope,
-    SentenceEvidence,
-    WordEvidence,
-    _Record,
-)
+from .model import Characteristic, Finding, Scope, _Record
 
 LINE_TOLERANCE = 1
 
@@ -125,16 +117,61 @@ def load_oracle(source: str) -> list[OracleEntry]:
 
 
 def _evidence_text(f: Finding) -> str:
-    ev = f.evidence
-    if isinstance(ev, (WordEvidence, SentenceEvidence)):
-        return ev.text
-    if isinstance(ev, FlowEvidence):
-        return " ".join(ev.items)
-    return ""
+    text = f.evidence.text
+    return text if isinstance(text, str) else " ".join(text)
 
 
 def _category(smell_id: str) -> Category:
     return by_id(smell_id).cell
+
+
+def _group_matching(candidates, entries) -> list[Optional[int]]:
+    """A maximum matching of one group: each entry's candidate index, or None.
+
+    Only candidates within LINE_TOLERANCE of an entry can match it, and
+    they form one contiguous window of the line-sorted candidates. Each
+    entry, in line order, takes the earliest free compatible one;
+    augmenting paths then match the entries left over.
+    """
+    lines = [f.line for f in candidates]
+    edges: list = []  # each entry's compatible candidates, in order
+    for e in entries:
+        lo = bisect_left(lines, e.line - LINE_TOLERANCE)
+        window = range(lo, bisect_right(lines, e.line + LINE_TOLERANCE))
+        hint = e.evidence_hint
+        if hint is not None:
+            window = [j for j in window if hint in _evidence_text(candidates[j])]
+        edges.append(window)
+    # The entry each candidate is matched to, and the candidate each entry holds.
+    owner, held = [None] * len(candidates), [None] * len(entries)
+    for i, window in enumerate(edges):
+        for j in window:
+            if owner[j] is None:
+                owner[j], held[i] = i, j
+                break
+    for i in range(len(entries)):
+        if held[i] is None:
+            _augment(i, edges, owner, held)
+    return held
+
+
+def _augment(root: int, edges: list, owner: list, held: list) -> None:
+    """Match the unmatched entry root along an augmenting path, if any,
+    searched breadth first: every entry on it moves to the next candidate."""
+    reached_from: dict[int, int] = {}  # candidate -> the entry that reached it
+    queue = [root]
+    for i in queue:  # the queue grows while it is read
+        for j in edges[i]:
+            if j in reached_from:
+                continue
+            reached_from[j] = i
+            if owner[j] is None:
+                while j is not None:  # flip the path back to root
+                    i = reached_from[j]
+                    owner[j] = i
+                    held[i], j = j, held[i]
+                return
+            queue.append(owner[j])
 
 
 def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
@@ -142,10 +179,7 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
         by_id(entry.smell_id)  # validate before tallying
 
     report = EvalReport()
-    # Group both sides by (smell, section); match within each group by
-    # pairing line-sorted oracle entries to the earliest compatible finding.
-    # Only findings within LINE_TOLERANCE of an entry can match it, and they
-    # form one contiguous window of the line-sorted candidates.
+    # Group both sides by (smell, section) and match within each group.
     findings_by_key: dict[tuple[str, str], list[Finding]] = {}
     for f in findings:
         findings_by_key.setdefault((f.smell_id, f.item_name), []).append(f)
@@ -153,28 +187,17 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
     for entry in oracle:
         oracle_by_key.setdefault((entry.smell_id, entry.item_name), []).append(entry)
 
-    matched_findings: set[int] = set()
+    pairs = report.matched_pairs
     for key, entries in oracle_by_key.items():
         candidates = sorted(
             findings_by_key.get(key, []), key=lambda f: (f.line, f.span.start)
         )
-        lines = [f.line for f in candidates]
-        for entry in sorted(entries, key=lambda e: e.line):
-            lo = bisect_left(lines, entry.line - LINE_TOLERANCE)
-            hi = bisect_right(lines, entry.line + LINE_TOLERANCE)
-            for f in candidates[lo:hi]:
-                if id(f) in matched_findings:
-                    continue
-                if (
-                    entry.evidence_hint is not None
-                    and entry.evidence_hint not in _evidence_text(f)
-                ):
-                    continue
-                matched_findings.add(id(f))
-                report.matched_pairs.append((f, entry))
-                break
+        entries = sorted(entries, key=lambda e: e.line)
+        held = _group_matching(candidates, entries)
+        pairs += [(candidates[j], e) for e, j in zip(entries, held) if j is not None]
 
-    matched_entries = {id(e) for _, e in report.matched_pairs}
+    matched_findings = {id(f) for f, _ in pairs}
+    matched_entries = {id(e) for _, e in pairs}
     # Each category's tally is made when the category is first seen, and
     # each smell id is resolved to it once.
     tallies: dict[str, Tally] = {}

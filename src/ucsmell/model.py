@@ -13,11 +13,10 @@ tuples: hashable and cheap to create, and, like any tuple, equal to a
 plain tuple with the same fields. The records the parser and the analyzer
 fill in (Sentence, Step, Flow, BranchFlow, UseCaseDescription) are
 __slots__ classes whose equality reads only the fields in _compared;
-Sentence, Step and BranchFlow keep their span as ints. The
-evidence kinds are frozen __slots__ classes, so evidence of one kind never
-equals evidence of another. No record is a dataclass: importing
-dataclasses and generating each class's methods would cost a cold lint
-process more than the rest of this module.
+Sentence, Step and BranchFlow keep their span as ints. Evidence is a
+frozen __slots__ class of one field, its text. No record is a dataclass:
+importing dataclasses and generating each class's methods would cost a
+cold lint process more than the rest of this module.
 """
 
 from __future__ import annotations
@@ -375,31 +374,16 @@ class SmellType(NamedTuple):
         return (self.characteristic, self.scope)
 
 
-class _TextEvidence(_FrozenRecord):
+class Evidence(_FrozenRecord):
+    """What a finding quotes: a word or a sentence as a str, or a flow's id
+    and sentences as a tuple of str. The finding's engine.RULES row names
+    the JSON key it is written under."""
+
     __slots__ = ("text",)
     _fields = _compared = ("text",)
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: Union[str, tuple[str, ...]]) -> None:
         object.__setattr__(self, "text", text)
-
-
-class WordEvidence(_TextEvidence):
-    __slots__ = ()
-
-
-class SentenceEvidence(_TextEvidence):
-    __slots__ = ()
-
-
-class FlowEvidence(_FrozenRecord):
-    __slots__ = ("items",)
-    _fields = _compared = ("items",)
-
-    def __init__(self, items: tuple[str, ...]) -> None:
-        object.__setattr__(self, "items", items)
-
-
-Evidence = Union[WordEvidence, SentenceEvidence, FlowEvidence]
 
 
 class Finding(NamedTuple):

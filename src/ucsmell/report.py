@@ -2,8 +2,9 @@
 listing, and exit-code policy.
 
 Each JSON record carries, in order, item_name, metric, line, and exactly
-one of word / sentence / flow depending on the evidence kind. Key order
-and array ordering are fixed so golden-file tests stay byte-exact.
+one of word / sentence / flow: the evidence key of the finding's
+engine.RULES row. Key order and array ordering are fixed so golden-file
+tests stay byte-exact.
 """
 
 from __future__ import annotations
@@ -13,14 +14,8 @@ from enum import Enum
 from typing import Optional
 
 from .catalogue import by_id
-from .model import (
-    Characteristic,
-    Finding,
-    FlowEvidence,
-    Scope,
-    SentenceEvidence,
-    WordEvidence,
-)
+from .engine import RULES
+from .model import Characteristic, Finding, Scope
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -38,15 +33,9 @@ def exit_code(findings_count: int, fail_threshold: Optional[int] = None) -> int:
 
 
 def finding_record(f: Finding) -> dict:
+    key, text = RULES[f.smell_id].evidence, f.evidence.text
     rec: dict = {"item_name": f.item_name, "metric": f.metric, "line": f.line}
-    if isinstance(f.evidence, WordEvidence):
-        rec["word"] = f.evidence.text
-    elif isinstance(f.evidence, SentenceEvidence):
-        rec["sentence"] = f.evidence.text
-    elif isinstance(f.evidence, FlowEvidence):
-        rec["flow"] = list(f.evidence.items)
-    else:
-        raise TypeError(f"unknown evidence type: {f.evidence!r}")
+    rec[key] = list(text) if key == "flow" else text
     return rec
 
 
@@ -81,16 +70,12 @@ def _records(findings: list[Finding], pad: str) -> str:
     keys = pad + "    "
     parts = []
     for f in findings:
-        ev = f.evidence
-        if isinstance(ev, WordEvidence):
-            tail = '"word": ' + _quote(ev.text)
-        elif isinstance(ev, SentenceEvidence):
-            tail = '"sentence": ' + _quote(ev.text)
-        elif isinstance(ev, FlowEvidence):
-            items = f",\n{keys}  ".join(map(_quote, ev.items))
-            tail = f'"flow": [\n{keys}  {items}\n{keys}]' if items else '"flow": []'
+        key, text = RULES[f.smell_id].evidence, f.evidence.text
+        if key != "flow":
+            tail = f'"{key}": {_quote(text)}'
         else:
-            raise TypeError(f"unknown evidence type: {ev!r}")
+            items = f",\n{keys}  ".join(map(_quote, text))
+            tail = f'"flow": [\n{keys}  {items}\n{keys}]' if items else '"flow": []'
         parts.append(
             f'{pad}  {{\n{keys}"item_name": {_quote(f.item_name)},\n'
             f'{keys}"metric": {_quote(f.metric)},\n{keys}"line": {f.line},\n'
@@ -114,10 +99,8 @@ def parse_report(text: str) -> list[dict]:
 
 
 def _excerpt(f: Finding, limit: int = 60) -> str:
-    if isinstance(f.evidence, FlowEvidence):
-        text = ", ".join(f.evidence.items)
-    else:
-        text = f.evidence.text
+    text = f.evidence.text
+    text = text if isinstance(text, str) else ", ".join(text)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

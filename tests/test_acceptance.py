@@ -19,11 +19,11 @@ from ucsmell.metrics import NOAFR, NON, NOW, PREDICATES
 from ucsmell.model import (
     BranchFlow,
     Characteristic,
+    Evidence,
     Finding,
     Scope,
     Sentence,
     UseCaseDescription,
-    WordEvidence,
 )
 from ucsmell.parser import parse_json, serialize
 from ucsmell.report import emit_json, parse_report
@@ -118,7 +118,7 @@ def test_criterion_2_atm_fixture_regression():
             "multiple-alternate-flows-at-an-alternate-branch-condition": 1,
         }, counts
         (pronoun,) = [f for f in findings if f.smell_id == "pronoun"]
-        assert pronoun.evidence == WordEvidence("it")
+        assert pronoun.evidence == Evidence("it")
         (multi,) = [
             f for f in findings if f.smell_id == "sentence-with-multiple-actions"
         ]
@@ -129,7 +129,7 @@ def test_criterion_2_atm_fixture_regression():
             if f.smell_id
             == "multiple-alternate-flows-at-an-alternate-branch-condition"
         ]
-        assert "A1" in grouped.evidence.items and "A2" in grouped.evidence.items
+        assert "A1" in grouped.evidence.text and "A2" in grouped.evidence.text
         assert time.perf_counter() - start < 1.0
 
     _verdict(2, "bundled ATM fixture yields the five expected smell families", check)
@@ -167,7 +167,7 @@ def synthetic_accuracy_sets():
                     item_name=item,
                     metric="synthetic",
                     line=line,
-                    evidence=WordEvidence("x"),
+                    evidence=Evidence("x"),
                 )
             )
             if i < correct:

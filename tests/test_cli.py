@@ -48,6 +48,17 @@ def test_lint_under_every_threshold_matches_golden(capsys, fixtures_dir, monkeyp
     assert out.encode("utf-8") == golden
 
 
+def test_lint_pretty_matches_golden(capsys, fixtures_dir, monkeypatch):
+    # pretty is the default format: each finding's line, smell and
+    # excerpt of its evidence, then the grid of counts, file by file.
+    monkeypatch.chdir(fixtures_dir.parent)
+    paths = [f"fixtures/{name}.ucd" for name in ("atm", "clean", "nonascii", "search")]
+    code = run(["lint", *paths])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.encode("utf-8") == (fixtures_dir / "pretty.golden.txt").read_bytes()
+
+
 def test_default_lint_builds_no_tokens(capsys, fixtures_dir, monkeypatch):
     def no_tokens(*args):
         raise AssertionError("lint built tokens")

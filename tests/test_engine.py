@@ -18,12 +18,12 @@ from ucsmell.engine import (
     parse_config,
 )
 from ucsmell.model import (
+    Evidence,
     Finding,
     PosTag,
     SectionKind,
     Sentence,
     UseCaseDescription,
-    WordEvidence,
 )
 from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import Lexicon, analyze_sentence
@@ -235,7 +235,7 @@ def test_atm_pronoun_finding_details(atm_doc, lexicon, default_config):
     (pronoun,) = [f for f in findings if f.smell_id == "pronoun"]
     assert pronoun.item_name == "Basic Flow"
     assert pronoun.line == 9  # section-relative, 1-based
-    assert pronoun.evidence == WordEvidence("it")
+    assert pronoun.evidence == Evidence("it")
     assert pronoun.metric == "NOP"
 
 
@@ -421,7 +421,7 @@ def test_multiple_flows_same_reason(lexicon):
     ]
     assert len(found) == 1
     assert found[0].metric == "NOAFR"
-    assert "A1" in found[0].evidence.items and "A2" in found[0].evidence.items
+    assert "A1" in found[0].evidence.text and "A2" in found[0].evidence.text
 
 
 def test_multi_action_threshold_config(lexicon):
@@ -774,6 +774,7 @@ def test_rule_table_has_one_rule_per_detectable_smell():
         else:
             assert callable(getattr(metrics, rule.metric, None)), smell_id
         assert rule.threshold is None or rule.threshold in DetectorConfig._fields
+    assert {r.evidence for r in RULES.values()} == {"word", "sentence", "flow"}
     count_thresholds = {r.threshold for r in RULES.values()} - {None, "stddev_k"}
     assert count_thresholds == {
         "multi_action_verb_threshold",

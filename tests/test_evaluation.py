@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from ucsmell.evaluation import (
     match,
     render_table,
 )
-from ucsmell.model import Finding, SourceSpan, WordEvidence
+from ucsmell.model import Evidence, Finding, SourceSpan
 
 
 def finding(smell_id="pronoun", item="Basic Flow", line=1, word="it"):
@@ -22,7 +23,7 @@ def finding(smell_id="pronoun", item="Basic Flow", line=1, word="it"):
         item_name=item,
         metric="NOP",
         line=line,
-        evidence=WordEvidence(word),
+        evidence=Evidence(word),
     )
 
 
@@ -154,6 +155,23 @@ def test_greedy_matching_is_maximal_for_intervals():
     assert match(findings, oracle).totals.tp == 2
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["hint-last", "hint-first"])
+def test_a_hinted_entry_does_not_lose_its_finding_to_an_unhinted_one(reverse):
+    # Two pronouns on line 3. Greedy pairing gave the unhinted entry "it"
+    # when it came first, so the entry hinted "it" found nothing and the
+    # tally was 1/1/1 in one order and 2/0/0 in the other.
+    findings = [finding(line=3, word="it"), finding(line=3, word="they")]
+    oracle = [entry(line=3), entry(line=3, hint="it")]
+    if reverse:
+        oracle.reverse()
+    rep = match(findings, oracle)
+    assert (rep.totals.tp, rep.totals.fp, rep.totals.fn) == (2, 0, 0)
+    assert {(f.evidence.text, e.evidence_hint) for f, e in rep.matched_pairs} == {
+        ("it", "it"),
+        ("they", None),
+    }
+
+
 def test_per_category_split():
     findings = [finding(), finding(smell_id="actor-actor", word="Actor")]
     oracle = [entry()]
@@ -226,10 +244,13 @@ def test_render_table_na_for_empty_denominator():
 
 
 # --- windowed matching equals the plain greedy scan ------------------------
+# Without hints, greedy matching is already maximum, so match must give the
+# greedy scan's pairs, pair for pair.
 
 
 def greedy_match_reference(findings, oracle):
-    """The greedy loop that scans every candidate of a group for each entry.
+    """The greedy loop that scans every candidate of a group for each entry
+    (of an oracle without hints).
 
     Returns the matched (finding, entry) pairs and the tallies as tuples.
     """
@@ -247,10 +268,6 @@ def greedy_match_reference(findings, oracle):
         for e in sorted(entries, key=lambda e: e.line):
             for f in candidates:
                 if id(f) in matched or abs(f.line - e.line) > LINE_TOLERANCE:
-                    continue
-                if e.evidence_hint is not None and e.evidence_hint not in (
-                    _evidence_text(f)
-                ):
                     continue
                 matched.add(id(f))
                 pairs.append((f, e))
@@ -272,34 +289,39 @@ _SMELLS = ["pronoun", "actor-actor", "long-sentence"]
 _ITEMS = ["Basic Flow", "Alternate Flows"]
 _WORDS = ["it", "them", "Actor", "its"]
 
-finding_st = st.builds(
-    lambda smell, item, line, word, start: Finding(
-        smell_id=smell,
-        item_name=item,
-        metric="M",
-        line=line,
-        evidence=WordEvidence(word),
-        span=SourceSpan(start, start + len(word), line),
-    ),
-    st.sampled_from(_SMELLS),
-    st.sampled_from(_ITEMS),
-    st.integers(min_value=0, max_value=6),
-    st.sampled_from(_WORDS),
-    st.integers(min_value=0, max_value=3),
-)
-entry_st = st.builds(
-    OracleEntry,
-    smell_id=st.sampled_from(_SMELLS),
-    item_name=st.sampled_from(_ITEMS),
-    line=st.integers(min_value=-1, max_value=7),
-    evidence_hint=st.one_of(st.none(), st.sampled_from(_WORDS + ["t", "x"])),
-)
+
+def finding_st(smells=_SMELLS, items=_ITEMS, max_line=6):
+    return st.builds(
+        lambda smell, item, line, word, start: Finding(
+            smell_id=smell,
+            item_name=item,
+            metric="M",
+            line=line,
+            evidence=Evidence(word),
+            span=SourceSpan(start, start + len(word), line),
+        ),
+        st.sampled_from(smells),
+        st.sampled_from(items),
+        st.integers(min_value=0, max_value=max_line),
+        st.sampled_from(_WORDS),
+        st.integers(min_value=0, max_value=3),
+    )
+
+
+def entry_st(hints, smells=_SMELLS, items=_ITEMS, max_line=6):
+    return st.builds(
+        OracleEntry,
+        smell_id=st.sampled_from(smells),
+        item_name=st.sampled_from(items),
+        line=st.integers(min_value=-1, max_value=max_line + 1),
+        evidence_hint=hints,
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    findings=st.lists(finding_st, max_size=25),
-    oracle=st.lists(entry_st, max_size=25),
+    findings=st.lists(finding_st(), max_size=25),
+    oracle=st.lists(entry_st(st.none()), max_size=25),
 )
 def test_windowed_match_equals_greedy_scan(findings, oracle):
     pairs, per_category, totals = greedy_match_reference(findings, oracle)
@@ -311,3 +333,69 @@ def test_windowed_match_equals_greedy_scan(findings, oracle):
         per_category
     )
     assert (rep.totals.tp, rep.totals.fp, rep.totals.fn) == totals
+
+
+# --- with hints: a maximum matching, whatever the oracle's order ----------
+
+
+def maximum_matching_tallies(findings, oracle):
+    """Per-category and total (tp, fp, fn) tallies of a maximum matching,
+    found group by group by trying every assignment of entries."""
+    groups = {}
+    for f in findings:
+        groups.setdefault((f.smell_id, f.item_name), ([], []))[0].append(f)
+    for e in oracle:
+        groups.setdefault((e.smell_id, e.item_name), ([], []))[1].append(e)
+    per_category, totals = {}, [0, 0, 0]
+    for (smell_id, _), (fs, es) in groups.items():
+
+        @functools.cache
+        def most(i, used):
+            """The most of entries i.. that can match findings not in used."""
+            if i == len(es):
+                return 0
+            e, best = es[i], most(i + 1, used)  # entry i left unmatched
+            for k, f in enumerate(fs):
+                if k in used or abs(f.line - e.line) > LINE_TOLERANCE:
+                    continue
+                if e.evidence_hint is None or e.evidence_hint in _evidence_text(f):
+                    best = max(best, 1 + most(i + 1, used | {k}))
+            return best
+
+        m = most(0, frozenset())
+        tally = per_category.setdefault(_category(smell_id), [0, 0, 0])
+        for slot, n in enumerate((m, len(fs) - m, len(es) - m)):
+            tally[slot] += n
+            totals[slot] += n
+    return {k: tuple(v) for k, v in per_category.items()}, tuple(totals)
+
+
+# One smell in one section, on few lines, so that entries often compete for
+# the same findings.
+_FEW = {"smells": _SMELLS[:1], "items": _ITEMS[:1], "max_line": 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    findings=st.lists(finding_st(**_FEW), max_size=8),
+    oracle=st.lists(
+        entry_st(st.one_of(st.none(), st.sampled_from(_WORDS + ["t", "x"])), **_FEW),
+        max_size=8,
+    ),
+    data=st.data(),
+)
+def test_match_with_hints_is_maximum_in_any_oracle_order(findings, oracle, data):
+    per_category, totals = maximum_matching_tallies(findings, oracle)
+    for entries in (oracle, data.draw(st.permutations(oracle))):
+        rep = match(findings, entries)
+        assert {k: (t.tp, t.fp, t.fn) for k, t in rep.per_category.items()} == (
+            per_category
+        )
+        assert (rep.totals.tp, rep.totals.fp, rep.totals.fn) == totals
+        # The pairs are one-to-one, and each pair is compatible.
+        assert len({id(f) for f, _ in rep.matched_pairs}) == totals[0]
+        assert len({id(e) for _, e in rep.matched_pairs}) == totals[0]
+        for f, e in rep.matched_pairs:
+            assert (f.smell_id, f.item_name) == (e.smell_id, e.item_name)
+            assert abs(f.line - e.line) <= LINE_TOLERANCE
+            assert e.evidence_hint is None or e.evidence_hint in _evidence_text(f)

@@ -9,19 +9,17 @@ from ucsmell.model import (
     SECTION_FIELD,
     ActorDecl,
     BranchFlow,
-    Flow,
-    FlowEvidence,
+    Evidence,
     Finding,
+    Flow,
     PosTag,
     SectionKind,
     Sentence,
-    SentenceEvidence,
     SourceSpan,
     Step,
     StepRef,
     Token,
     UseCaseDescription,
-    WordEvidence,
 )
 from ucsmell.metrics import NOM, NON, NOP, NOV
 from ucsmell.textanalysis import analyze_document, load_lexicon, words_tagged
@@ -38,7 +36,7 @@ def test_span_line_defaults_to_zero():
     assert SourceSpan(1, 2).line == 0
 
 
-def finding(evidence=WordEvidence("it")):
+def finding(evidence=Evidence("it")):
     return Finding("pronoun", "Basic Flow", "NOP", 9, evidence, SourceSpan(10, 12, 17))
 
 
@@ -50,8 +48,8 @@ def finding(evidence=WordEvidence("it")):
         (Token("it", PosTag.PRONOUN, SourceSpan(1, 3, 1)), "pos"),
         (Token("it", PosTag.PRONOUN, SourceSpan(1, 3, 1)), "surface"),
         (finding(), "line"),
-        (WordEvidence("it"), "text"),
-        (FlowEvidence(("A1",)), "items"),
+        (Evidence("it"), "text"),
+        (Evidence(("A1",)), "text"),
         (StepRef(SectionKind.BASIC_FLOW, "2"), "label"),
         (DetectorConfig(), "stddev_k"),
         (END, "label"),
@@ -87,19 +85,13 @@ def test_records_compare_equal_to_plain_tuples():
 def test_equal_findings_compare_equal():
     assert finding() == finding()
     assert hash(finding()) == hash(finding())
-    assert finding(FlowEvidence(("A1", "x"))) == finding(FlowEvidence(("A1", "x")))
+    assert finding(Evidence(("A1", "x"))) == finding(Evidence(("A1", "x")))
     assert END == type(END)() and hash(END) == hash(type(END)())
-
-
-def test_evidence_kinds_never_compare_equal():
-    assert WordEvidence("x") != SentenceEvidence("x")
-    assert finding(WordEvidence("x")) != finding(SentenceEvidence("x"))
-    assert len({WordEvidence("x"), SentenceEvidence("x")}) == 2
 
 
 def test_frozen_records_copy_and_pickle():
     lexicon = load_lexicon()
-    for record in (finding(), END, FlowEvidence(("A1",)), lexicon):
+    for record in (finding(), END, Evidence("it"), Evidence(("A1",)), lexicon):
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
 

@@ -1,17 +1,15 @@
 import json
+from collections import Counter
 
+import largedoc
 import pytest
+import seeding
 from hypothesis import given, settings, strategies as st
 
 from ucsmell import report
-from ucsmell.engine import DetectorConfig, detect
-from ucsmell.model import (
-    EMPTY_SPAN,
-    Finding,
-    FlowEvidence,
-    SentenceEvidence,
-    WordEvidence,
-)
+from ucsmell.engine import RULES, DetectorConfig, detect, load_config
+from ucsmell.model import EMPTY_SPAN, Evidence, Finding
+from ucsmell.parser import parse_text
 
 
 def word_finding(line=3):
@@ -20,7 +18,7 @@ def word_finding(line=3):
         item_name="Basic Flow",
         metric="NOP",
         line=line,
-        evidence=WordEvidence("it"),
+        evidence=Evidence("it"),
     )
 
 
@@ -30,7 +28,7 @@ def sentence_finding():
         item_name="Basic Flow",
         metric="LOS",
         line=2,
-        evidence=SentenceEvidence("A very long sentence."),
+        evidence=Evidence("A very long sentence."),
     )
 
 
@@ -40,7 +38,7 @@ def flow_finding():
         item_name="Basic Flow",
         metric="BasicFlowNumbered?",
         line=1,
-        evidence=FlowEvidence(("step one", "step two")),
+        evidence=Evidence(("step one", "step two")),
     )
 
 
@@ -121,13 +119,39 @@ def test_emit_pretty_grid_totals():
 
 
 def test_golden_files_byte_identical(lexicon, fixtures_dir):
-    from ucsmell.parser import parse_text
-
     for name in ("atm", "clean", "search", "nonascii"):
         doc, _ = parse_text((fixtures_dir / f"{name}.ucd").read_text("utf-8"))
         produced = report.emit_json(detect(doc, DetectorConfig(), lexicon)) + "\n"
         golden = (fixtures_dir / f"{name}_findings.golden.json").read_bytes()
         assert produced.encode("utf-8") == golden, name
+
+
+_EVIDENCE_KEYS = {"word", "sentence", "flow"}
+
+
+@pytest.mark.parametrize("config", ["default", "thresholds"])
+def test_evidence_has_the_shape_its_rule_row_names(config, lexicon, fixtures_dir):
+    # Every finding on the fixtures, the seeded and clean suites and a large
+    # generated document quotes a str, or a tuple of str exactly when its
+    # row's key is "flow"; its record carries that key and no other.
+    cfg = DetectorConfig()
+    if config == "thresholds":
+        cfg = load_config(str(fixtures_dir / "thresholds.cfg"))
+    texts = [p.read_text("utf-8") for p in sorted(fixtures_dir.glob("*.ucd"))]
+    texts += [d.text for d in seeding.seeded_documents() + seeding.clean_documents()]
+    texts.append(largedoc.generate(1, 1000).text)
+    keys = Counter()
+    for source in texts:
+        doc, _ = parse_text(source)
+        for f in detect(doc, cfg, lexicon):
+            key, text = RULES[f.smell_id].evidence, f.evidence.text
+            if key == "flow":
+                assert type(text) is tuple and all(type(t) is str for t in text), f
+            else:
+                assert type(text) is str, f
+            assert _EVIDENCE_KEYS & set(report.finding_record(f)) == {key}, f
+            keys[key] += 1
+    assert set(keys) == _EVIDENCE_KEYS, keys
 
 
 # Quotes, backslashes, control characters, line separators and non-ASCII
@@ -139,18 +163,25 @@ _json_text_st = st.text(
     ),
     max_size=12,
 )
-_finding_st = st.builds(
-    Finding,
-    smell_id=st.just("pronoun"),
-    item_name=_json_text_st,
-    metric=_json_text_st,
-    line=st.integers(min_value=0, max_value=10**9),
-    evidence=st.one_of(
-        st.builds(WordEvidence, _json_text_st),
-        st.builds(SentenceEvidence, _json_text_st),
-        st.builds(FlowEvidence, st.lists(_json_text_st, max_size=3).map(tuple)),
-    ),
-    span=st.just(EMPTY_SPAN),
+
+
+def _evidence_st(smell_id):
+    """Evidence of the shape the smell's rule row gives: a tuple for a flow."""
+    if RULES[smell_id].evidence == "flow":
+        return st.lists(_json_text_st, max_size=3).map(tuple).map(Evidence)
+    return _json_text_st.map(Evidence)
+
+
+_finding_st = st.sampled_from(sorted(RULES)).flatmap(
+    lambda smell_id: st.builds(
+        Finding,
+        smell_id=st.just(smell_id),
+        item_name=_json_text_st,
+        metric=_json_text_st,
+        line=st.integers(min_value=0, max_value=10**9),
+        evidence=_evidence_st(smell_id),
+        span=st.just(EMPTY_SPAN),
+    )
 )
 
 
@@ -183,9 +214,14 @@ def test_emit_json_files_equals_json_dumps(per_file):
     assert report.emit_json_files(per_file) == want
 
 
-def test_emit_json_rejects_unknown_evidence():
-    odd = word_finding()._replace(evidence="it")
-    with pytest.raises(TypeError, match="unknown evidence type"):
+def test_emit_json_rejects_a_smell_without_a_rule_row():
+    # The evidence key comes from the finding's engine.RULES row, so a
+    # smell with no row (here, one the catalogue cannot detect) has none.
+    odd = word_finding()._replace(smell_id="omitted-word")
+    assert "omitted-word" not in RULES
+    with pytest.raises(KeyError, match="omitted-word"):
+        report.finding_record(odd)
+    with pytest.raises(KeyError, match="omitted-word"):
         report.emit_json([odd])
-    with pytest.raises(TypeError, match="unknown evidence type"):
+    with pytest.raises(KeyError, match="omitted-word"):
         report.emit_json_files([("a.ucd", [odd])])
