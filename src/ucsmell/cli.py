@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import engine, report
 from .catalogue import catalogue, smell_space_cell
-from .model import Characteristic, Scope, UseCaseDescription
+from .model import Characteristic, Finding, Scope
 from .parser import parse_json, parse_text
 from .textanalysis import load_lexicon
 
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_options(lint)
     lint.add_argument(
         "--format",
-        choices=[f.value for f in report.ReportFormat],
+        choices=("json", "pretty"),
         default="pretty",
     )
     lint.add_argument("--fail-threshold", type=int, default=None)
@@ -102,46 +102,35 @@ def _usage_error(reason) -> int:
     return report.EXIT_PARSE_ERROR
 
 
-def _parse_file(path: str) -> tuple[Optional[UseCaseDescription], list]:
+def _detect_file(path: str, cfg, lex) -> Optional[list[Finding]]:
+    """The findings of one file, its parse diagnostics printed on stderr;
+    None when it cannot be read or parsed."""
     try:
         # utf-8-sig drops a leading byte order mark, as editors may write one.
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
-        return None, []
-    parse = parse_json if path.endswith(".json") else parse_text
-    return parse(text)
-
-
-def _report_diagnostics(path: str, diags) -> None:
+        return None
+    doc, diags = (parse_json if path.endswith(".json") else parse_text)(text)
     for d in diags:
         print(f"{path}:{d.line}: {d.severity.value}: {d.message}", file=sys.stderr)
+    return None if doc is None else engine.detect(doc, cfg, lex)
 
 
-def _cmd_lint(args) -> int:
-    try:
-        cfg = _load_detector_config(args)
-        lex = load_lexicon(args.lexicon)
-    except (OSError, ValueError) as exc:
-        return _usage_error(exc)
+def _cmd_lint(args, cfg, lex) -> int:
     if args.fail_threshold is not None and args.fail_threshold < 0:
         return _usage_error("fail_threshold must be >= 0")
-    fmt = report.ReportFormat(args.format)
 
     # A file that fails to parse is reported on stderr and skipped; the
     # others are still linted and reported, and the exit code becomes 2.
     per_file: list[tuple[str, list]] = []
-    parse_failed = False
     for path in args.inputs:
-        doc, diags = _parse_file(path)
-        _report_diagnostics(path, diags)
-        if doc is None:
-            parse_failed = True
-            continue
-        per_file.append((path, engine.detect(doc, cfg, lex)))
+        findings = _detect_file(path, cfg, lex)
+        if findings is not None:
+            per_file.append((path, findings))
 
-    if fmt is report.ReportFormat.JSON:
+    if args.format == "json":
         if len(args.inputs) > 1:
             sys.stdout.write(report.emit_json_files(per_file) + "\n")
         elif per_file:
@@ -150,7 +139,7 @@ def _cmd_lint(args) -> int:
         for path, findings in per_file:
             sys.stdout.write(report.emit_pretty(findings, source_name=path))
 
-    if parse_failed:
+    if len(per_file) < len(args.inputs):
         return report.EXIT_PARSE_ERROR
     total = sum(len(f) for _, f in per_file)
     return report.exit_code(total, args.fail_threshold)
@@ -189,7 +178,7 @@ def _cmd_catalogue(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg, lex) -> int:
     from . import evaluation  # only eval needs it; lint starts faster without
 
     path = args.inputs[0]
@@ -200,14 +189,8 @@ def _cmd_eval(args) -> int:
             f"{path}: eval needs line numbers, which JSON input does not "
             "carry; evaluate the .ucd text instead"
         )
-    try:
-        cfg = _load_detector_config(args)
-        lex = load_lexicon(args.lexicon)
-    except (OSError, ValueError) as exc:
-        return _usage_error(exc)
-    doc, diags = _parse_file(path)
-    _report_diagnostics(path, diags)
-    if doc is None:
+    findings = _detect_file(path, cfg, lex)
+    if findings is None:
         return report.EXIT_PARSE_ERROR
     try:
         with open(args.oracle, encoding="utf-8-sig") as fh:
@@ -215,19 +198,21 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"{args.oracle}: {exc}", file=sys.stderr)
         return report.EXIT_PARSE_ERROR
-    findings = engine.detect(doc, cfg, lex)
-    result = evaluation.match(findings, oracle)
-    sys.stdout.write(evaluation.render_table(result))
+    sys.stdout.write(evaluation.render_table(evaluation.match(findings, oracle)))
     return 0
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.subcommand == "lint":
-        return _cmd_lint(args)
     if args.subcommand == "catalogue":
         return _cmd_catalogue(args)
-    return _cmd_eval(args)
+    try:
+        cfg = _load_detector_config(args)
+        lex = load_lexicon(args.lexicon)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
+    command = _cmd_lint if args.subcommand == "lint" else _cmd_eval
+    return command(args, cfg, lex)
 
 
 def main() -> None:

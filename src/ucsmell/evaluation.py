@@ -7,16 +7,16 @@ on printed sheets are only approximately line-aligned). An entry with an
 evidence_hint matches only findings whose evidence text contains the
 hint. Matching is one-to-one and maximum within each (smell, section)
 group, so the tallies do not depend on the order of the oracle. Oracle
-entries are taken in line order, and each first takes the earliest free
-compatible finding in (line, span start) order; augmenting paths
-(Kuhn's algorithm) then match every entry left over that can still be
-matched.
+entries are matched one at a time in line order: each takes the earliest
+free compatible finding in (line, span start) order, or else an
+augmenting path (Kuhn's algorithm) frees one for it when there is one.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .catalogue import by_id
@@ -129,35 +129,34 @@ def _group_matching(candidates, entries) -> list[Optional[int]]:
     """A maximum matching of one group: each entry's candidate index, or None.
 
     Only candidates within LINE_TOLERANCE of an entry can match it, and
-    they form one contiguous window of the line-sorted candidates. Each
-    entry, in line order, takes the earliest free compatible one;
-    augmenting paths then match the entries left over.
+    they form one contiguous window of the line-sorted candidates. Entries
+    are matched one by one, in line order, as each window is built, so
+    each step keeps the matching of the entries so far maximum.
     """
     lines = [f.line for f in candidates]
     edges: list = []  # each entry's compatible candidates, in order
-    for e in entries:
+    # The entry each candidate is matched to, and the candidate each entry holds.
+    owner, held = [None] * len(candidates), [None] * len(entries)
+    for i, e in enumerate(entries):
         lo = bisect_left(lines, e.line - LINE_TOLERANCE)
         window = range(lo, bisect_right(lines, e.line + LINE_TOLERANCE))
         hint = e.evidence_hint
         if hint is not None:
             window = [j for j in window if hint in _evidence_text(candidates[j])]
         edges.append(window)
-    # The entry each candidate is matched to, and the candidate each entry holds.
-    owner, held = [None] * len(candidates), [None] * len(entries)
-    for i, window in enumerate(edges):
-        for j in window:
-            if owner[j] is None:
-                owner[j], held[i] = i, j
-                break
-    for i in range(len(entries)):
-        if held[i] is None:
-            _augment(i, edges, owner, held)
+        _augment(i, edges, owner, held)
     return held
 
 
 def _augment(root: int, edges: list, owner: list, held: list) -> None:
-    """Match the unmatched entry root along an augmenting path, if any,
-    searched breadth first: every entry on it moves to the next candidate."""
+    """Match the unmatched entry root, if it can be: to its earliest free
+    candidate (a path of one edge), or else along an augmenting path
+    searched breadth first, on which every entry moves to the next
+    candidate."""
+    for j in edges[root]:
+        if owner[j] is None:
+            owner[j], held[root] = root, j
+            return
     reached_from: dict[int, int] = {}  # candidate -> the entry that reached it
     queue = [root]
     for i in queue:  # the queue grows while it is read
@@ -175,11 +174,14 @@ def _augment(root: int, edges: list, owner: list, held: list) -> None:
 
 
 def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
-    for entry in oracle:
-        by_id(entry.smell_id)  # validate before tallying
+    """Match findings to oracle entries within each (smell, section) group.
 
+    matched_pairs lists the groups in the order of their first oracle
+    entry, and each group's pairs in the line order of its entries (oracle
+    order among equal lines). Categories appear in the order first seen in
+    the findings, then in the oracle. Raises KeyError on an unknown smell id.
+    """
     report = EvalReport()
-    # Group both sides by (smell, section) and match within each group.
     findings_by_key: dict[tuple[str, str], list[Finding]] = {}
     for f in findings:
         findings_by_key.setdefault((f.smell_id, f.item_name), []).append(f)
@@ -187,39 +189,34 @@ def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:
     for entry in oracle:
         oracle_by_key.setdefault((entry.smell_id, entry.item_name), []).append(entry)
 
+    # Each smell id is resolved to its category's tally once.
+    per_category = report.per_category
+    tallies: dict[str, Tally] = {}
+    for smell_id, _ in [*findings_by_key, *oracle_by_key]:
+        if smell_id not in tallies:
+            category = _category(smell_id)
+            if category not in per_category:
+                per_category[category] = Tally()
+            tallies[smell_id] = per_category[category]
+    # Every finding counts as a false positive until it is matched.
+    for (smell_id, _), group in findings_by_key.items():
+        tallies[smell_id].fp += len(group)
+
     pairs = report.matched_pairs
     for key, entries in oracle_by_key.items():
         candidates = sorted(
-            findings_by_key.get(key, []), key=lambda f: (f.line, f.span.start)
+            findings_by_key.get(key, []), key=attrgetter("line", "span.start")
         )
-        entries = sorted(entries, key=lambda e: e.line)
+        entries = sorted(entries, key=attrgetter("line"))
         held = _group_matching(candidates, entries)
-        pairs += [(candidates[j], e) for e, j in zip(entries, held) if j is not None]
-
-    matched_findings = {id(f) for f, _ in pairs}
-    matched_entries = {id(e) for _, e in pairs}
-    # Each category's tally is made when the category is first seen, and
-    # each smell id is resolved to it once.
-    tallies: dict[str, Tally] = {}
-
-    def tally(smell_id: str) -> Tally:
-        if smell_id not in tallies:
-            category = _category(smell_id)
-            if category not in report.per_category:
-                report.per_category[category] = Tally()
-            tallies[smell_id] = report.per_category[category]
-        return tallies[smell_id]
-
-    for f in findings:
-        if id(f) in matched_findings:
-            tally(f.smell_id).tp += 1
-        else:
-            tally(f.smell_id).fp += 1
-    for entry in oracle:
-        if id(entry) not in matched_entries:
-            tally(entry.smell_id).fn += 1
+        matched = [(candidates[j], e) for e, j in zip(entries, held) if j is not None]
+        pairs += matched
+        tally = tallies[key[0]]
+        tally.tp += len(matched)
+        tally.fp -= len(matched)
+        tally.fn += len(entries) - len(matched)
     totals = report.totals
-    for t in report.per_category.values():
+    for t in per_category.values():
         totals.tp += t.tp
         totals.fp += t.fp
         totals.fn += t.fn

@@ -10,7 +10,6 @@ tests stay byte-exact.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from typing import Optional
 
 from .catalogue import by_id
@@ -20,11 +19,6 @@ from .model import Characteristic, Finding, Scope
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_PARSE_ERROR = 2
-
-
-class ReportFormat(Enum):
-    JSON = "json"
-    PRETTY = "pretty"
 
 
 def exit_code(findings_count: int, fail_threshold: Optional[int] = None) -> int:
@@ -146,7 +140,6 @@ __all__ = [
     "EXIT_FINDINGS",
     "EXIT_OK",
     "EXIT_PARSE_ERROR",
-    "ReportFormat",
     "emit_json",
     "emit_pretty",
     "exit_code",

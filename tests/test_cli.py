@@ -265,6 +265,18 @@ def test_eval_subcommand(tmp_path, capsys, fixtures_dir):
     assert "Precision" in out
 
 
+def test_eval_matches_golden(capsys, fixtures_dir, monkeypatch):
+    # The oracle holds hinted entries, an entry matched one line off, an
+    # entry in a category with no finding and leaves most findings
+    # unmatched, so every column of the table is exercised.
+    monkeypatch.chdir(fixtures_dir.parent)
+    code = run(["eval", "fixtures/atm.ucd", "--oracle", "fixtures/atm_oracle.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    golden = (fixtures_dir / "atm_eval.golden.txt").read_bytes()
+    assert captured.out.encode("utf-8") == golden
+
+
 def test_eval_bad_oracle(tmp_path, capsys, fixtures_dir):
     oracle = tmp_path / "oracle.json"
     oracle.write_text("{broken")
@@ -416,6 +428,18 @@ def test_eval_rejects_json_input(tmp_path, capsys, fixtures_dir):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line numbers" in captured.err
+
+
+def test_eval_on_json_input_with_a_bad_option_reports_the_option(
+    tmp_path, capsys, fixtures_dir
+):
+    # The options are checked before the input, for lint and eval alike.
+    argv = _eval_argv(tmp_path, fixtures_dir)
+    argv[1] = str(tmp_path / "atm.json")
+    assert run(argv + ["--disable", "pronon"]) == 2
+    assert capsys.readouterr() == (
+        "", "ucsmell: unknown smell id in --disable: 'pronon'\n"
+    )
 
 
 def _modules_loaded_by(code: str) -> set[str]:

@@ -2,7 +2,7 @@ import functools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ucsmell.evaluation import (
     LINE_TOLERANCE,
@@ -399,3 +399,44 @@ def test_match_with_hints_is_maximum_in_any_oracle_order(findings, oracle, data)
             assert (f.smell_id, f.item_name) == (e.smell_id, e.item_name)
             assert abs(f.line - e.line) <= LINE_TOLERANCE
             assert e.evidence_hint is None or e.evidence_hint in _evidence_text(f)
+
+
+# --- the tallies count every finding and every entry once -----------------
+
+
+def with_repeats(items, max_size=8):
+    """Lists of items, some of them listed a second time: one object may
+    appear twice in the findings or in the oracle."""
+    return st.lists(items, max_size=max_size).flatmap(
+        lambda xs: st.lists(st.sampled_from(xs), max_size=3).map(lambda ys: xs + ys)
+        if xs
+        else st.just(xs)
+    )
+
+
+_F, _E = finding(line=3), entry(line=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    findings=with_repeats(finding_st(max_line=2)),
+    oracle=with_repeats(
+        entry_st(st.one_of(st.none(), st.sampled_from(_WORDS)), max_line=2)
+    ),
+)
+@example(findings=[_F], oracle=[_E, _E])
+@example(findings=[_F, _F], oracle=[_E])
+def test_tallies_count_every_finding_and_entry_once(findings, oracle):
+    rep = match(findings, oracle)
+    totals = rep.totals
+    assert totals.tp == len(rep.matched_pairs)
+    assert totals.tp + totals.fp == len(findings)
+    assert totals.tp + totals.fn == len(oracle)
+    for field in Tally._fields:
+        in_categories = sum(getattr(t, field) for t in rep.per_category.values())
+        assert in_categories == getattr(totals, field)
+
+
+def test_match_rejects_an_unknown_smell_id_in_the_oracle():
+    with pytest.raises(KeyError, match=r"unknown smell id: 'nope'"):
+        match([finding()], [entry(), entry(smell_id="nope")])
