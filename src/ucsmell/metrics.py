@@ -27,10 +27,8 @@ from .model import (
     SourceSpan,
     UseCaseDescription,
 )
-from .parser import RETURN_RE
+from .parser import RETURN_RE, STEP_NAME_RE
 from .textanalysis import _MODIFIER, _PRONOUN, _VERB, split_words
-
-_STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 
 
 class PredicateResult(NamedTuple):
@@ -130,7 +128,7 @@ def branch_origin_described(flow: BranchFlow) -> bool:
     if flow.origin is not None:
         return True
     return flow.condition is not None and bool(
-        _STEP_NAME_RE.search(flow.condition.text)
+        STEP_NAME_RE.search(flow.condition.text)
     )
 
 

@@ -13,8 +13,10 @@ tuples: hashable and cheap to create, and, like any tuple, equal to a
 plain tuple with the same fields. The records the parser and the analyzer
 fill in (Sentence, Step, Flow, BranchFlow, UseCaseDescription) are
 __slots__ classes whose equality reads only the fields in _compared;
-Sentence, Step and BranchFlow keep their span as ints. Evidence is a
-frozen __slots__ class of one field, its text. No record is a dataclass:
+Sentence, Step and BranchFlow keep their span as ints, and a branch
+flow names its origin and return target by the labels the JSON format
+writes ("end" for the end of the use case). Evidence is a frozen
+__slots__ class of one field, its text. No record is a dataclass:
 importing dataclasses and generating each class's methods would cost a
 cold lint process more than the rest of this module.
 """
@@ -158,22 +160,6 @@ class _FrozenRecord(_Record):
         return self.__class__, self._key()
 
 
-class StepRef(NamedTuple):
-    section: SectionKind
-    label: str
-
-
-class EndMarker(_FrozenRecord):
-    """Return destination meaning "the use case ends here"."""
-
-    __slots__ = ()
-
-
-END = EndMarker()
-
-ReturnTarget = Union[StepRef, EndMarker]
-
-
 class Token(NamedTuple):
     surface: str
     pos: PosTag
@@ -257,6 +243,11 @@ class Flow(_Record):
 
 
 class BranchFlow(_Spanned):
+    """An alternate or exception flow. origin and return_to hold the labels
+    the JSON format writes: origin the basic-flow step the flow branches
+    from, return_to the step it returns to or "end" when the use case
+    ends there; None when the flow names none."""
+
     __slots__ = ("id", "condition", "origin", "return_to", "steps")
     _fields = ("id", "condition", "origin", "return_to", "steps", "span")
     _compared = ("id", "condition", "origin", "return_to", "steps")
@@ -265,8 +256,8 @@ class BranchFlow(_Spanned):
         self,
         id: str,
         condition: Optional[Sentence] = None,
-        origin: Optional[StepRef] = None,
-        return_to: Optional[ReturnTarget] = None,
+        origin: Optional[str] = None,
+        return_to: Optional[str] = None,
         steps: Optional[list[Step]] = None,
         span: SourceSpan = EMPTY_SPAN,
     ) -> None:

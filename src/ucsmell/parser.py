@@ -17,16 +17,13 @@ from json.encoder import encode_basestring as _quote
 from typing import NamedTuple, Optional
 
 from .model import (
-    END,
     SECTION_FIELD,
     ActorDecl,
     BranchFlow,
-    EndMarker,
     Flow,
     SectionKind,
     Sentence,
     Step,
-    StepRef,
     UseCaseDescription,
 )
 
@@ -53,7 +50,9 @@ _STEP_RE = re.compile(r"^(\d+)[.)]\s+(.*)$")
 _BRANCH_STEP_RE = re.compile(r"^([AE]\d+\.\d+)[.)]?\s+(.*)$")
 _BRANCH_HEADER_RE = re.compile(r"^([AE])(\d+)(?!\.\d)\b[\s.:\-]*(.*)$")
 _CONDITION_RE = re.compile(r"^(if|when)\b", re.IGNORECASE)
-_AT_STEP_RE = re.compile(r"\bat step\s+(\d+)\b", re.IGNORECASE)
+# The basic-flow step a branch condition names: the parser takes it as the
+# flow's origin, and OriginDescribed? (metrics) looks for it.
+STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 _ORIGIN_RE = re.compile(r"^origin\s*:\s*(?:step\s+)?(\d+)\s*$", re.IGNORECASE)
 RETURN_RE = re.compile(
     r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?basic\s+flow|(end))\b"
@@ -258,19 +257,15 @@ def _checked(doc: UseCaseDescription, warn) -> UseCaseDescription:
 
 def _note_return(flow: BranchFlow, text: str) -> None:
     m = RETURN_RE.search(text)
-    if m is None:
-        return
-    if m.group(1):
-        flow.return_to = StepRef(SectionKind.BASIC_FLOW, m.group(1))
-    else:
-        flow.return_to = END
+    if m is not None:
+        flow.return_to = m.group(1) or "end"
 
 
 def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
     """Handle an unlabeled line in a branch flow body (or header rest)."""
     om = _ORIGIN_RE.match(text)
     if om:
-        flow.origin = StepRef(SectionKind.BASIC_FLOW, om.group(1))
+        flow.origin = om.group(1)
         return
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
         _read_condition(flow, text, lines.sentences(lineno, text, col), lineno, warn)
@@ -286,14 +281,14 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
 
 def _read_condition(flow: BranchFlow, text: str, sents: list, lineno: int, warn) -> None:
     """Keep the first of sents, the sentences of a branch condition's text,
-    and take the flow's origin from the text's "at step N"."""
+    and take the flow's origin from the step the text names."""
     if sents:  # a blank condition is none, as a branch without If/When
         flow.condition = sents[0]
     if len(sents) > 1:
         warn("content after the condition's first sentence ignored", lineno)
-    am = _AT_STEP_RE.search(text)
-    if am:
-        flow.origin = StepRef(SectionKind.BASIC_FLOW, am.group(1))
+    m = STEP_NAME_RE.search(text)
+    if m:
+        flow.origin = m.group(1)
 
 
 # --- canonical JSON -------------------------------------------------------
@@ -327,11 +322,9 @@ def serialize(doc: UseCaseDescription) -> str:
                 if flow.condition is not None:
                     out.append(f',\n      "condition": {_quote(flow.condition.text)}')
                 if flow.origin is not None:
-                    out.append(f',\n      "origin": {_quote(flow.origin.label)}')
+                    out.append(f',\n      "origin": {_quote(flow.origin)}')
                 if flow.return_to is not None:
-                    end = isinstance(flow.return_to, EndMarker)
-                    label = "end" if end else flow.return_to.label
-                    out.append(f',\n      "return_to": {_quote(label)}')
+                    out.append(f',\n      "return_to": {_quote(flow.return_to)}')
                 out += (',\n      "steps": ', _steps_json("      ", flow), "\n    },")
             out[-1] = "\n    }\n  ]"
     if len(out) == 1:
@@ -456,16 +449,10 @@ def _branch_from_obj(obj, ids: set[str], warn) -> BranchFlow:
         _expect(isinstance(text, str), "'condition' must be a string")
         sents = [Sentence(text=t) for t, _ in split_sentences(text)]
         _read_condition(flow, text, sents, 0, warn)
-    if obj.get("origin") is not None:
-        _expect(isinstance(obj["origin"], str), "'origin' must be a string")
-        flow.origin = StepRef(SectionKind.BASIC_FLOW, obj["origin"])
-    if obj.get("return_to") is not None:
-        _expect(isinstance(obj["return_to"], str), "'return_to' must be a string")
-        flow.return_to = (
-            END
-            if obj["return_to"] == "end"
-            else StepRef(SectionKind.BASIC_FLOW, obj["return_to"])
-        )
+    for key in ("origin", "return_to"):
+        if obj.get(key) is not None:
+            _expect(isinstance(obj[key], str), f"'{key}' must be a string")
+            setattr(flow, key, obj[key])
     _expect(isinstance(obj.get("steps"), list), "flows must carry a 'steps' array")
     flow.steps = [_step_from_obj(s) for s in obj["steps"]]
     if flow.return_to is None:  # the last return phrase wins, as in parse_text

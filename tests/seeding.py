@@ -183,7 +183,7 @@ def _numbered(steps: list[str], mode: str) -> list[str]:
 
 # --- mutations ------------------------------------------------------------
 
-_AT_STEP_RE = re.compile(r"\s+at step \d+")
+_ORIGIN_PHRASE_RE = re.compile(r"\s+at step \d+")
 
 # Extra steps appended by word/sentence-scope seeds. Each is a single
 # clause with one verb unless the seed itself needs more.
@@ -241,10 +241,10 @@ def _mutations():
     table = {
         "unordered-flow": unordered,
         "origin-free-alternate-flow": lambda d, i: d["alternates"][0].update(
-            condition=_AT_STEP_RE.sub("", d["alternates"][0]["condition"])
+            condition=_ORIGIN_PHRASE_RE.sub("", d["alternates"][0]["condition"])
         ),
         "origin-free-exception-flow": lambda d, i: d["exceptions"][0].update(
-            condition=_AT_STEP_RE.sub("", d["exceptions"][0]["condition"])
+            condition=_ORIGIN_PHRASE_RE.sub("", d["exceptions"][0]["condition"])
         ),
         "actor-actor": lambda d, i: _append_step(d, _ACTOR_STEP),
         "pronoun": lambda d, i: _append_step(d, _PRONOUN_STEP),

@@ -15,11 +15,9 @@ from ucsmell.metrics import (
 from ucsmell.model import (
     BranchFlow,
     Flow,
-    SectionKind,
     Sentence,
     SourceSpan,
     Step,
-    StepRef,
     UseCaseDescription,
 )
 from ucsmell.parser import parse_text
@@ -126,7 +124,7 @@ def test_flow_starts_with_1():
 
 
 def test_branch_origin_described():
-    with_origin = BranchFlow(id="A1", origin=StepRef(SectionKind.BASIC_FLOW, "2"))
+    with_origin = BranchFlow(id="A1", origin="2")
     assert metrics.branch_origin_described(with_origin)
     via_condition = BranchFlow(
         id="A1", condition=Sentence(text="If the code is wrong at step 2")
@@ -137,7 +135,7 @@ def test_branch_origin_described():
 
 
 def test_branch_return_exists():
-    explicit = BranchFlow(id="A1", return_to=StepRef(SectionKind.BASIC_FLOW, "1"))
+    explicit = BranchFlow(id="A1", return_to="1")
     assert metrics.branch_return_exists(explicit)
     phrased = BranchFlow(
         id="A1",

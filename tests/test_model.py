@@ -3,9 +3,9 @@ import pickle
 
 import pytest
 
+from ucsmell.catalogue import by_id
 from ucsmell.engine import DetectorConfig
 from ucsmell.model import (
-    END,
     SECTION_FIELD,
     ActorDecl,
     BranchFlow,
@@ -17,7 +17,6 @@ from ucsmell.model import (
     Sentence,
     SourceSpan,
     Step,
-    StepRef,
     Token,
     UseCaseDescription,
 )
@@ -50,9 +49,9 @@ def finding(evidence=Evidence("it")):
         (finding(), "line"),
         (Evidence("it"), "text"),
         (Evidence(("A1",)), "text"),
-        (StepRef(SectionKind.BASIC_FLOW, "2"), "label"),
+        (ActorDecl("Clerk", "serves customers"), "name"),
         (DetectorConfig(), "stddev_k"),
-        (END, "label"),
+        (by_id("pronoun"), "detectable"),
         (load_lexicon(), "pronouns"),
     ],
 )
@@ -86,12 +85,11 @@ def test_equal_findings_compare_equal():
     assert finding() == finding()
     assert hash(finding()) == hash(finding())
     assert finding(Evidence(("A1", "x"))) == finding(Evidence(("A1", "x")))
-    assert END == type(END)() and hash(END) == hash(type(END)())
 
 
 def test_frozen_records_copy_and_pickle():
     lexicon = load_lexicon()
-    for record in (finding(), END, Evidence("it"), Evidence(("A1",)), lexicon):
+    for record in (finding(), Evidence("it"), Evidence(("A1",)), lexicon):
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ucsmell.engine import DetectorConfig, detect
-from ucsmell.model import END, ActorDecl, SectionKind, StepRef
+from ucsmell.model import ActorDecl, SectionKind
 from ucsmell.parser import (
     Severity,
     parse_json,
@@ -32,13 +32,13 @@ def test_atm_branch_flow_details(atm_doc):
     a1, a2 = atm_doc.alternate_flows
     assert (a1.id, a2.id) == ("A1", "A2")
     assert a1.condition.text.startswith("If the account lacks")
-    assert a1.origin == StepRef(SectionKind.BASIC_FLOW, "6")
-    assert a1.return_to == StepRef(SectionKind.BASIC_FLOW, "5")
-    assert a2.return_to == StepRef(SectionKind.BASIC_FLOW, "1")
+    assert a1.origin == "6"
+    assert a1.return_to == "5"
+    assert a2.return_to == "1"
     e1 = atm_doc.exception_flows[0]
     assert e1.condition.text.startswith("When the bank host rejects")
-    assert e1.origin == StepRef(SectionKind.BASIC_FLOW, "4")
-    assert e1.return_to is END
+    assert e1.origin == "4"
+    assert e1.return_to == "end"
 
 
 def test_section_header_lines(atm_doc):
@@ -310,8 +310,58 @@ def test_parse_json_rederives_origin_and_return():
     doc, diags = parse_json(src)
     assert not diags
     flow = doc.alternate_flows[0]
-    assert flow.origin == StepRef(SectionKind.BASIC_FLOW, "1")
-    assert flow.return_to == StepRef(SectionKind.BASIC_FLOW, "1")
+    assert flow.origin == "1"
+    assert flow.return_to == "1"
+
+
+def test_any_step_named_in_the_condition_is_the_origin(lexicon):
+    # The step that sets the origin is the step that OriginDescribed?
+    # reads: "in step 1" names it as "at step 1" does.
+    condition = "If the code is wrong in step 1"
+    text = (
+        "Basic Flow:\n1. A does B.\n2. C does D.\nAlternate Flows:\n"
+        f"A1 {condition}\nA1.1 E does F.\nA1.2 The use case returns to step 2.\n"
+    )
+    doc, _ = parse_text(text)
+    steps = [{"label": "A1.1", "text": "E does F."},
+             {"label": "A1.2", "text": "The use case returns to step 2."}]
+    flows = [{"id": "A1", "condition": condition, "steps": steps}]
+    json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
+    for flow in (doc.alternate_flows[0], json_doc.alternate_flows[0]):
+        assert (flow.origin, flow.return_to) == ("1", "2")
+    found = detect(doc, DetectorConfig(), lexicon)
+    assert "origin-free-alternate-flow" not in {f.smell_id for f in found}
+    assert json.loads(serialize(doc))["alternate_flows"][0]["origin"] == "1"
+    assert parse_json(serialize(doc))[0] == doc
+
+
+_STEPS = [{"label": "A1.1", "text": "B happens."}]
+
+
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        ({"id": "A1", "condition": 1, "steps": _STEPS}, "'condition' must be a string"),
+        ({"id": "A1", "origin": 1, "steps": _STEPS}, "'origin' must be a string"),
+        ({"id": "A1", "return_to": ["end"], "steps": _STEPS},
+         "'return_to' must be a string"),
+        ({"id": "A1"}, "flows must carry a 'steps' array"),
+        ({"id": "A1", "steps": {}}, "flows must carry a 'steps' array"),
+        ({"steps": _STEPS}, "flows must be objects with a non-empty 'id' string"),
+        ({"id": "", "steps": _STEPS}, "flows must be objects with a non-empty 'id' string"),
+        ({"id": 1, "steps": _STEPS}, "flows must be objects with a non-empty 'id' string"),
+        ("A1", "flows must be objects with a non-empty 'id' string"),
+        ({"id": "A1", "steps": [{"label": 1, "text": "B happens."}]},
+         "step 'label' must be a string"),
+        ({"id": "A1", "steps": [{"label": "A1.1"}]},
+         "steps must be objects with a 'text' string"),
+    ],
+)
+def test_parse_json_names_each_flow_field_of_the_wrong_type(flow, message):
+    for key in ("alternate_flows", "exception_flows"):
+        doc, diags = parse_json(json.dumps({key: [flow]}))
+        assert doc is None
+        assert diags == [(Severity.ERROR, message, 0)]
 
 
 def test_parse_json_wrong_field_type():
@@ -416,7 +466,7 @@ def test_unlabeled_return_line_is_marker_not_step():
     )
     doc, _ = parse_text(text)
     flow = doc.alternate_flows[0]
-    assert flow.return_to == StepRef(SectionKind.BASIC_FLOW, "1")
+    assert flow.return_to == "1"
     assert len(flow.steps) == 1
 
 
@@ -497,7 +547,7 @@ def test_both_front_ends_take_the_last_return_phrase():
     ]
     flows = [{"id": "A1", "condition": "If x at step 1", "steps": steps}]
     json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
-    want = StepRef(SectionKind.BASIC_FLOW, "4")
+    want = "4"
     assert text_doc.alternate_flows[0].return_to == want
     assert json_doc.alternate_flows[0].return_to == want
     assert parse_json(serialize(text_doc))[0] == text_doc

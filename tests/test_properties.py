@@ -15,11 +15,9 @@ from ucsmell.model import (
     BranchFlow,
     Flow,
     PosTag,
-    SectionKind,
     Sentence,
     SourceSpan,
     Step,
-    StepRef,
     UseCaseDescription,
 )
 from ucsmell.parser import parse_json, parse_text, serialize, split_sentences
@@ -263,12 +261,10 @@ def branch_flow_st(draw, prefix):
     if draw(st.booleans()):
         flow.condition = Sentence(text=draw(_plain_sentence))
     if draw(st.booleans()):
-        flow.origin = StepRef(
-            SectionKind.BASIC_FLOW, str(draw(st.integers(1, 20)))
-        )
+        flow.origin = str(draw(st.integers(1, 20)))
     if draw(st.booleans()):
-        flow.return_to = StepRef(
-            SectionKind.BASIC_FLOW, str(draw(st.integers(1, 20)))
+        flow.return_to = draw(
+            st.one_of(st.just("end"), st.integers(1, 20).map(str))
         )
     flow.steps = draw(st.lists(step_st, max_size=4))
     return flow

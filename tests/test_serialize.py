@@ -10,15 +10,11 @@ import largedoc
 import seeding
 from conftest import FIXTURES
 from ucsmell.model import (
-    END,
     ActorDecl,
     BranchFlow,
-    EndMarker,
     Flow,
-    SectionKind,
     Sentence,
     Step,
-    StepRef,
     UseCaseDescription,
 )
 from ucsmell.parser import parse_text, serialize
@@ -62,11 +58,9 @@ def _flow_obj(flow: BranchFlow) -> dict:
     if flow.condition is not None:
         obj["condition"] = flow.condition.text
     if flow.origin is not None:
-        obj["origin"] = flow.origin.label
+        obj["origin"] = flow.origin
     if flow.return_to is not None:
-        obj["return_to"] = (
-            "end" if isinstance(flow.return_to, EndMarker) else flow.return_to.label
-        )
+        obj["return_to"] = flow.return_to
     obj["steps"] = [_step_obj(s) for s in flow.steps]
     return obj
 
@@ -127,13 +121,12 @@ step_st = st.builds(
     st.lists(text_st.map(Sentence), min_size=1, max_size=3),  # often several
 )
 steps_st = st.lists(step_st, max_size=4)  # often none
-step_ref_st = text_st.map(lambda label: StepRef(SectionKind.BASIC_FLOW, label))
 flow_st = st.builds(
     BranchFlow,
     id=text_st,
     condition=st.one_of(st.none(), text_st.map(Sentence)),
-    origin=st.one_of(st.none(), step_ref_st),
-    return_to=st.one_of(st.none(), st.just(END), step_ref_st),
+    origin=st.one_of(st.none(), text_st),
+    return_to=st.one_of(st.none(), st.just("end"), text_st),
     steps=steps_st,
 )
 actor_st = st.builds(ActorDecl, text_st, st.one_of(st.none(), st.just(""), text_st))
