@@ -7,8 +7,11 @@ and text (all zero before analysis).
 The 22 predicates check structural properties of flows and sections. A
 flow predicate is named after its section and the suffix of its
 per-flow check in FLOW_CHECKS, a section predicate comes from
-SECTION_EXIST; the engine's rules call the same checks. All are pure functions; the output
-names are the bit-exact strings the report format uses.
+SECTION_EXIST; the engine's rules call the same checks. The branch
+checks read fields only: the parser is the one reader of "step N" and
+the return phrases, and fills in each flow's origin and return_to from
+them. All are pure functions; the output names are the bit-exact
+strings the report format uses.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .model import (
     SourceSpan,
     UseCaseDescription,
 )
-from .parser import RETURN_RE, STEP_NAME_RE
 from .textanalysis import _MODIFIER, _PRONOUN, _VERB, split_words
 
 
@@ -124,31 +126,13 @@ def flow_starts_with_1(flow) -> list[SourceSpan]:
     return [] if first.number == 1 else [first.span]
 
 
-def branch_origin_described(flow: BranchFlow) -> bool:
-    if flow.origin is not None:
-        return True
-    return flow.condition is not None and bool(
-        STEP_NAME_RE.search(flow.condition.text)
-    )
-
-
-def branch_return_exists(flow: BranchFlow) -> bool:
-    if flow.return_to is not None:
-        return True
-    return any(
-        RETURN_RE.search(s.text) for step in flow.steps for s in step.sentences
-    )
-
-
-def branch_reason_exists(flow: BranchFlow) -> bool:
-    return flow.condition is not None
+def _field_set(field: str) -> Callable[[BranchFlow], list[SourceSpan]]:
+    """The check that a branch flow's field is set: the flow's span when
+    it is None."""
+    return lambda flow: [] if getattr(flow, field) is not None else [flow.span]
 
 
 # --- the 22 predicates ----------------------------------------------------
-
-
-def _flow_span_unless(holds: Callable[[BranchFlow], bool]):
-    return lambda flow: [] if holds(flow) else [flow.span]
 
 
 # Per-flow checks keyed by predicate suffix. Each gives the spans where
@@ -161,9 +145,9 @@ ORDERING_CHECKS: dict[str, Callable[[Flow], list[SourceSpan]]] = {
 }
 FLOW_CHECKS: dict[str, Callable[[Flow], list[SourceSpan]]] = {
     **ORDERING_CHECKS,
-    "OriginDescribed?": _flow_span_unless(branch_origin_described),
-    "ReturnExist?": _flow_span_unless(branch_return_exists),
-    "ReasonExist?": _flow_span_unless(branch_reason_exists),
+    "OriginDescribed?": _field_set("origin"),
+    "ReturnExist?": _field_set("return_to"),
+    "ReasonExist?": _field_set("condition"),
 }
 
 SECTION_EXIST = {

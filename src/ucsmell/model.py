@@ -246,7 +246,9 @@ class BranchFlow(_Spanned):
     """An alternate or exception flow. origin and return_to hold the labels
     the JSON format writes: origin the basic-flow step the flow branches
     from, return_to the step it returns to or "end" when the use case
-    ends there; None when the flow names none."""
+    ends there; None when the flow names none. The parser fills them in
+    from the flow's text, and OriginDescribed?, ReturnExist? and
+    ReasonExist? read only origin, return_to and condition."""
 
     __slots__ = ("id", "condition", "origin", "return_to", "steps")
     _fields = ("id", "condition", "origin", "return_to", "steps", "span")

@@ -50,11 +50,10 @@ _STEP_RE = re.compile(r"^(\d+)[.)]\s+(.*)$")
 _BRANCH_STEP_RE = re.compile(r"^([AE]\d+\.\d+)[.)]?\s+(.*)$")
 _BRANCH_HEADER_RE = re.compile(r"^([AE])(\d+)(?!\.\d)\b[\s.:\-]*(.*)$")
 _CONDITION_RE = re.compile(r"^(if|when)\b", re.IGNORECASE)
-# The basic-flow step a branch condition names: the parser takes it as the
-# flow's origin, and OriginDescribed? (metrics) looks for it.
-STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
+# The basic-flow step a branch condition names, taken as the flow's origin.
+_STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 _ORIGIN_RE = re.compile(r"^origin\s*:\s*(?:step\s+)?(\d+)\s*$", re.IGNORECASE)
-RETURN_RE = re.compile(
+_RETURN_RE = re.compile(
     r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?basic\s+flow|(end))\b"
     r"|\buse\s+case\s+ends\b",
     re.IGNORECASE,
@@ -255,10 +254,12 @@ def _checked(doc: UseCaseDescription, warn) -> UseCaseDescription:
     return doc
 
 
-def _note_return(flow: BranchFlow, text: str) -> None:
-    m = RETURN_RE.search(text)
+def _note_return(flow: BranchFlow, text: str) -> Optional[re.Match]:
+    """The first return phrase in text, taken as the flow's return target."""
+    m = _RETURN_RE.search(text)
     if m is not None:
         flow.return_to = m.group(1) or "end"
+    return m
 
 
 def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
@@ -270,11 +271,9 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
         _read_condition(flow, text, lines.sentences(lineno, text, col), lineno, warn)
         return
-    rm = RETURN_RE.search(text)
-    if rm is not None:
-        _note_return(flow, text)
-        if rm.start() == 0 and rm.end() >= len(text.rstrip(" .!?")):
-            return  # the whole line is just the return marker
+    rm = _note_return(flow, text)
+    if rm is not None and rm.start() == 0 and rm.end() >= len(text.rstrip(" .!?")):
+        return  # the whole line is just the return marker
     # Plain unlabeled content becomes an unnumbered step.
     flow.steps.append(_step(lines, lineno, text, col, None, None, text))
 
@@ -286,7 +285,7 @@ def _read_condition(flow: BranchFlow, text: str, sents: list, lineno: int, warn)
         flow.condition = sents[0]
     if len(sents) > 1:
         warn("content after the condition's first sentence ignored", lineno)
-    m = STEP_NAME_RE.search(text)
+    m = _STEP_NAME_RE.search(text)
     if m:
         flow.origin = m.group(1)
 

@@ -1,3 +1,8 @@
+import re
+
+import largedoc
+import seeding
+
 from ucsmell import metrics, textanalysis
 from ucsmell.metrics import (
     LOS,
@@ -20,8 +25,11 @@ from ucsmell.model import (
     Step,
     UseCaseDescription,
 )
-from ucsmell.parser import parse_text
+from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import analyze_sentence
+
+from conftest import FIXTURES
+from test_engine import _BROKEN_BRANCH_NUMBERING
 
 
 def sent(text, lexicon):
@@ -123,36 +131,121 @@ def test_flow_starts_with_1():
     assert metrics.flow_starts_with_1(Flow(steps=[])) == []
 
 
-def test_branch_origin_described():
-    with_origin = BranchFlow(id="A1", origin="2")
-    assert metrics.branch_origin_described(with_origin)
-    via_condition = BranchFlow(
-        id="A1", condition=Sentence(text="If the code is wrong at step 2")
+def test_origin_described_check():
+    check = metrics.FLOW_CHECKS["OriginDescribed?"]
+    assert check(BranchFlow(id="A1", origin="2")) == []
+    # The parser sets the origin from a "step N" in the condition; the
+    # check reads the field, not the condition's text.
+    named = BranchFlow(
+        id="A1",
+        condition=Sentence(text="If the code is wrong at step 2"),
+        span=SourceSpan(3, 9, 2),
     )
-    assert metrics.branch_origin_described(via_condition)
+    assert check(named) == [named.span]
     bare = BranchFlow(id="A1", condition=Sentence(text="If the code is wrong"))
-    assert not metrics.branch_origin_described(bare)
+    assert check(bare) == [bare.span]
 
 
-def test_branch_return_exists():
-    explicit = BranchFlow(id="A1", return_to="1")
-    assert metrics.branch_return_exists(explicit)
+def test_return_exist_check():
+    check = metrics.FLOW_CHECKS["ReturnExist?"]
+    assert check(BranchFlow(id="A1", return_to="1")) == []
+    assert check(BranchFlow(id="E1", return_to="end")) == []
+    # The parser sets return_to from a return phrase in the steps; the
+    # check reads the field, not the steps' text.
     phrased = BranchFlow(
         id="A1",
         steps=[step(1, "The use case returns to step 3.")],
+        span=SourceSpan(3, 9, 2),
     )
-    assert metrics.branch_return_exists(phrased)
-    ends = BranchFlow(id="E1", steps=[step(1, "The use case ends here.")])
-    assert metrics.branch_return_exists(ends)
+    assert check(phrased) == [phrased.span]
     none = BranchFlow(id="A1", steps=[step(1, "System shows a page.")])
-    assert not metrics.branch_return_exists(none)
+    assert check(none) == [none.span]
 
 
-def test_branch_reason_exists():
-    assert metrics.branch_reason_exists(
-        BranchFlow(id="A1", condition=Sentence(text="If x"))
+def test_reason_exist_check():
+    check = metrics.FLOW_CHECKS["ReasonExist?"]
+    assert check(BranchFlow(id="A1", condition=Sentence(text="If x"))) == []
+    flow = BranchFlow(id="A1", span=SourceSpan(3, 9, 2))
+    assert check(flow) == [flow.span]
+
+
+# A reference for the two branch checks that reads the flow's text: a flow
+# describes its origin when it has one or its condition names a step, and
+# has a return when it has a return target or a step sentence holds a
+# return phrase. The patterns are copies of the parser's; the field
+# checks equal it because the parser fills the fields in from that text.
+_REF_STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
+_REF_RETURN_RE = re.compile(
+    r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?basic\s+flow|(end))\b"
+    r"|\buse\s+case\s+ends\b",
+    re.IGNORECASE,
+)
+
+
+def ref_origin_described(flow):
+    if flow.origin is not None:
+        return True
+    return flow.condition is not None and bool(
+        _REF_STEP_NAME_RE.search(flow.condition.text)
     )
-    assert not metrics.branch_reason_exists(BranchFlow(id="A1"))
+
+
+def ref_return_exists(flow):
+    if flow.return_to is not None:
+        return True
+    return any(
+        _REF_RETURN_RE.search(s.text) for st in flow.steps for s in st.sentences
+    )
+
+
+# Conditions that name a step "in step N" or in a later sentence, return
+# phrases mid-sentence or in a step's second sentence, and a return phrase
+# in a condition, which is no return.
+_BRANCH_PHRASES = (
+    "Basic Flow:\n1. A does B.\n2. C does D.\n3. E does F.\n"
+    "Alternate Flows:\n"
+    "A1 If the code is wrong in step 2\n"
+    "A1.1 The system warns and then returns to step 3 after a pause.\n"
+    "A2 When the card is stuck in Step 1, the system beeps\n"
+    "A2.1 The clerk says the use case ends soon, then waits.\n"
+    "A3 If the host is slow\n"
+    "The system retries, and it returns to the basic flow when done.\n"
+    "A4 If the pin is wrong. See step 2.\n"
+    "A4.1 The system shows a page. Then it returns to end quietly.\n"
+    "A5 If the user returns to step 1\n"
+    "A5.1 The system shows a page.\n"
+    "Exception Flows:\n"
+    "E1 If the printer jams in step 3\n"
+    "E1.1 The system reports the jam. The use case ends for the clerk.\n"
+    "E2. The system stops.\n"
+)
+
+
+def _branch_corpus():
+    texts = [p.read_text("utf-8") for p in sorted(FIXTURES.glob("*.ucd"))]
+    texts += [_BROKEN_BRANCH_NUMBERING, _BRANCH_PHRASES]
+    texts += [
+        d.text for d in seeding.seeded_documents() + seeding.clean_documents()
+    ]
+    texts += [largedoc.generate(seed, 300).text for seed in (1, 2, 3)]
+    for text in texts:
+        doc, _ = parse_text(text)
+        yield doc
+        yield parse_json(serialize(doc))[0]
+
+
+def test_branch_checks_equal_the_text_reference():
+    origin = metrics.FLOW_CHECKS["OriginDescribed?"]
+    returns = metrics.FLOW_CHECKS["ReturnExist?"]
+    outcomes = set()
+    for doc in _branch_corpus():
+        for flow in doc.alternate_flows + doc.exception_flows:
+            want = (ref_origin_described(flow), ref_return_exists(flow))
+            assert origin(flow) == ([] if want[0] else [flow.span]), flow.id
+            assert returns(flow) == ([] if want[1] else [flow.span]), flow.id
+            outcomes |= {("origin", want[0]), ("return", want[1])}
+    # Both checks both hold and fail somewhere in the corpus.
+    assert len(outcomes) == 4
 
 
 EXPECTED_PREDICATES = {

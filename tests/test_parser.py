@@ -315,24 +315,29 @@ def test_parse_json_rederives_origin_and_return():
 
 
 def test_any_step_named_in_the_condition_is_the_origin(lexicon):
-    # The step that sets the origin is the step that OriginDescribed?
-    # reads: "in step 1" names it as "at step 1" does.
-    condition = "If the code is wrong in step 1"
-    text = (
-        "Basic Flow:\n1. A does B.\n2. C does D.\nAlternate Flows:\n"
-        f"A1 {condition}\nA1.1 E does F.\nA1.2 The use case returns to step 2.\n"
-    )
-    doc, _ = parse_text(text)
-    steps = [{"label": "A1.1", "text": "E does F."},
-             {"label": "A1.2", "text": "The use case returns to step 2."}]
-    flows = [{"id": "A1", "condition": condition, "steps": steps}]
-    json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
-    for flow in (doc.alternate_flows[0], json_doc.alternate_flows[0]):
-        assert (flow.origin, flow.return_to) == ("1", "2")
-    found = detect(doc, DetectorConfig(), lexicon)
-    assert "origin-free-alternate-flow" not in {f.smell_id for f in found}
-    assert json.loads(serialize(doc))["alternate_flows"][0]["origin"] == "1"
-    assert parse_json(serialize(doc))[0] == doc
+    # Both front-ends take the step the condition names, "in step 1" as
+    # "at step 2", as the origin that OriginDescribed? reads; a bare
+    # condition names none.
+    for condition, origin in (
+        ("If the code is wrong in step 1", "1"),
+        ("If the code is wrong at step 2", "2"),
+        ("If the code is wrong", None),
+    ):
+        text = (
+            "Basic Flow:\n1. A does B.\n2. C does D.\nAlternate Flows:\n"
+            f"A1 {condition}\nA1.1 E does F.\nA1.2 The use case returns to step 2.\n"
+        )
+        doc, _ = parse_text(text)
+        steps = [{"label": "A1.1", "text": "E does F."},
+                 {"label": "A1.2", "text": "The use case returns to step 2."}]
+        flows = [{"id": "A1", "condition": condition, "steps": steps}]
+        json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
+        for flow in (doc.alternate_flows[0], json_doc.alternate_flows[0]):
+            assert (flow.origin, flow.return_to) == (origin, "2"), condition
+        found = {f.smell_id for f in detect(doc, DetectorConfig(), lexicon)}
+        assert ("origin-free-alternate-flow" in found) == (origin is None)
+        assert json.loads(serialize(doc))["alternate_flows"][0].get("origin") == origin
+        assert parse_json(serialize(doc))[0] == doc
 
 
 _STEPS = [{"label": "A1.1", "text": "B happens."}]
@@ -536,18 +541,26 @@ def test_blank_json_condition_is_no_condition(lexicon, blank):
 
 
 def test_both_front_ends_take_the_last_return_phrase():
-    text = (
-        "Basic Flow:\n1. A does B.\nAlternate Flows:\nA1 If x at step 1\n"
-        "A1.1 C returns to step 2.\nA1.2 D returns to step 4.\n"
-    )
-    text_doc, _ = parse_text(text)
-    steps = [
-        {"label": "A1.1", "text": "C returns to step 2."},
-        {"label": "A1.2", "text": "D returns to step 4."},
-    ]
-    flows = [{"id": "A1", "condition": "If x at step 1", "steps": steps}]
-    json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
-    want = "4"
-    assert text_doc.alternate_flows[0].return_to == want
-    assert json_doc.alternate_flows[0].return_to == want
-    assert parse_json(serialize(text_doc))[0] == text_doc
+    # A flow returns where its last step with a return phrase says: a
+    # step label, or "end" when the use case ends there.
+    for first, last, want in (
+        ("C returns to step 2.", "D returns to step 4.", "4"),
+        ("C returns to step 2.", "The use case returns to step 3.", "3"),
+        ("C returns to step 2.", "The use case ends here.", "end"),
+        ("C returns to step 2.", "System shows a page.", "2"),
+        ("C does E.", "System shows a page.", None),
+    ):
+        text = (
+            "Basic Flow:\n1. A does B.\nAlternate Flows:\nA1 If x at step 1\n"
+            f"A1.1 {first}\nA1.2 {last}\n"
+        )
+        text_doc, _ = parse_text(text)
+        steps = [
+            {"label": "A1.1", "text": first},
+            {"label": "A1.2", "text": last},
+        ]
+        flows = [{"id": "A1", "condition": "If x at step 1", "steps": steps}]
+        json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
+        assert text_doc.alternate_flows[0].return_to == want, last
+        assert json_doc.alternate_flows[0].return_to == want, last
+        assert parse_json(serialize(text_doc))[0] == text_doc
