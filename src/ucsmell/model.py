@@ -94,7 +94,8 @@ class _SpanFields(NamedTuple):
 
 
 class SourceSpan(_SpanFields):
-    """Byte offsets into the source text plus the 1-based line number."""
+    """Character offsets into the source string plus the 1-based line
+    number: source[start:end] is the text the span covers."""
 
     __slots__ = ()
 

@@ -73,16 +73,12 @@ def split_sentences(block: str) -> list[tuple[str, int]]:
         return [(text, len(block) - len(block.lstrip()))] if text else []
     out: list[tuple[str, int]] = []
     pos = 0
-    for m in _SENT_SPLIT_RE.finditer(block):
-        piece = block[pos : m.end()]
-        if piece.strip():
-            lead = len(piece) - len(piece.lstrip())
-            out.append((piece.strip(), pos + lead))
-        pos = m.end()
-    tail = block[pos:]
-    if tail.strip():
-        lead = len(tail) - len(tail.lstrip())
-        out.append((tail.strip(), pos + lead))
+    for end in (*map(re.Match.end, _SENT_SPLIT_RE.finditer(block)), len(block)):
+        piece = block[pos:end]
+        sent = piece.strip()
+        if sent:
+            out.append((sent, pos + len(piece) - len(piece.lstrip())))
+        pos = end
     return out
 
 
@@ -95,40 +91,25 @@ def _trailing_number(label: str) -> Optional[int]:
 
 
 class _Lines:
-    """Source lines with byte offsets; offsets index the UTF-8 encoding."""
+    """Source lines with their offsets: character indices into the source."""
 
     def __init__(self, source: str):
         self.lines: list[str] = source.split("\n")
-        if source.isascii():  # then each offset is a plain length
-            self.ascii = [True] * len(self.lines)
-        else:
-            self.ascii = [ln.isascii() for ln in self.lines]
-        sizes = (
-            len(ln) + 1 if a else len(ln.encode("utf-8")) + 1
-            for ln, a in zip(self.lines, self.ascii)
-        )
-        self.offsets: list[int] = list(accumulate(sizes, initial=0))
+        self.offsets = list(accumulate((len(ln) + 1 for ln in self.lines), initial=0))
 
     def span(self, lineno: int, text: str, col: int = 0) -> tuple[int, int, int]:
-        """(start, end, line) of text found at character column col of line lineno."""
-        start = self.offsets[lineno - 1]
-        if self.ascii[lineno - 1]:  # then text, a piece of the line, is too
-            start += col
-            return start, start + len(text), lineno
-        start += len(self.lines[lineno - 1][:col].encode("utf-8"))
-        return start, start + len(text.encode("utf-8")), lineno
+        """(start, end, line) of text found at column col of line lineno."""
+        start = self.offsets[lineno - 1] + col
+        return start, start + len(text), lineno
 
     def sentences(self, lineno: int, text: str, col: int) -> list[Sentence]:
-        """The sentences of text found at character column col of line
-        lineno, each with the span that span gives it."""
-        base, ascii = self.offsets[lineno - 1] + col, self.ascii[lineno - 1]
+        """The sentences of text found at column col of line lineno, each
+        with its span."""
+        base = self.offsets[lineno - 1] + col
         out = []
         for sent, off in split_sentences(text):
-            if ascii:  # span's first case, inline
-                span = base + off, base + off + len(sent), lineno
-            else:
-                span = self.span(lineno, sent, col + off)
-            out.append(Sentence(sent, lineno, span))
+            start = base + off
+            out.append(Sentence(sent, lineno, (start, start + len(sent), lineno)))
         return out
 
 
@@ -269,7 +250,7 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
         flow.origin = om.group(1)
         return
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
-        _read_condition(flow, text, lines.sentences(lineno, text, col), lineno, warn)
+        _read_condition(flow, lines.sentences(lineno, text, col), lineno, warn)
         return
     rm = _note_return(flow, text)
     if rm is not None and rm.start() == 0 and rm.end() >= len(text.rstrip(" .!?")):
@@ -278,14 +259,15 @@ def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
     flow.steps.append(_step(lines, lineno, text, col, None, None, text))
 
 
-def _read_condition(flow: BranchFlow, text: str, sents: list, lineno: int, warn) -> None:
+def _read_condition(flow: BranchFlow, sents: list, lineno: int, warn) -> None:
     """Keep the first of sents, the sentences of a branch condition's text,
-    and take the flow's origin from the step the text names."""
-    if sents:  # a blank condition is none, as a branch without If/When
-        flow.condition = sents[0]
+    and take the flow's origin from the step that sentence names."""
+    if not sents:  # a blank condition is none, as a branch without If/When
+        return
+    flow.condition = sents[0]
     if len(sents) > 1:
         warn("content after the condition's first sentence ignored", lineno)
-    m = _STEP_NAME_RE.search(text)
+    m = _STEP_NAME_RE.search(sents[0].text)
     if m:
         flow.origin = m.group(1)
 
@@ -447,7 +429,7 @@ def _branch_from_obj(obj, ids: set[str], warn) -> BranchFlow:
     if text is not None:
         _expect(isinstance(text, str), "'condition' must be a string")
         sents = [Sentence(text=t) for t, _ in split_sentences(text)]
-        _read_condition(flow, text, sents, 0, warn)
+        _read_condition(flow, sents, 0, warn)
     for key in ("origin", "return_to"):
         if obj.get(key) is not None:
             _expect(isinstance(obj[key], str), f"'{key}' must be a string")

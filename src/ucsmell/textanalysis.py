@@ -18,7 +18,8 @@ kinds and the sentences it tagged, as two lists, from which the engine
 builds its rules' context. One offset loop finds each word from the end
 of the one before, for words_tagged (one tag's words, up to the last)
 and for the read-only Sentence.tokens (every word, rebuilt on each read
-by tagged_tokens).
+by tagged_tokens); a word's span counts characters, as the sentence's
+does, so it slices the source to the word.
 Everything is deterministic: same sentence and lexicon, same tags.
 """
 
@@ -152,27 +153,20 @@ def _spans(record: tuple, code: Optional[str]) -> list[tuple[str, SourceSpan]]:
     Each word is found with text.find from the end of the one before: no
     letter or digit lies between two words, so the first match is the
     word itself. The words after the last one wanted are never read.
-    Offsets index the UTF-8 encoding of text, shifted by the record's
-    span start; for ASCII text they equal the character offsets.
+    Offsets are character indices into text, shifted by the record's span
+    start: for a parsed sentence, indices into the source.
     """
-    text, base_offset, line, tags, _ = record
+    text, base, line, tags, _ = record
     wanted = len(tags) if code is None else tags.rfind(code) + 1
     if not wanted:
         return []
-    ascii = text.isascii()
     out = []
-    end, byte_end = 0, base_offset  # of the word before, in text and in bytes
+    end = 0  # of the word before
     for surface, tag in zip(split_words(text), tags[:wanted]):
         start = text.find(surface, end)
-        if ascii:
-            byte = base_offset + start
-            byte_end = byte + len(surface)
-        else:
-            byte = byte_end + len(text[end:start].encode("utf-8"))
-            byte_end = byte + len(surface.encode("utf-8"))
         end = start + len(surface)
         if tag == code or code is None:
-            out.append((surface, _span(SourceSpan, (byte, byte_end, line))))
+            out.append((surface, _span(SourceSpan, (base + start, base + end, line))))
     return out
 
 

@@ -258,22 +258,38 @@ _SENTENCELESS_BRANCH = (
 
 
 def test_a_finding_is_on_the_line_of_its_span(fixtures_dir, lexicon):
-    texts = [p.read_text("utf-8") for p in sorted(fixtures_dir.glob("*.ucd"))]
+    """A finding's line is its span's line within its section, and the span
+    of a word or sentence finding slices the source to the text it quotes;
+    a flow quoted by its id is sliced to its header, which starts with it."""
+    fixtures = [p.read_text("utf-8") for p in sorted(fixtures_dir.glob("*.ucd"))]
+    texts = fixtures + [unicodedata.normalize("NFD", t) for t in fixtures]
+    texts += [t.replace("\n", "\r\n") for t in fixtures]
     texts += [d.text for d in seeding.seeded_documents() + seeding.clean_documents()]
     texts += [largedoc.generate(1, 1000).text, _SENTENCELESS_BRANCH]
+    configs = [DetectorConfig(), load_config(str(fixtures_dir / "thresholds.cfg"))]
     kinds = {kind.title: kind for kind in SectionKind}
-    placed, misplaced = 0, []
+    placed, misplaced, quoted, misquoted = 0, [], 0, []
     for text in texts:
         doc, _ = parse_text(text)
-        for f in detect(doc, DetectorConfig(), lexicon):
+        headers = {f.id: f.span for f in doc.alternate_flows + doc.exception_flows}
+        for f in [f for cfg in configs for f in detect(doc, cfg, lexicon)]:
             if not f.span.line:
                 continue
             header = doc.section_header_lines[kinds[f.item_name]]
             placed += 1
             if f.line != f.span.line - header:
                 misplaced.append(f)
-    assert placed > 400
+            if RULES[f.smell_id].evidence == "flow" or f.span.start == f.span.end:
+                continue
+            quoted += 1
+            piece, want = text[f.span.start : f.span.end], f.evidence.text
+            if headers.get(want) == f.span:
+                piece = piece[: len(want)]
+            if piece != want:
+                misquoted.append((piece, f))
+    assert placed > 400 and quoted > 400
     assert misplaced == []
+    assert misquoted == []
     sentenceless = findings_for(_SENTENCELESS_BRANCH, lexicon)
     assert {(f.smell_id, f.line, f.span.line) for f in sentenceless} >= {
         ("alternate-flow-without-return", 1, 5),

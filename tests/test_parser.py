@@ -214,20 +214,19 @@ def _step_labels(doc):
 
 
 @pytest.mark.parametrize("source, steps", NON_ASCII_DOCS)
-def test_non_ascii_spans_slice_the_utf8_source(source, steps, lexicon):
+def test_non_ascii_spans_slice_the_source(source, steps, lexicon):
     doc, _ = parse_text(source)
     analyze_document(doc, lexicon)
-    raw = source.encode("utf-8")
     for _, s in doc.iter_sentences():
-        assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
+        assert source[s.span.start : s.span.end] == s.text
         for tok in s.tokens:
-            assert raw[tok.span.start : tok.span.end].decode("utf-8") == tok.surface
+            assert source[tok.span.start : tok.span.end] == tok.surface
     assert _step_labels(doc) == steps
     for flow in [doc.basic_flow, *doc.alternate_flows, *doc.exception_flows]:
         for step in flow.steps:
             # A step's span is its line from its label, or from its first
             # sentence when it has none, to the end of its last sentence.
-            text = raw[step.span.start : step.span.end].decode("utf-8")
+            text = source[step.span.start : step.span.end]
             assert text.startswith(step.label or step.sentences[0].text)
             assert text.endswith(step.sentences[-1].text)
     assert _step_labels(parse_json(serialize(doc))[0]) == steps
@@ -338,6 +337,38 @@ def test_any_step_named_in_the_condition_is_the_origin(lexicon):
         assert ("origin-free-alternate-flow" in found) == (origin is None)
         assert json.loads(serialize(doc))["alternate_flows"][0].get("origin") == origin
         assert parse_json(serialize(doc))[0] == doc
+
+
+@pytest.mark.parametrize(
+    "condition, origin",
+    [("If the pin is wrong. See step 2.", None),
+     ("If the pin is wrong at step 2. Retry.", "2")],
+    ids=["step-in-dropped-sentence", "step-in-kept-sentence"],
+)
+def test_only_the_kept_condition_sentence_names_the_origin(lexicon, condition, origin):
+    # Both front-ends drop the sentences after a condition's first with a
+    # warning; a "step N" in them names no origin.
+    text = (
+        "Basic Flow:\n1. A does B.\n2. C does D.\nAlternate Flows:\n"
+        f"A4 {condition}\nA4.1 The use case returns to step 2.\n"
+    )
+    basic = [{"label": "1", "text": "A does B."}, {"label": "2", "text": "C does D."}]
+    steps = [{"label": "A4.1", "text": "The use case returns to step 2."}]
+    flows = [{"id": "A4", "condition": condition, "steps": steps}]
+    parsed = [
+        parse_text(text),
+        parse_json(json.dumps({"basic_flow": basic, "alternate_flows": flows})),
+    ]
+    for doc, diags in parsed:
+        assert doc.alternate_flows[0].origin == origin
+        assert [d.message for d in diags] == [
+            "content after the condition's first sentence ignored"
+        ]
+        written = json.loads(serialize(doc))["alternate_flows"][0]
+        assert written.get("origin") == origin
+        assert ("origin" in written) == (origin is not None)
+        found = {f.smell_id for f in detect(doc, DetectorConfig(), lexicon)}
+        assert ("origin-free-alternate-flow" in found) == (origin is None)
 
 
 _STEPS = [{"label": "A1.1", "text": "B happens."}]

@@ -137,12 +137,10 @@ def test_normalize_reason_idempotent_and_case_insensitive(text):
 @settings(max_examples=150, deadline=None)
 @given(text=st.text(max_size=80), offset=st.integers(min_value=0, max_value=50))
 def test_tokenize_spans_slice_back_to_surfaces(text, offset):
-    raw = text.encode("utf-8")
-    s = Sentence(text, span=SourceSpan(offset, offset + len(raw)))
+    s = Sentence(text, span=SourceSpan(offset, offset + len(text)))
     analyze_sentence(s, LEXICON)
     for tok in s.tokens:
-        piece = raw[tok.span.start - offset : tok.span.end - offset]
-        assert piece.decode("utf-8") == tok.surface
+        assert text[tok.span.start - offset : tok.span.end - offset] == tok.surface
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,23 +207,25 @@ def _mixed_source_st(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(source=_mixed_source_st())
-def test_parse_text_spans_slice_the_utf8_source(source):
+def test_parse_text_spans_slice_the_source(source):
     doc, _ = parse_text(source)
-    raw_lines = source.encode("utf-8").split(b"\n")
+    lines = source.split("\n")
     starts = [0]
-    for raw_line in raw_lines:
-        starts.append(starts[-1] + len(raw_line) + 1)
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
 
     def text_at(span):
         line_start = starts[span.line - 1]
         assert line_start <= span.start <= span.end <= starts[span.line] - 1
-        return raw_lines[span.line - 1][span.start - line_start : span.end - line_start]
+        text = source[span.start : span.end]
+        assert text == lines[span.line - 1][span.start - line_start : span.end - line_start]
+        return text
 
     for _, s in doc.iter_sentences():
-        assert text_at(s.span).decode("utf-8") == s.text
+        assert text_at(s.span) == s.text
     steps = doc.basic_flow.steps + doc.alternate_flows[0].steps
     for item in steps + doc.alternate_flows:
-        text = text_at(item.span).decode("utf-8")
+        text = text_at(item.span)
         assert text and text == text.strip()
 
 

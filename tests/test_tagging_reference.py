@@ -47,11 +47,11 @@ _DETERMINERS = {"the", "a", "an"}
 
 
 def ref_tokenize(text, base_offset):
-    words = []
-    for m in _WORD_RE.finditer(text):
-        start = base_offset + len(text[: m.start()].encode("utf-8"))
-        words.append((m.group(), start, start + len(m.group().encode("utf-8"))))
-    return words
+    """Each word of text with its character offsets, shifted by base_offset."""
+    return [
+        (m.group(), base_offset + m.start(), base_offset + m.end())
+        for m in _WORD_RE.finditer(text)
+    ]
 
 
 def ref_classify(word, after_determiner, prev_tag, verb_seen, lex):
@@ -156,7 +156,7 @@ def _sentences(draw):
 @example(text="The customer opened the new search page.", base=0, line=1, lex=BUNDLED)
 @example(text="The big only show glows.", base=7, line=2, lex=CUSTOM)
 def test_analyze_sentence_matches_reference(text, base, line, lex):
-    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
+    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text)))
     analyze_sentence(s, lex)
     want = ref_analyze(text, base, line, lex)
     got = [(t.surface, t.pos, t.span.start, t.span.end, t.span.line) for t in s.tokens]
@@ -178,7 +178,7 @@ def test_analyze_sentence_matches_reference(text, base, line, lex):
     other=_sentences(),
 )
 def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
-    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
+    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text)))
     analyze_sentence(s, lex)
     want = ref_analyze(text, base, line, lex)
     # Changing the sentence after its analysis does not change its tokens;
@@ -186,12 +186,12 @@ def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
     if change == "text":
         s.text = other
     elif change == "span":
-        s.span = SourceSpan(base + 3, base + 3 + len(other.encode()), line + 1)
+        s.span = SourceSpan(base + 3, base + 3 + len(other), line + 1)
     elif change == "line":
         s.line = line + 1
     elif change == "reanalyzed":
         s.text, s.line = other, line + 2
-        s.span = SourceSpan(5, 5 + len(other.encode()), line + 2)
+        s.span = SourceSpan(5, 5 + len(other), line + 2)
         other_lex = CUSTOM if lex is BUNDLED else BUNDLED
         analyze_sentence(s, other_lex)
         want = ref_analyze(other, 5, line + 2, other_lex)
@@ -216,7 +216,7 @@ def test_lazy_tokens_equal_eager_tagging(text, base, line, lex, change, other):
 @example(text="Le café’s naïve clerk shows it to the straße.", base=5, line=3, lex=BUNDLED)
 @example(text="Le cafe\u0301 shows it to E\u0301TE\u0301, it glows.", base=1, line=1, lex=CUSTOM)
 def test_words_tagged_agree_with_tokens(text, base, line, lex):
-    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text.encode())))
+    s = Sentence(text=text, line=line, span=SourceSpan(base, base + len(text)))
     assert all(words_tagged(s, pos) == [] for pos in PosTag)  # never analyzed
     analyze_sentence(s, lex)
     ref = ref_analyze(text, base, line, lex)

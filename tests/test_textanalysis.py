@@ -19,7 +19,7 @@ LEXICON = load_lexicon()
 
 def tokens_of(text, lex=LEXICON, base=0):
     """The tokens of text analyzed as a sentence whose span starts at base."""
-    s = Sentence(text, span=SourceSpan(base, base + len(text.encode("utf-8"))))
+    s = Sentence(text, span=SourceSpan(base, base + len(text)))
     analyze_sentence(s, lex)
     return s.tokens
 
@@ -47,12 +47,12 @@ def test_tokenize_keeps_hyphens_and_apostrophes():
     assert "user's" in surfaces
 
 
-def test_tokenize_spans_are_utf8_byte_offsets():
+def test_tokenize_spans_are_character_offsets():
     text = "Café menu"
     tokens = tokens_of(text)
-    raw = text.encode("utf-8")
+    assert [(t.span.start, t.span.end) for t in tokens] == [(0, 4), (5, 9)]
     for t in tokens:
-        assert raw[t.span.start : t.span.end].decode("utf-8") == t.surface
+        assert text[t.span.start : t.span.end] == t.surface
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,10 +60,9 @@ def test_tokenize_spans_are_utf8_byte_offsets():
     text=st.text(alphabet=st.sampled_from("ab-' .éü€😀\t"), max_size=30),
     base=st.integers(min_value=0, max_value=50),
 )
-def test_tokenize_spans_match_utf8_slices(text, base):
-    raw = text.encode("utf-8")
+def test_tokenize_spans_match_source_slices(text, base):
     for t in tokens_of(text, base=base):
-        assert raw[t.span.start - base : t.span.end - base].decode() == t.surface
+        assert text[t.span.start - base : t.span.end - base] == t.surface
 
 
 def test_tokenize_base_offset_shifts_spans():
@@ -273,14 +272,13 @@ def test_decomposed_accents_stay_inside_a_word(lexicon):
         "e\u0301te\u0301", "l'e\u0301cole", "2\u0300-a\u0301",
     ]
     assert split_words("\u0301 a \u0301b -\u0301 c'\u0301") == ["a", "b", "c"]
-    s = Sentence(nfd, span=SourceSpan(7, 7 + len(nfd.encode("utf-8"))))
+    s = Sentence(nfd, span=SourceSpan(7, 7 + len(nfd)))
     analyze_sentence(s, lexicon)
     nouns = ["clerk", "résumé", "réservation"]
     assert _nouns(s) == [unicodedata.normalize("NFD", w) for w in nouns]
     assert NON(s, "re") == 0
-    # Spans still slice each word out of the UTF-8 text.
-    raw = nfd.encode("utf-8")
-    assert [raw[t.span.start - 7 : t.span.end - 7].decode("utf-8") for t in s.tokens] == [
+    # Spans still slice each word, combining marks and all, out of the text.
+    assert [nfd[t.span.start - 7 : t.span.end - 7] for t in s.tokens] == [
         t.surface for t in s.tokens
     ]
 
