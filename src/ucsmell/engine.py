@@ -27,7 +27,6 @@ import math
 from typing import NamedTuple, Optional
 
 from . import metrics
-from .catalogue import detectable_ids
 from .model import (
     EMPTY_SPAN,
     _NOUNS,
@@ -437,6 +436,16 @@ RULES: dict[str, Rule] = {
     "relatively-over-qualified-sentence": Rule(_beyond, _ANY, "NOM", _STDDEV, _HIGH),
     "relatively-under-qualified-sentence": Rule(_beyond, _ANY, "NOM", _STDDEV, _LOW),
 }
+
+# Frozen, so every caller may share the one set; a test pins it to the
+# catalogue's detectable entries, which a lint run never loads.
+_DETECTABLE = frozenset(RULES)
+
+
+def detectable_ids() -> frozenset[str]:
+    """The ids of the smells RULES detects."""
+    return _DETECTABLE
+
 
 # The thresholds a count is held against, each at least 1.
 _COUNT_THRESHOLDS = sorted({r.threshold for r in RULES.values()} - {None, _STDDEV})

@@ -1,19 +1,20 @@
-"""Readers for the line-oriented plain-text format and the canonical
-JSON interchange format, plus the matching serializer.
+"""The reader of the line-oriented plain-text format, parse_text, and
+forwarders to the canonical JSON form's reader and writer.
 
 The plain-text grammar is deliberately small: colon-terminated section
 headers, numbered steps inside flow sections, and A<n>/E<n> branch
 headers whose first If/When line is the branch condition. See the
 bundled fixtures for complete examples.
+
+parse_json and serialize live in jsonform, which loads on their first
+call: a lint of the plain-text format never compiles it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from enum import Enum
 from itertools import accumulate
-from json.encoder import encode_basestring as _quote
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -127,6 +128,7 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
     current: Optional[SectionKind] = None
     current_branch: Optional[BranchFlow] = None
     text_accum: dict[SectionKind, list[str]] = {}
+    flow_ids: dict[SectionKind, set[str]] = {}  # each branch section's flow ids
     basic = SectionKind.BASIC_FLOW  # looked up once: enum lookups are slow on 3.11
 
     def warn(msg: str, lineno: int) -> None:
@@ -184,16 +186,19 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
                 doc.actors.append(ActorDecl(stripped))
         elif current in _CONDITION_SECTIONS:
             field = SECTION_FIELD[current]
-            sents = lines.sentences(lineno, stripped, col)
-            setattr(doc, field, (getattr(doc, field) or []) + sents)
+            if getattr(doc, field) is None:
+                setattr(doc, field, [])
+            getattr(doc, field).extend(lines.sentences(lineno, stripped, col))
         else:  # branch flow sections
             flows = doc.branch_flows(current)
             bm = _BRANCH_STEP_RE.match(stripped)
             hm = None if bm else _BRANCH_HEADER_RE.match(stripped)
             if hm:
                 flow_id = hm.group(1) + hm.group(2)
-                if any(f.id == flow_id for f in flows):
+                ids = flow_ids.setdefault(current, set())
+                if flow_id in ids:
                     warn(f"duplicate flow id '{flow_id}'", lineno)
+                ids.add(flow_id)
                 current_branch = BranchFlow(
                     id=flow_id, span=lines.span(lineno, stripped, col)
                 )
@@ -274,169 +279,21 @@ def _read_condition(flow: BranchFlow, sents: list, lineno: int, warn) -> None:
 
 # --- canonical JSON -------------------------------------------------------
 
-
-def serialize(doc: UseCaseDescription) -> str:
-    """Render a document in the canonical JSON interchange format: the text of
-    json.dumps(obj, indent=2, ensure_ascii=False) + "\\n", written directly."""
-    out = ["{"]  # the text in pieces; each member starts with ","
-    for key in ("name", "overview"):
-        text = getattr(doc, key)
-        if text is not None:
-            out.append(f',\n  "{key}": {_quote(text)}')
-    if doc.actors is not None:
-        actors = [f'{{\n      "name": {_quote(a.name)}' + (
-            f',\n      "description": {_quote(a.description)}' if a.description else ""
-        ) + "\n    }" for a in doc.actors]
-        out.append(f',\n  "actors": {_array("  ", actors)}')
-    for key in ("preconditions", "postconditions"):
-        sents = getattr(doc, key)
-        if sents is not None:
-            out.append(f',\n  "{key}": {_array("  ", [_quote(s.text) for s in sents])}')
-    if doc.basic_flow is not None:
-        out += (',\n  "basic_flow": ', _steps_json("  ", doc.basic_flow))
-    for key in ("alternate_flows", "exception_flows"):
-        flows = getattr(doc, key)
-        if flows:
-            out.append(f',\n  "{key}": [')
-            for flow in flows:
-                out.append(f'\n    {{\n      "id": {_quote(flow.id)}')
-                if flow.condition is not None:
-                    out.append(f',\n      "condition": {_quote(flow.condition.text)}')
-                if flow.origin is not None:
-                    out.append(f',\n      "origin": {_quote(flow.origin)}')
-                if flow.return_to is not None:
-                    out.append(f',\n      "return_to": {_quote(flow.return_to)}')
-                out += (',\n      "steps": ', _steps_json("      ", flow), "\n    },")
-            out[-1] = "\n    }\n  ]"
-    if len(out) == 1:
-        return "{}\n"
-    out[1] = out[1][1:]  # no "," before the first member
-    out.append("\n}\n")
-    return "".join(out)
+_jsonform = None  # the jsonform module, once a forwarder below has loaded it
 
 
-def _array(pad: str, items: list[str]) -> str:
-    """A JSON array at indent pad of its elements' JSON texts."""
-    inner = ",\n" + pad + "  "
-    return f"[\n{pad}  {inner.join(items)}\n{pad}]" if items else "[]"
+def _load_jsonform():
+    global _jsonform
+    from . import jsonform as _jsonform
 
-
-def _steps_json(pad: str, flow: Flow | BranchFlow) -> str:
-    q, nl, end = _quote, "\n" + pad + "    ", "\n" + pad + "  }"
-    items = []
-    for step in flow.steps:
-        sents = step.sentences  # mostly one: then no join
-        text = sents[0].text if len(sents) == 1 else " ".join([s.text for s in sents])
-        if step.label is None:
-            items.append(f'{{{nl}"text": {q(text)}{end}')
-        else:
-            items.append(f'{{{nl}"label": {q(step.label)},{nl}"text": {q(text)}{end}')
-    return _array(pad, items)
-
-
-class _SchemaError(Exception):
-    pass
-
-
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise _SchemaError(msg)
+    return _jsonform
 
 
 def parse_json(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDiagnostic]]:
-    try:
-        obj = json.loads(source)
-    except json.JSONDecodeError as exc:
-        return None, [ParseDiagnostic(Severity.ERROR, f"invalid JSON: {exc}", exc.lineno)]
-    diags: list[ParseDiagnostic] = []
-
-    def warn(msg: str, lineno: int) -> None:
-        diags.append(ParseDiagnostic(Severity.WARNING, msg, lineno))
-
-    try:
-        doc = _doc_from_obj(obj, warn)
-    except _SchemaError as exc:
-        return None, [ParseDiagnostic(Severity.ERROR, str(exc), 0)]
-    return _checked(doc, warn), diags
+    """Read a document in the canonical JSON form: jsonform.parse_json."""
+    return (_jsonform or _load_jsonform()).parse_json(source)
 
 
-def _doc_from_obj(obj, warn) -> UseCaseDescription:
-    _expect(isinstance(obj, dict), "top level must be an object")
-    doc = UseCaseDescription()
-    for kind, key in SECTION_FIELD.items():  # in section order, as serialize writes
-        if key not in obj:
-            continue
-        value = obj[key]
-        if kind in _TEXT_SECTIONS:
-            _expect(isinstance(value, str), f"'{key}' must be a string")
-        elif kind in _CONDITION_SECTIONS:
-            _expect(
-                isinstance(value, list) and all(isinstance(s, str) for s in value),
-                f"'{key}' must be an array of strings",
-            )
-            value = [Sentence(text=t) for raw in value for t, _ in split_sentences(raw)]
-        else:
-            _expect(isinstance(value, list), f"'{key}' must be an array")
-            if kind is SectionKind.ACTORS:
-                value = [_actor_from_obj(a) for a in value]
-            elif kind is SectionKind.BASIC_FLOW:
-                value = Flow(steps=[_step_from_obj(s) for s in value])
-            else:
-                ids: set[str] = set()
-                value = [_branch_from_obj(f, ids, warn) for f in value]
-        setattr(doc, key, value)
-    return doc
-
-
-def _actor_from_obj(obj) -> ActorDecl:
-    _expect(
-        isinstance(obj, dict) and isinstance(obj.get("name"), str),
-        "actor entries must be objects with a 'name' string",
-    )
-    desc = obj.get("description")
-    _expect(desc is None or isinstance(desc, str), "actor 'description' must be a string")
-    return ActorDecl(obj["name"], desc)
-
-
-def _step_from_obj(obj) -> Step:
-    _expect(
-        isinstance(obj, dict) and isinstance(obj.get("text"), str),
-        "steps must be objects with a 'text' string",
-    )
-    label = obj.get("label")
-    _expect(
-        label is None or isinstance(label, str), "step 'label' must be a string"
-    )
-    return Step(
-        label=label,
-        number=_trailing_number(label) if label else None,
-        sentences=[Sentence(text=t) for t, _ in split_sentences(obj["text"])],
-    )
-
-
-def _branch_from_obj(obj, ids: set[str], warn) -> BranchFlow:
-    """The flow obj describes. ids holds the ids of the section's earlier
-    flows: like parse_text, warn of a repeated one before the condition."""
-    _expect(
-        isinstance(obj, dict) and isinstance(obj.get("id"), str) and obj["id"],
-        "flows must be objects with a non-empty 'id' string",
-    )
-    flow = BranchFlow(id=obj["id"])
-    if flow.id in ids:
-        warn(f"duplicate flow id '{flow.id}'", 0)
-    ids.add(flow.id)
-    text = obj.get("condition")
-    if text is not None:
-        _expect(isinstance(text, str), "'condition' must be a string")
-        sents = [Sentence(text=t) for t, _ in split_sentences(text)]
-        _read_condition(flow, sents, 0, warn)
-    for key in ("origin", "return_to"):
-        if obj.get(key) is not None:
-            _expect(isinstance(obj[key], str), f"'{key}' must be a string")
-            setattr(flow, key, obj[key])
-    _expect(isinstance(obj.get("steps"), list), "flows must carry a 'steps' array")
-    flow.steps = [_step_from_obj(s) for s in obj["steps"]]
-    if flow.return_to is None:  # the last return phrase wins, as in parse_text
-        for step in flow.steps:
-            _note_return(flow, " ".join(s.text for s in step.sentences))
-    return flow
+def serialize(doc: UseCaseDescription) -> str:
+    """Write a document in the canonical JSON form: jsonform.serialize."""
+    return (_jsonform or _load_jsonform()).serialize(doc)

@@ -9,10 +9,8 @@ tests stay byte-exact.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-from .catalogue import by_id
 from .engine import RULES
 from .model import Characteristic, Finding, Scope
 
@@ -33,8 +31,12 @@ def finding_record(f: Finding) -> dict:
     return rec
 
 
-# What json.dumps(..., ensure_ascii=False) quotes strings with.
-_quote = json.encoder.encode_basestring
+# What json.dumps(..., ensure_ascii=False) quotes strings with: the C
+# quoter json.encoder takes, imported alone, so a lint never loads json.
+try:
+    from _json import encode_basestring as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring as _quote
 
 
 def emit_json(findings: list[Finding]) -> str:
@@ -80,6 +82,8 @@ def _records(findings: list[Finding], pad: str) -> str:
 
 def parse_report(text: str) -> list[dict]:
     """Parse emit_json output back into record dicts, checking shape."""
+    import json  # only here: a lint run writes JSON without the json package
+
     records = json.loads(text)
     if not isinstance(records, list):
         raise ValueError("report must be a JSON array")
@@ -99,25 +103,25 @@ def _excerpt(f: Finding, limit: int = 60) -> str:
 
 
 def emit_pretty(findings: list[Finding], source_name: str = "") -> str:
+    from .catalogue import by_id  # imported here: lint --format json never reads it
+
     lines: list[str] = []
+    counts: dict[tuple[Characteristic, Scope], int] = {}
     for f in findings:
         smell = by_id(f.smell_id)
         lines.append(
             f"{source_name}:{f.line}: [{f.smell_id}] {smell.name} - {_excerpt(f)}"
         )
+        counts[smell.cell] = counts.get(smell.cell, 0) + 1
     if not findings:
         lines.append("no smells detected")
     lines.append("")
-    lines.extend(_grid_lines(findings))
+    lines.extend(_grid_lines(counts))
     return "\n".join(lines) + "\n"
 
 
-def _grid_lines(findings: list[Finding]) -> list[str]:
-    counts: dict[tuple[Characteristic, Scope], int] = {}
-    for f in findings:
-        cell = by_id(f.smell_id).cell
-        counts[cell] = counts.get(cell, 0) + 1
-
+def _grid_lines(counts: dict[tuple[Characteristic, Scope], int]) -> list[str]:
+    """The summary grid of counts, the findings in each smell-space cell."""
     scopes = list(Scope)
     width = max(len(c.title) for c in Characteristic) + 2
     col = max(len(s.title) for s in scopes) + 2

@@ -442,12 +442,17 @@ def test_eval_on_json_input_with_a_bad_option_reports_the_option(
     )
 
 
-def _modules_loaded_by(code: str) -> set[str]:
+def _fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, importing the ucsmell under test."""
     src = str(Path(ucsmell.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    script = f"{code}\nimport sys\nprint(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, encoding="utf-8")
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    proc = _fresh("-c", f"{code}\nimport sys\nprint(*sys.modules)")
+    proc.check_returncode()
     return set(proc.stdout.split())
 
 
@@ -459,17 +464,70 @@ def test_import_cli_loads_no_costly_modules():
     assert not costly & loaded
 
 
-def test_lint_run_loads_no_shutil(fixtures_dir):
-    # argparse's help formatter imports shutil to measure the terminal.
-    lint = (
+def _lint_code(*argv: str) -> str:
+    return (
         "import contextlib, io\n"
         "from ucsmell import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.run(['lint', {str(fixtures_dir / 'atm.ucd')!r}])"
+        f"    cli.run({list(argv)!r})"
     )
+
+
+def test_lint_run_loads_no_shutil(fixtures_dir):
+    # argparse's help formatter imports shutil to measure the terminal.
+    lint = _lint_code("lint", str(fixtures_dir / "atm.ucd"))
     loaded = _modules_loaded_by(lint) - _modules_loaded_by("pass")
     assert "ucsmell.cli" in loaded
     assert "shutil" not in loaded
+
+
+@pytest.mark.parametrize("code", ["import ucsmell", "import ucsmell.cli", "lint"])
+def test_cold_start_loads_no_catalogue_and_no_json(code, fixtures_dir):
+    # A lint of .ucd text reads neither the catalogue nor the JSON
+    # front-end, and writes its JSON without the json package.
+    if code == "lint":
+        code = _lint_code("lint", "--format", "json", str(fixtures_dir / "atm.ucd"))
+    loaded = _modules_loaded_by(code) - _modules_loaded_by("pass")
+    assert "ucsmell" in loaded
+    assert not {"ucsmell.catalogue", "ucsmell.jsonform", "json"} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint", "--format", "json", "atm.json"],
+        ["lint", "fixtures/atm.ucd", "fixtures/nonascii.ucd"],
+        ["catalogue", "--cell", "C_5_2"],
+        ["eval", "fixtures/atm.ucd", "--oracle", "fixtures/atm_oracle.json"],
+    ],
+    ids=["json-input", "pretty", "catalogue", "eval"],
+)
+def test_lazily_loaded_paths_work_in_a_fresh_process(argv, tmp_path, capsys,
+                                                     fixtures_dir, monkeypatch):
+    # Each of these loads the catalogue or the JSON front-end on first
+    # use; a fresh process must give what this one, with both loaded, does.
+    from ucsmell.parser import parse_text, serialize
+
+    doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
+    argv = [str(tmp_path / a) if a == "atm.json" else a for a in argv]
+    (tmp_path / "atm.json").write_text(serialize(doc), encoding="utf-8")
+    monkeypatch.chdir(fixtures_dir.parent)
+    code = run(argv)
+    want = (code, capsys.readouterr().out)
+    assert want[1]
+    proc = _fresh("-m", "ucsmell.cli", *argv, cwd=fixtures_dir.parent)
+    assert (proc.returncode, proc.stdout) == want
+
+
+def test_smell_space_cell_loads_the_catalogue_on_first_use():
+    code = (
+        "import ucsmell\n"
+        "from ucsmell.model import Characteristic, Scope\n"
+        "print(len(ucsmell.smell_space_cell(Characteristic(5), Scope(2))))\n"
+        "from ucsmell import catalogue\n"
+        "print(catalogue.__name__, hasattr(ucsmell, 'no_such_name'))"
+    )
+    assert _fresh("-c", code).stdout == "7\nucsmell.catalogue False\n"
 
 
 def _help_texts(capsys) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -164,9 +165,9 @@ def test_multi_sentence_step():
 
 
 def test_sentence_spans_point_into_source(atm_doc):
-    raw = (FIXTURES / "atm.ucd").read_bytes()
+    source = (FIXTURES / "atm.ucd").read_text("utf-8")
     for _, s in atm_doc.iter_sentences():
-        assert raw[s.span.start : s.span.end].decode("utf-8") == s.text
+        assert source[s.span.start : s.span.end] == s.text
 
 
 # Each document with the label and number of each step, by flow.
@@ -595,3 +596,32 @@ def test_both_front_ends_take_the_last_return_phrase():
         assert text_doc.alternate_flows[0].return_to == want, last
         assert json_doc.alternate_flows[0].return_to == want, last
         assert parse_json(serialize(text_doc))[0] == text_doc
+
+
+def _many_flows(n):
+    return "Basic Flow:\n1. A does B.\nAlternate Flows:\n" + "".join(
+        f"A{i} If x at step 1\nA{i}.1 C happens.\n" for i in range(1, n + 1)
+    )
+
+
+def _many_preconditions(n):
+    lines = "".join(f"Card {i} is valid.\n" for i in range(n))
+    return f"Preconditions:\n{lines}Basic Flow:\n1. A does B.\n"
+
+
+@pytest.mark.parametrize(
+    "make, n", [(_many_flows, 1000), (_many_preconditions, 2000)], ids=["flows", "conditions"]
+)
+def test_parse_text_grows_linearly(make, n):
+    # No absolute bound: four times the input may take about four times
+    # as long, and quadratic work (sixteen times) fails. The best of five
+    # timings keeps a busy machine's pauses out.
+    def best(text):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            parse_text(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(make(4 * n)) / best(make(n)) <= 8

@@ -214,6 +214,17 @@ def test_emit_json_files_equals_json_dumps(per_file):
     assert report.emit_json_files(per_file) == want
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["plain ASCII", 'a "quoted" \\ path', "caf\u00e9 \u2019 \u4e2d \U0001f600",
+     "tab\tnew\nline\x00\x1f\x7f", "lone \ud800 and \udfff surrogates", ""],
+)
+def test_quote_is_the_json_modules_quoting(text):
+    # report quotes through the json package's C quoter, imported alone.
+    assert report._quote(text) == json.encoder.encode_basestring(text)
+    assert report._quote(text) == json.dumps(text, ensure_ascii=False)
+
+
 def test_emit_json_rejects_a_smell_without_a_rule_row():
     # The evidence key comes from the finding's engine.RULES row, so a
     # smell with no row (here, one the catalogue cannot detect) has none.

@@ -373,7 +373,7 @@ def _metric_counts(s, words):
     how=st.sampled_from(["plain", "analyzed", "reanalyzed"]),
 )
 def test_metric_counts_match_brute_force_counts(text, lex, how):
-    s = Sentence(text=text, span=SourceSpan(0, len(text.encode())))
+    s = Sentence(text=text, span=SourceSpan(0, len(text)))
     if how == "reanalyzed":
         # A second analysis must not keep the first one's counts.
         analyze_sentence(s, CUSTOM if lex is BUNDLED else BUNDLED)
