@@ -137,6 +137,7 @@ def _group_matching(candidates, entries) -> list[Optional[int]]:
     edges: list = []  # each entry's compatible candidates, in order
     # The entry each candidate is matched to, and the candidate each entry holds.
     owner, held = [None] * len(candidates), [None] * len(entries)
+    dead: set[int] = set()  # candidates that no augmenting path can free
     for i, e in enumerate(entries):
         lo = bisect_left(lines, e.line - LINE_TOLERANCE)
         window = range(lo, bisect_right(lines, e.line + LINE_TOLERANCE))
@@ -144,15 +145,17 @@ def _group_matching(candidates, entries) -> list[Optional[int]]:
         if hint is not None:
             window = [j for j in window if hint in _evidence_text(candidates[j])]
         edges.append(window)
-        _augment(i, edges, owner, held)
+        _augment(i, edges, owner, held, dead)
     return held
 
 
-def _augment(root: int, edges: list, owner: list, held: list) -> None:
+def _augment(root: int, edges: list, owner: list, held: list, dead: set) -> None:
     """Match the unmatched entry root, if it can be: to its earliest free
     candidate (a path of one edge), or else along an augmenting path
     searched breadth first, on which every entry moves to the next
-    candidate."""
+    candidate. A failed search adds the candidates it reached to dead:
+    the edges of the entries it reached all lead to dead candidates, and
+    an entry gains no edges after it is added, so later searches skip them."""
     for j in edges[root]:
         if owner[j] is None:
             owner[j], held[root] = root, j
@@ -161,7 +164,7 @@ def _augment(root: int, edges: list, owner: list, held: list) -> None:
     queue = [root]
     for i in queue:  # the queue grows while it is read
         for j in edges[i]:
-            if j in reached_from:
+            if j in reached_from or j in dead:
                 continue
             reached_from[j] = i
             if owner[j] is None:
@@ -171,6 +174,7 @@ def _augment(root: int, edges: list, owner: list, held: list) -> None:
                     held[i], j = j, held[i]
                 return
             queue.append(owner[j])
+    dead.update(reached_from)
 
 
 def match(findings: list[Finding], oracle: list[OracleEntry]) -> EvalReport:

@@ -15,10 +15,10 @@ fill in (Sentence, Step, Flow, BranchFlow, UseCaseDescription) are
 __slots__ classes whose equality reads only the fields in _compared;
 Sentence, Step and BranchFlow keep their span as ints, and a branch
 flow names its origin and return target by the labels the JSON format
-writes ("end" for the end of the use case). Evidence is a frozen
-__slots__ class of one field, its text. No record is a dataclass:
-importing dataclasses and generating each class's methods would cost a
-cold lint process more than the rest of this module.
+writes ("basic" for the basic flow, "end" for the end of the use case).
+Evidence is a frozen __slots__ class of one field, its text. No record
+is a dataclass: importing dataclasses and generating each class's
+methods would cost a cold lint process more than the rest of this module.
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ class Flow(_Record):
 class BranchFlow(_Spanned):
     """An alternate or exception flow. origin and return_to hold the labels
     the JSON format writes: origin the basic-flow step the flow branches
-    from, return_to the step it returns to or "end" when the use case
+    from, return_to the step it returns to, "basic" when it returns to
+    the basic flow without naming a step, or "end" when the use case
     ends there; None when the flow names none. The parser fills them in
     from the flow's text, and OriginDescribed?, ReturnExist? and
     ReasonExist? read only origin, return_to and condition."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -55,7 +54,7 @@ _CONDITION_RE = re.compile(r"^(if|when)\b", re.IGNORECASE)
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 _ORIGIN_RE = re.compile(r"^origin\s*:\s*(?:step\s+)?(\d+)\s*$", re.IGNORECASE)
 _RETURN_RE = re.compile(
-    r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?basic\s+flow|(end))\b"
+    r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?(basic)\s+flow|(end))\b"
     r"|\buse\s+case\s+ends\b",
     re.IGNORECASE,
 )
@@ -65,12 +64,17 @@ _RETURN_RE = re.compile(
 _SENT_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
 
 
+def _one_sentence(text: str) -> bool:
+    """Whether the stripped text is at most one sentence: the pattern can
+    match only in its trailing run of terminators."""
+    body = text.rstrip(".!?")
+    return "." not in body and "!" not in body and "?" not in body and "\n" not in body
+
+
 def split_sentences(block: str) -> list[tuple[str, int]]:
     """Split a text block into (sentence, char offset) pairs."""
     text = block.strip()
-    body = text.rstrip(".!?")
-    if "." not in body and "!" not in body and "?" not in body and "\n" not in body:
-        # The pattern can match only in the trailing run: one sentence.
+    if _one_sentence(text):
         return [(text, len(block) - len(block.lstrip()))] if text else []
     out: list[tuple[str, int]] = []
     pos = 0
@@ -91,39 +95,28 @@ def _trailing_number(label: str) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-class _Lines:
-    """Source lines with their offsets: character indices into the source."""
-
-    def __init__(self, source: str):
-        self.lines: list[str] = source.split("\n")
-        self.offsets = list(accumulate((len(ln) + 1 for ln in self.lines), initial=0))
-
-    def span(self, lineno: int, text: str, col: int = 0) -> tuple[int, int, int]:
-        """(start, end, line) of text found at column col of line lineno."""
-        start = self.offsets[lineno - 1] + col
-        return start, start + len(text), lineno
-
-    def sentences(self, lineno: int, text: str, col: int) -> list[Sentence]:
-        """The sentences of text found at column col of line lineno, each
-        with its span."""
-        base = self.offsets[lineno - 1] + col
-        out = []
-        for sent, off in split_sentences(text):
-            start = base + off
-            out.append(Sentence(sent, lineno, (start, start + len(sent), lineno)))
-        return out
+def _sentences(text: str, start: int, lineno: int) -> list[Sentence]:
+    """The sentences of the stripped, non-empty text that starts at index
+    start of the source, on line lineno, each with its span."""
+    if _one_sentence(text):
+        return [Sentence(text, lineno, (start, start + len(text), lineno))]
+    out = []
+    for sent, off in split_sentences(text):
+        off += start
+        out.append(Sentence(sent, lineno, (off, off + len(sent), lineno)))
+    return out
 
 
-def _step(lines: _Lines, lineno: int, line: str, col: int, label, number, text) -> Step:
-    """The step written as line at column col of line lineno, whose text
-    ends the line."""
-    sentences = lines.sentences(lineno, text, col + len(line) - len(text))
-    return Step(label, number, sentences, lines.span(lineno, line, col))
+def _step(start: int, lineno: int, line: str, label, number, text) -> Step:
+    """The step written as line, which starts at index start of the source
+    on line lineno, and whose text ends it."""
+    end = start + len(line)
+    sentences = _sentences(text, end - len(text), lineno)
+    return Step(label, number, sentences, (start, end, lineno))
 
 
 def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDiagnostic]]:
     diags: list[ParseDiagnostic] = []
-    lines = _Lines(source)
     doc = UseCaseDescription()
     current: Optional[SectionKind] = None
     current_branch: Optional[BranchFlow] = None
@@ -134,12 +127,13 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
     def warn(msg: str, lineno: int) -> None:
         diags.append(ParseDiagnostic(Severity.WARNING, msg, lineno))
 
-    for lineno, raw in enumerate(lines.lines, 1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
+    end = 0  # the source index just past the line before
+    for lineno, raw in enumerate(source.split("\n"), 1):
+        start, end = end, end + len(raw) + 1
+        stripped = raw.strip()
         if not stripped:
             continue
-        col = len(line) - len(line.lstrip())
+        start += len(raw) - len(raw.lstrip())  # where stripped starts
 
         m = _HEADER_RE.match(stripped) if ":" in stripped else None
         if m:
@@ -169,9 +163,7 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
             sm = _STEP_RE.match(stripped)
             label, text = sm.groups() if sm else (None, stripped)
             number = label and int(label)
-            doc.basic_flow.steps.append(
-                _step(lines, lineno, stripped, col, label, number, text)
-            )
+            doc.basic_flow.steps.append(_step(start, lineno, stripped, label, number, text))
         elif current in _TEXT_SECTIONS:
             text_accum[current].append(stripped)
         elif current is SectionKind.ACTORS:
@@ -188,7 +180,7 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
             field = SECTION_FIELD[current]
             if getattr(doc, field) is None:
                 setattr(doc, field, [])
-            getattr(doc, field).extend(lines.sentences(lineno, stripped, col))
+            getattr(doc, field).extend(_sentences(stripped, start, lineno))
         else:  # branch flow sections
             flows = doc.branch_flows(current)
             bm = _BRANCH_STEP_RE.match(stripped)
@@ -200,16 +192,14 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
                     warn(f"duplicate flow id '{flow_id}'", lineno)
                 ids.add(flow_id)
                 current_branch = BranchFlow(
-                    id=flow_id, span=lines.span(lineno, stripped, col)
+                    id=flow_id, span=(start, start + len(stripped), lineno)
                 )
                 flows.append(current_branch)
                 rest = hm.group(3).strip()
                 if rest:
                     lead = len(hm.group(3)) - len(hm.group(3).lstrip())
-                    rest_col = col + hm.start(3) + lead
-                    _branch_content(
-                        lines, lineno, rest, rest_col, current_branch, warn
-                    )
+                    rest_start = start + hm.start(3) + lead
+                    _branch_content(rest_start, lineno, rest, current_branch, warn)
                 continue
             if current_branch is None:
                 warn(f"line before any flow header: {stripped[:40]!r}", lineno)
@@ -218,11 +208,11 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
                 label, text = bm.groups()
                 number = _trailing_number(label)
                 current_branch.steps.append(
-                    _step(lines, lineno, stripped, col, label, number, text)
+                    _step(start, lineno, stripped, label, number, text)
                 )
                 _note_return(current_branch, text)
             else:
-                _branch_content(lines, lineno, stripped, col, current_branch, warn)
+                _branch_content(start, lineno, stripped, current_branch, warn)
 
     doc.name = " ".join(text_accum.get(SectionKind.NAME, [])) or None
     doc.overview = " ".join(text_accum.get(SectionKind.OVERVIEW, [])) or None
@@ -244,24 +234,25 @@ def _note_return(flow: BranchFlow, text: str) -> Optional[re.Match]:
     """The first return phrase in text, taken as the flow's return target."""
     m = _RETURN_RE.search(text)
     if m is not None:
-        flow.return_to = m.group(1) or "end"
+        flow.return_to = m.group(1) or ("basic" if m.group(2) else "end")
     return m
 
 
-def _branch_content(lines, lineno, text, col, flow: BranchFlow, warn) -> None:
-    """Handle an unlabeled line in a branch flow body (or header rest)."""
+def _branch_content(start, lineno, text, flow: BranchFlow, warn) -> None:
+    """Handle an unlabeled line in a branch flow body (or header rest),
+    whose stripped text starts at index start of the source."""
     om = _ORIGIN_RE.match(text)
     if om:
         flow.origin = om.group(1)
         return
     if _CONDITION_RE.match(text) and flow.condition is None and not flow.steps:
-        _read_condition(flow, lines.sentences(lineno, text, col), lineno, warn)
+        _read_condition(flow, _sentences(text, start, lineno), lineno, warn)
         return
     rm = _note_return(flow, text)
     if rm is not None and rm.start() == 0 and rm.end() >= len(text.rstrip(" .!?")):
         return  # the whole line is just the return marker
     # Plain unlabeled content becomes an unnumbered step.
-    flow.steps.append(_step(lines, lineno, text, col, None, None, text))
+    flow.steps.append(_step(start, lineno, text, None, None, text))
 
 
 def _read_condition(flow: BranchFlow, sents: list, lineno: int, warn) -> None:

@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -440,3 +441,22 @@ def test_tallies_count_every_finding_and_entry_once(findings, oracle):
 def test_match_rejects_an_unknown_smell_id_in_the_oracle():
     with pytest.raises(KeyError, match=r"unknown smell id: 'nope'"):
         match([finding()], [entry(), entry(smell_id="nope")])
+
+
+def test_match_grows_with_the_group_not_its_cube():
+    # Twice as many entries as findings, all on one line: every entry is
+    # compatible with every finding, so the window scans alone take four
+    # times as long at twice the size. A search that walks the whole
+    # group again for each unmatched entry takes eight times or more.
+    # The best of five timings keeps a busy machine's pauses out.
+    def best(n):
+        findings, oracle = [finding() for _ in range(n)], [entry() for _ in range(2 * n)]
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            report = match(findings, oracle)
+            times.append(time.perf_counter() - start)
+        assert report.totals == Tally(tp=n, fp=0, fn=n)
+        return min(times)
+
+    assert best(400) / best(200) <= 7

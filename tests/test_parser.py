@@ -574,9 +574,16 @@ def test_blank_json_condition_is_no_condition(lexicon, blank):
 
 def test_both_front_ends_take_the_last_return_phrase():
     # A flow returns where its last step with a return phrase says: a
-    # step label, or "end" when the use case ends there.
+    # step label, "basic" when it names the basic flow but no step, or
+    # "end" when the use case ends there.
     for first, last, want in (
         ("C returns to step 2.", "D returns to step 4.", "4"),
+        (
+            "C returns to step 2.",
+            "The system retries, and it returns to the basic flow when done.",
+            "basic",
+        ),
+        ("C does E.", "D returns to basic flow when done.", "basic"),
         ("C returns to step 2.", "The use case returns to step 3.", "3"),
         ("C returns to step 2.", "The use case ends here.", "end"),
         ("C returns to step 2.", "System shows a page.", "2"),
@@ -609,8 +616,17 @@ def _many_preconditions(n):
     return f"Preconditions:\n{lines}Basic Flow:\n1. A does B.\n"
 
 
+def _many_multi_sentence_steps(n):
+    lines = "".join(
+        f"{i}. The clerk opens the form. Then it stores it! Done?\n" for i in range(1, n + 1)
+    )
+    return f"Basic Flow:\n{lines}"
+
+
 @pytest.mark.parametrize(
-    "make, n", [(_many_flows, 1000), (_many_preconditions, 2000)], ids=["flows", "conditions"]
+    "make, n",
+    [(_many_flows, 1000), (_many_preconditions, 2000), (_many_multi_sentence_steps, 2000)],
+    ids=["flows", "conditions", "multi-sentence-steps"],
 )
 def test_parse_text_grows_linearly(make, n):
     # No absolute bound: four times the input may take about four times

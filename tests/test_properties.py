@@ -194,7 +194,13 @@ def test_split_sentences_equals_the_pattern_alone(block):
 @st.composite
 def _mixed_source_st(draw):
     """A .ucd source whose lines are ASCII or not, line by line."""
-    body = st.text(alphabet="ab 1.!?\u00e4\u20ac\U0001f600", min_size=1, max_size=30)
+    # Bodies of one sentence or several: terminators inside the body, some
+    # in digit contexts where they do not split.
+    words = ["ab", "step 2.", "A1.1", "b. a", "1.5", "a!", "b?", "\u00e4."]
+    body = st.one_of(
+        st.text(alphabet="ab 1.!?\u00e4\u20ac\U0001f600", min_size=1, max_size=30),
+        st.lists(st.sampled_from(words), min_size=1, max_size=5).map(" ".join),
+    )
     pad = st.sampled_from(["", " ", "\t", " \u00a0"])
     lines = ["Preconditions:"]
     lines += [draw(pad) + draw(body) for _ in range(draw(st.integers(0, 2)))]
@@ -227,6 +233,16 @@ def test_parse_text_spans_slice_the_source(source):
     for item in steps + doc.alternate_flows:
         text = text_at(item.span)
         assert text and text == text.strip()
+    # A step's sentences are the splitter's, shifted to where its text
+    # starts: after the label, its terminator if any and the blanks.
+    for step in steps:
+        line = text_at(step.span)
+        lead = 0
+        if step.label is not None:
+            lead = re.match(re.escape(step.label) + r"[.)]?\s+", line).end()
+        base = step.span.start + lead
+        got = [(s.text, s.span.start - base) for s in step.sentences]
+        assert got == split_sentences(line[lead:])
 
 
 @settings(max_examples=100, deadline=None)
