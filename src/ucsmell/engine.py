@@ -14,7 +14,9 @@ the smell id, the row and the function that collects findings. A scan
 reads the document through the metrics module, looked up by the row's
 names, and builds each finding with _Context.finding, which wraps the text
 it quotes in an Evidence and places it on its line within its section from
-each section's title and header line, resolved once per document. The word
+each section's title and header line. The section and flow scans read
+each section's presence and flows from the same context: all of it is
+resolved once per detect call, and nothing is kept across calls. The word
 and sentence scans count NOP, NOV, NOM and NON from the record tagging
 keeps on each sentence (its tag codes and nouns), and the pronoun and
 "actor" rows quote the words counted from the same record
@@ -179,7 +181,8 @@ _finding = tuple.__new__
 class _Context:
     """What the rules share about one document, built once per detect: each
     sentence and its section, in the two parallel lists analyze_document
-    returns, each section's title and header line, and the distributions."""
+    returns, each section's title, header line, presence and flows, and the
+    distributions."""
 
     def __init__(
         self,
@@ -193,8 +196,16 @@ class _Context:
         self.kinds = kinds
         self.sentences = sentences
         headers = d.section_header_lines
-        self._places = {  # each kind's title and header line
-            kind: (kind.title, headers.get(kind, 0)) for kind in SectionKind
+        # Each kind's title, header line, whether the section is present, and
+        # its flows (none for a section without flows).
+        self._places = {
+            kind: (
+                kind.title,
+                headers.get(kind, 0),
+                d.section_present(kind),
+                metrics.section_flows(d, kind) if kind in _FLOWS else (),
+            )
+            for kind in SectionKind
         }
         self._limits: dict[str, tuple[list[int], float, float]] = {}
 
@@ -203,7 +214,7 @@ class _Context:
     ) -> Finding:
         """The finding quoting text at source line, placed on its line within
         the section (1 = first content line; as is when the header is unknown)."""
-        title, header = self._places[kind]
+        title, header, _, _ = self._places[kind]
         if header and line > header:
             line -= header
         return _finding(Finding, (smell_id, title, metric, line, Evidence(text), span))
@@ -264,6 +275,7 @@ def detect(
     for smell_id, rule in RULES.items():
         if smell_id in enabled:
             rule.scan(ctx, smell_id, rule, findings.append)
+    del ctx  # freed before the sort allocates its keys
     findings.sort(
         key=lambda f: (_ITEM_ORDER[f.item_name], f.line, f.smell_id, f.span.start)
     )
@@ -276,8 +288,9 @@ def detect(
 def _missing(ctx, smell_id, rule, add):
     """A finding when the rule's section is absent."""
     kind = rule.sections[0]
-    if not ctx.d.section_present(kind):  # the check PREDICATES[rule.metric] runs
-        add(ctx.finding(smell_id, kind, rule.metric, 0, kind.title))
+    title, _, present, _ = ctx._places[kind]
+    if not present:  # the check PREDICATES[rule.metric] runs
+        add(ctx.finding(smell_id, kind, rule.metric, 0, title))
 
 
 def _flows(ctx, smell_id, rule, add):
@@ -285,7 +298,7 @@ def _flows(ctx, smell_id, rule, add):
     checks, naming the first check it fails."""
     checks = metrics.FLOW_CHECKS
     for kind in rule.sections:
-        for flow in metrics.section_flows(ctx.d, kind):
+        for flow in ctx._places[kind][3]:  # metrics.section_flows(ctx.d, kind)
             for suffix in rule.metric:
                 if checks[suffix](flow):
                     name = metrics.predicate_name(kind, suffix)
@@ -316,7 +329,7 @@ def _shared_reason(ctx, smell_id, rule, add):
     sharing one branch condition."""
     kind = rule.sections[0]
     threshold = getattr(ctx.cfg, rule.threshold)
-    for _, flows in metrics.reason_groups(ctx.d.branch_flows(kind)):
+    for _, flows in metrics.reason_groups(ctx._places[kind][3]):
         if len(flows) < threshold:
             continue
         items = [f.id for f in flows]

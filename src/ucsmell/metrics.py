@@ -16,7 +16,6 @@ strings the report format uses.
 
 from __future__ import annotations
 
-import re
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -77,8 +76,11 @@ def LOS(s: Sentence) -> int:
 def normalize_reason(text: str) -> str:
     """Canonical key for branch conditions: casefolded, whitespace
     collapsed, leading if/when and trailing punctuation stripped."""
-    t = re.sub(r"\s+", " ", text.casefold().strip())
-    t = re.sub(r"^(if|when)\s+", "", t)
+    t = " ".join(text.casefold().split())
+    if t.startswith("if "):
+        t = t[3:]
+    elif t.startswith("when "):
+        t = t[5:]
     return t.rstrip(".!?,;: ")
 
 

@@ -19,6 +19,14 @@ writes ("basic" for the basic flow, "end" for the end of the use case).
 Evidence is a frozen __slots__ class of one field, its text. No record
 is a dataclass: importing dataclasses and generating each class's
 methods would cost a cold lint process more than the rest of this module.
+
+SectionKind keys the dicts every document is read through, so it hashes
+by identity (object.__hash__, in C) rather than through Enum.__hash__, a
+Python function on 3.10-3.13: its members are singletons that compare by
+identity, and copy and pickle return the member itself, so equal members
+hash equal. Its title reads _value_ directly, not through enum's
+Python-level value descriptor. Neither change defines an enum base class,
+whose creation would cost a cold start more than it saves.
 """
 
 from __future__ import annotations
@@ -78,9 +86,11 @@ class SectionKind(Enum):
     ALTERNATE_FLOWS = "Alternate Flows"
     EXCEPTION_FLOWS = "Exception Flows"
 
+    __hash__ = object.__hash__
+
     @property
     def title(self) -> str:
-        return self.value
+        return self._value_
 
 
 # Each section's document field, which is also its key in the JSON format.
@@ -332,7 +342,9 @@ class UseCaseDescription(_Record):
         conditions, in canonical section order. Name/Overview are free
         text, not sentences, and are not included.
         """
-        K = SectionKind  # each kind looked up once: enum lookups are slow on 3.11
+        # Each kind looked up once: a class-attribute lookup such as
+        # SectionKind.BASIC_FLOW is slow.
+        K = SectionKind
         pre, post, basic = K.PRECONDITIONS, K.POSTCONDITIONS, K.BASIC_FLOW
         alt, exc = K.ALTERNATE_FLOWS, K.EXCEPTION_FLOWS
         for s in self.preconditions or []:

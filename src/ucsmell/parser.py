@@ -54,7 +54,8 @@ _CONDITION_RE = re.compile(r"^(if|when)\b", re.IGNORECASE)
 _STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 _ORIGIN_RE = re.compile(r"^origin\s*:\s*(?:step\s+)?(\d+)\s*$", re.IGNORECASE)
 _RETURN_RE = re.compile(
-    r"\breturns?\s+to\s+(?:step\s+(\d+)|(?:the\s+)?(basic)\s+flow|(end))\b"
+    r"\breturns?\s+to\s+(?:step\s+(\d+)"
+    r"|(?:the\s+)?(basic)\s+flow(?:\s+at\s+step\s+(\d+))?|(end))\b"
     r"|\buse\s+case\s+ends\b",
     re.IGNORECASE,
 )
@@ -122,7 +123,8 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
     current_branch: Optional[BranchFlow] = None
     text_accum: dict[SectionKind, list[str]] = {}
     flow_ids: dict[SectionKind, set[str]] = {}  # each branch section's flow ids
-    basic = SectionKind.BASIC_FLOW  # looked up once: enum lookups are slow on 3.11
+    # Looked up once: a class-attribute lookup such as SectionKind.BASIC_FLOW is slow.
+    basic = SectionKind.BASIC_FLOW
 
     def warn(msg: str, lineno: int) -> None:
         diags.append(ParseDiagnostic(Severity.WARNING, msg, lineno))
@@ -231,10 +233,11 @@ def _checked(doc: UseCaseDescription, warn) -> UseCaseDescription:
 
 
 def _note_return(flow: BranchFlow, text: str) -> Optional[re.Match]:
-    """The first return phrase in text, taken as the flow's return target."""
+    """The first return phrase in text, taken as the flow's return target:
+    the step it names, if any, even in "the basic flow at step N"."""
     m = _RETURN_RE.search(text)
     if m is not None:
-        flow.return_to = m.group(1) or ("basic" if m.group(2) else "end")
+        flow.return_to = m.group(1) or m.group(3) or ("basic" if m.group(2) else "end")
     return m
 
 

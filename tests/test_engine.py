@@ -491,6 +491,50 @@ def test_each_detect_honours_its_own_config(atm_doc, lexicon):
         assert Counter(f.smell_id for f in detect(atm_doc, cfg, lexicon)) == want
 
 
+@pytest.mark.parametrize("name", ["atm.ucd", "nonascii.ucd"])
+def test_detect_reads_each_section_anew_on_every_call(lexicon, name):
+    # Presence and flows are resolved per call: a second detect on the
+    # same object sees the sections removed after the first.
+    cfg = DetectorConfig()
+    doc = parse_fixture(name)[0]
+    first = detect(doc, cfg, lexicon)
+    alternate, actors = doc.alternate_flows, doc.actors
+    doc.alternate_flows, doc.actors = [], None
+    fresh = parse_fixture(name)[0]
+    fresh.alternate_flows, fresh.actors = [], None
+    without = detect(doc, cfg, lexicon)
+    assert without == detect(fresh, cfg, lexicon)
+    assert without != first
+    doc.alternate_flows, doc.actors = alternate, actors
+    assert detect(doc, cfg, lexicon) == first
+
+
+def test_detect_resolves_each_section_once(atm_doc, lexicon, monkeypatch):
+    flows_of, present = metrics.section_flows, UseCaseDescription.section_present
+    flow_kinds, present_kinds = [], []
+
+    def counted_flows(d, kind):
+        flow_kinds.append(kind)
+        return flows_of(d, kind)
+
+    def counted_present(d, kind):
+        present_kinds.append(kind)
+        return present(d, kind)
+
+    monkeypatch.setattr(metrics, "section_flows", counted_flows)
+    monkeypatch.setattr(UseCaseDescription, "section_present", counted_present)
+    assert detect(atm_doc, DetectorConfig(), lexicon)
+    flow_sections = {
+        SectionKind.BASIC_FLOW, SectionKind.ALTERNATE_FLOWS, SectionKind.EXCEPTION_FLOWS
+    }
+    # section_flows at most once per flow section; section_present at most
+    # once per kind, plus once per section_flows call.
+    assert len(flow_kinds) == len(set(flow_kinds)) and set(flow_kinds) <= flow_sections
+    counts = Counter(present_kinds)
+    assert all(n <= 1 + flow_kinds.count(kind) for kind, n in counts.items())
+    assert len(present_kinds) <= len(SectionKind) + len(flow_kinds)
+
+
 def test_detect_tags_with_the_lexicon_it_is_given(atm_doc, lexicon):
     no_pronouns = Lexicon(
         frozenset(), lexicon.verbs, lexicon.modifiers, lexicon.stopwords

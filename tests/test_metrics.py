@@ -172,7 +172,7 @@ def test_reason_exist_check():
 # A reference for the two branch checks that reads the flow's text: a flow
 # describes its origin when it has one or its condition names a step, and
 # has a return when it has a return target or a step sentence holds a
-# return phrase. The patterns are copies of the parser's; the field
+# return phrase. The patterns match where the parser's do; the field
 # checks equal it because the parser fills the fields in from that text.
 _REF_STEP_NAME_RE = re.compile(r"\bstep\s+(\d+)\b", re.IGNORECASE)
 _REF_RETURN_RE = re.compile(

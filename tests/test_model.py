@@ -94,6 +94,20 @@ def test_frozen_records_copy_and_pickle():
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_section_kinds_hash_alike_after_copy_and_pickle():
+    # SectionKind hashes by identity; a member's copies are the member.
+    for kind in SectionKind:
+        copies = (
+            copy.copy(kind), copy.deepcopy(kind), pickle.loads(pickle.dumps(kind))
+        )
+        assert {hash(kind)} == {hash(k) for k in copies}
+        assert kind.title == kind.value
+        for other in copies:
+            assert {kind: 1, other: 2} == {kind: 2}
+            assert {kind, other} == {kind}
+            assert other in {kind} and kind in {other: 0}
+
+
 def test_document_equality_ignores_positions_and_tokens():
     def document(line, span, analyzed):
         sentence = Sentence("It works.", line, span)

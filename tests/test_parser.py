@@ -605,6 +605,39 @@ def test_both_front_ends_take_the_last_return_phrase():
         assert parse_json(serialize(text_doc))[0] == text_doc
 
 
+@pytest.mark.parametrize(
+    "phrase",
+    [
+        "The system returns to the basic flow at step 3.",
+        "The system returns to step 3 of the basic flow.",
+        "The system returns to Basic Flow  at\tStep 3.",
+    ],
+)
+def test_return_phrase_naming_the_basic_flow_and_a_step_takes_the_step(phrase):
+    basic = "".join(f"{n}. A does B.\n" for n in (1, 2, 3))
+    text = f"Basic Flow:\n{basic}Alternate Flows:\nA1 If x at step 1\nA1.1 {phrase}\n"
+    text_doc, _ = parse_text(text)
+    steps = [{"label": "A1.1", "text": phrase}]
+    flows = [{"id": "A1", "condition": "If x at step 1", "steps": steps}]
+    json_doc, _ = parse_json(json.dumps({"alternate_flows": flows}))
+    round_trip, _ = parse_json(serialize(text_doc))
+    for doc in (text_doc, json_doc, round_trip):
+        assert doc.alternate_flows[0].return_to == "3", phrase
+        assert len(doc.alternate_flows[0].steps) == 1
+    assert round_trip == text_doc
+
+
+def test_unlabeled_return_to_the_basic_flow_at_a_step_is_a_marker():
+    text = (
+        "Basic Flow:\n1. A does B.\nAlternate Flows:\n"
+        "A1 If x at step 1\nA1.1 System retries the call.\n"
+        "Return to the basic flow at step 1.\n"
+    )
+    flow = parse_text(text)[0].alternate_flows[0]
+    assert flow.return_to == "1"
+    assert len(flow.steps) == 1
+
+
 def _many_flows(n):
     return "Basic Flow:\n1. A does B.\nAlternate Flows:\n" + "".join(
         f"A{i} If x at step 1\nA{i}.1 C happens.\n" for i in range(1, n + 1)

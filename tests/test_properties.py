@@ -134,6 +134,35 @@ def test_normalize_reason_idempotent_and_case_insensitive(text):
     assert normalize_reason(text.upper()) == normalize_reason(text.lower())
 
 
+def _reference_normalize_reason(text):
+    t = re.sub(r"\s+", " ", text.casefold().strip())
+    t = re.sub(r"^(if|when)\s+", "", t)
+    return t.rstrip(".!?,;: ")
+
+
+# Conditions built from if/when in any case, runs of Unicode whitespace,
+# letters that casefold to more than one character (İ, ß, ﬁ) and the
+# trailing punctuation normalize_reason strips.
+_REASON_SPACES = " \t\n\x1c\xa0\u2028\u3000"
+_reason_keyword = st.sampled_from(["if", "when"]).flatmap(
+    lambda w: st.tuples(*(st.sampled_from([c, c.upper()]) for c in w)).map("".join)
+)
+reason_st = st.lists(
+    st.one_of(
+        _reason_keyword,
+        st.text(alphabet=_REASON_SPACES, min_size=1, max_size=3),
+        st.text(alphabet="afwİßﬁ.!?,;:", min_size=1, max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=reason_st)
+def test_normalize_reason_matches_its_pattern_form(text):
+    assert normalize_reason(text) == _reference_normalize_reason(text)
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=st.text(max_size=80), offset=st.integers(min_value=0, max_value=50))
 def test_tokenize_spans_slice_back_to_surfaces(text, offset):
