@@ -1,26 +1,12 @@
-"""Detection engine: maps metric/predicate outputs to Finding records.
+"""Detection engine: maps metric and predicate values to Finding records.
 
-RULES is the rule table, one Rule row per detectable smell: the scan that
-reads the document, the sections it reads, the metric its findings carry,
-its threshold (a DetectorConfig field; stddev_k for the document's mean ±
-k·stddev, which stays inert on documents with too few sentences; none when
-a predicate must hold), one argument of the scan, and the JSON key (word,
-sentence or flow) of its findings' evidence. detect tags the whole
-document with one call to analyze_document, which walks it once and
-returns each sentence's section kind and the sentences, in two lists; the
-context shared by all rules is built from them, so the document is not
-walked again. detect then calls each enabled row's scan with that context,
-the smell id, the row and the function that collects findings. A scan
-reads the document through the metrics module, looked up by the row's
-names, and builds each finding with _Context.finding, which wraps the text
-it quotes in an Evidence and places it on its line within its section from
-each section's title and header line. The section and flow scans read
-each section's presence and flows from the same context: all of it is
-resolved once per detect call, and nothing is kept across calls. The word
-and sentence scans count NOP, NOV, NOM and NON from the record tagging
-keeps on each sentence (its tag codes and nouns), and the pronoun and
-"actor" rows quote the words counted from the same record
-(textanalysis._spans), so a run builds no tokens.
+RULES holds one Rule row per detectable smell. detect tags the document
+with one call to analyze_document, builds the context the rules share from
+the section kinds and sentences it returns (nothing is kept across calls),
+and calls each enabled row's scan with it. A scan computes no measure: it
+takes every value, quoted word and distribution from the metrics module,
+looked up at call time by the row's names, one call per rule per document,
+and builds each finding with _Context.finding.
 """
 
 from __future__ import annotations
@@ -29,10 +15,9 @@ import math
 from typing import NamedTuple, Optional
 
 from . import metrics
+from .metrics import distribution  # noqa: F401  (ucsmell.engine.distribution)
 from .model import (
     EMPTY_SPAN,
-    _NOUNS,
-    _TAGS,
     BranchFlow,
     Evidence,
     Finding,
@@ -40,9 +25,7 @@ from .model import (
     Sentence,
     UseCaseDescription,
 )
-from .textanalysis import _NOUN, _PRONOUN, Lexicon, _spans, analyze_document
-
-ACTOR_WORD = "actor"
+from .textanalysis import Lexicon, analyze_document
 
 
 class _ConfigFields(NamedTuple):
@@ -134,55 +117,14 @@ def load_config(path: str) -> DetectorConfig:
         return parse_config(fh.read())
 
 
-class Distribution(NamedTuple):
-    n: int
-    mean: float
-    stddev: float  # sample standard deviation, 0 when n == 1
-
-
-def distribution(values: list[int]) -> Distribution:
-    """Mean and sample standard deviation of integer values, each the
-    float nearest to the exact result (as statistics.fmean and, from
-    Python 3.11, statistics.stdev give them)."""
-    n = len(values)
-    if not n:
-        raise ValueError("distribution of an empty value list is undefined")
-    total = sum(values)
-    if n == 1:
-        return Distribution(1, total / n, 0.0)
-    # The sample variance is exactly num / den.
-    num = n * sum(v * v for v in values) - total * total
-    den = n * (n - 1)
-    return Distribution(n, total / n, _sqrt_of_fraction(num, den))
-
-
-def _sqrt_of_fraction(num: int, den: int) -> float:
-    """sqrt(num / den) correctly rounded, for integers num >= 0, den > 0.
-
-    The integer root keeps at least 2·53 + 3 = 109 bits and is rounded to
-    odd (its last bit is set when it is inexact), so the one rounding to a
-    53-bit float that follows is the correct one. This is how CPython 3.11+
-    computes statistics.stdev.
-    """
-    shift = (num.bit_length() - den.bit_length() - 109) // 2
-    if shift >= 0:
-        den <<= 2 * shift
-    else:
-        num <<= -2 * shift
-    root = math.isqrt(num // den)
-    root |= root * root * den != num
-    return math.ldexp(root, shift)
-
-
 # Builds a finding from its six fields without Finding's own __new__.
 _finding = tuple.__new__
 
 
 class _Context:
     """What the rules share about one document, built once per detect: each
-    sentence and its section, in the two parallel lists analyze_document
-    returns, each section's title, header line, presence and flows, and the
-    distributions."""
+    sentence and its section (the two lists analyze_document returns), each
+    section's title, header line, presence and flows, and the distributions."""
 
     def __init__(
         self,
@@ -207,7 +149,7 @@ class _Context:
             )
             for kind in SectionKind
         }
-        self._limits: dict[str, tuple[list[int], float, float]] = {}
+        self._measured: dict[str, tuple[list[int], metrics.Distribution]] = {}
 
     def finding(
         self, smell_id, kind: SectionKind, metric, line: int, text, span=EMPTY_SPAN
@@ -220,22 +162,16 @@ class _Context:
         return _finding(Finding, (smell_id, title, metric, line, Evidence(text), span))
 
     def values(self, name: str) -> list[int]:
-        """Each sentence's value of the metrics function called name; with
-        count_los_in_tokens, LOS counts words."""
-        if name == "LOS" and self.cfg.count_los_in_tokens:
-            return [len(s._tagged[_TAGS]) for s in self.sentences]
-        measure = getattr(metrics, name)  # per call, so a wrapper on metrics sees it
-        return [measure(s) for s in self.sentences]
+        """Each sentence's value of the sentence measure called name."""
+        return metrics.sentence_values(name, self.sentences, self.cfg.count_los_in_tokens)
 
-    def limits(self, name: str) -> tuple[list[int], float, float]:
-        """A sentence measure's values and its mean -/+ k·stddev, computed
-        once per document for the high and the low rule."""
-        if name not in self._limits:
+    def distribution(self, name: str) -> tuple[list[int], metrics.Distribution]:
+        """A sentence measure's values and their distribution, computed once
+        per document for the high and the low rule."""
+        if name not in self._measured:
             values = self.values(name)
-            dist = distribution(values)
-            spread = self.cfg.stddev_k * dist.stddev
-            self._limits[name] = (values, dist.mean - spread, dist.mean + spread)
-        return self._limits[name]
+            self._measured[name] = (values, metrics.distribution(values))
+        return self._measured[name]
 
 
 class Rule:
@@ -264,9 +200,7 @@ _STDDEV = "stddev_k"  # the threshold of a rule judged by the distribution
 _HIGH, _LOW = True, False  # the side of its bound a value is flagged on
 
 
-def detect(
-    d: UseCaseDescription, cfg: DetectorConfig, lex: Lexicon
-) -> list[Finding]:
+def detect(d: UseCaseDescription, cfg: DetectorConfig, lex: Lexicon) -> list[Finding]:
     """Tag d with lex, then run every enabled detection rule and return
     the ordered findings. Tags from an earlier analysis are replaced."""
     ctx = _Context(d, cfg, *analyze_document(d, lex))
@@ -344,41 +278,27 @@ def _sentences(flow) -> list[Sentence]:
 
 
 # --- word and sentence scans ------------------------------------------------
-# detect has just tagged every sentence, so each keeps its record (text,
-# span start, line, tag codes, nouns).
 
 
 def _words(ctx, smell_id, rule, add):
-    """Each word its metric counts, by the tag code the rule names: every
-    pronoun (NOP), or every noun "actor" (NON), which a document with one
-    actor is spared under suppress_actor_word_when_single_actor."""
-    code, metric, word = rule.arg, rule.metric, None
-    field, needle = _TAGS, code  # a sentence lacking needle is not quoted
-    if code == _NOUN:
-        actors = ctx.d.actors
-        if ctx.cfg.suppress_actor_word_when_single_actor and actors and len(actors) == 1:
+    """Each word its metric counts: every pronoun (NOP), or every noun
+    "actor" (NON), which a document with one actor is spared under
+    suppress_actor_word_when_single_actor."""
+    metric, noun = rule.metric, None
+    if metric == "NON":
+        if ctx.cfg.suppress_actor_word_when_single_actor and len(ctx.d.actors or ()) == 1:
             return
-        word, metric = ACTOR_WORD, f'{metric}("{ACTOR_WORD}")'
-        field, needle = _NOUNS, word
-    for kind, s in zip(ctx.kinds, ctx.sentences):
-        record = s._tagged
-        if needle not in record[field]:
-            continue
-        for surface, span in _spans(record, code):
-            if word is None or surface.lower() == word:
-                add(ctx.finding(smell_id, kind, metric, s.line, surface, span))
+        metric, noun = 'NON("actor")', "actor"
+    for i, words in metrics.counted_words(ctx.sentences, noun):
+        for surface, span in words:
+            add(ctx.finding(smell_id, ctx.kinds[i], metric, span.line, surface, span))
 
 
 def _repeats(ctx, smell_id, rule, add):
     """Each noun a sentence holds at least the threshold's number of times."""
     threshold = getattr(ctx.cfg, rule.threshold)
-    for kind, s in zip(ctx.kinds, ctx.sentences):
-        nouns = s._tagged[_NOUNS]
-        if threshold > 1 and len(set(nouns)) == len(nouns):
-            continue  # no noun repeats
-        counts: dict[str, int] = {}
-        for noun in nouns:
-            counts[noun] = counts.get(noun, 0) + 1
+    for i, counts in metrics.noun_counts(ctx.sentences, threshold > 1):
+        kind, s = ctx.kinds[i], ctx.sentences[i]
         for noun, n in counts.items():
             if n >= threshold:
                 add(_sentence_finding(ctx, smell_id, kind, s, f'{rule.metric}("{noun}")'))
@@ -392,8 +312,8 @@ def _beyond(ctx, smell_id, rule, add):
     if rule.threshold == _STDDEV:
         if len(ctx.sentences) < max(1, ctx.cfg.min_sentences_for_distribution):
             return
-        values, lo, hi = ctx.limits(rule.metric)
-        bound = hi if high else lo
+        values, dist = ctx.distribution(rule.metric)
+        bound = dist.limits(ctx.cfg.stddev_k)[high]  # high indexes (low, high)
     else:
         values = ctx.values(rule.metric)
         bound = getattr(ctx.cfg, rule.threshold) - 1
@@ -438,8 +358,8 @@ RULES: dict[str, Rule] = {
     "multiple-exception-flows-at-an-exception-branch-condition": Rule(
         _shared_reason, (_EXC,), "NOEFR", "same_reason_threshold", evidence="flow"
     ),
-    "pronoun": Rule(_words, _ANY, "NOP", arg=_PRONOUN, evidence="word"),
-    "actor-actor": Rule(_words, _ANY, "NON", arg=_NOUN, evidence="word"),
+    "pronoun": Rule(_words, _ANY, "NOP", evidence="word"),
+    "actor-actor": Rule(_words, _ANY, "NON", evidence="word"),
     "sentence-with-multiple-actions": Rule(
         _beyond, _ANY, "NOV", "multi_action_verb_threshold", _HIGH
     ),

@@ -167,6 +167,7 @@ def _step_from_obj(obj) -> Step:
         isinstance(obj, dict) and isinstance(obj.get("text"), str),
         "steps must be objects with a 'text' string",
     )
+    _expect(obj["text"].strip(), "step 'text' must not be blank")
     label = obj.get("label")
     _expect(
         label is None or isinstance(label, str), "step 'label' must be a string"

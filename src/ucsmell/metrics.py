@@ -1,9 +1,10 @@
 """Numeric metrics and boolean predicates over a parsed document.
 
-The numeric metrics (NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count
-features of single sentences or flow groups; NOP, NOV, NOM, NON and NOW
-read the record the analyzer keeps on a sentence: its tag codes, nouns
-and text (all zero before analysis).
+The one module that computes the paper's measures. The numeric metrics
+(NOP, NOW, NOEFR, NOAFR, LOS, NOV, NOM, NON) count features of single
+sentences, from the record the analyzer keeps on each (all zero before
+analysis), or of flow groups. The rules call per-document forms of them
+(one call per rule) and distribution, for the mean ± k·stddev bounds.
 The 22 predicates check structural properties of flows and sections. A
 flow predicate is named after its section and the suffix of its
 per-flow check in FLOW_CHECKS, a section predicate comes from
@@ -16,6 +17,7 @@ strings the report format uses.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -24,12 +26,13 @@ from .model import (
     _TEXT,
     BranchFlow,
     Flow,
+    PosTag,
     SectionKind,
     Sentence,
     SourceSpan,
     UseCaseDescription,
 )
-from .textanalysis import _MODIFIER, _PRONOUN, _VERB, split_words
+from .textanalysis import _MODIFIER, _PRONOUN, _VERB, split_words, words_tagged
 
 
 class PredicateResult(NamedTuple):
@@ -65,12 +68,92 @@ def NOW(s: Sentence, word: str) -> int:
 
 def NON(s: Sentence, noun: str) -> int:
     """Number of noun-tagged occurrences of the given word."""
-    return s._tagged[_NOUNS].count(noun.lower())
+    return sum(counts.get(noun.lower(), 0) for _, counts in noun_counts([s]))
 
 
 def LOS(s: Sentence) -> int:
     """Length of a sentence in characters (Unicode scalar values)."""
     return len(s.text.strip())
+
+
+def sentence_values(name: str, sentences: list[Sentence], in_words=False) -> list[int]:
+    """Each sentence's value of the measure called name; LOS in words if in_words."""
+    if name == "LOS" and in_words:
+        return [len(s._tagged[_TAGS]) for s in sentences]  # a code per word
+    measure = globals()[name]  # per call, so a wrapper on the module sees it
+    return [measure(s) for s in sentences]
+
+
+def counted_words(sentences: list[Sentence], noun=None) -> list[tuple[int, list]]:
+    """The words NOP counts, or given a lowercased noun the words NON(s,
+    noun) counts, as (i, words) for each sentences[i] that holds one: the
+    surface and span of each, in order, as words_tagged quotes them."""
+    pos, field, needle = PosTag.PRONOUN, _TAGS, _PRONOUN
+    if noun:
+        pos, field, needle = PosTag.NOUN, _NOUNS, noun
+    out = []
+    for i, s in enumerate(sentences):
+        if needle in s._tagged[field]:  # else it holds no such word
+            words = words_tagged(s, pos)
+            out.append((i, [w for w in words if w[0].lower() == noun] if noun else words))
+    return out
+
+
+def noun_counts(sentences: list[Sentence], repeated_only=False) -> list[tuple[int, dict]]:
+    """(i, counts) for each sentences[i], or each that repeats a noun: how
+    often it holds each of its nouns, in order of first occurrence."""
+    out = []
+    for i, s in enumerate(sentences):
+        nouns = s._tagged[_NOUNS]
+        if not repeated_only or len(set(nouns)) < len(nouns):
+            counts = dict.fromkeys(nouns, 0)
+            for noun in nouns:
+                counts[noun] += 1
+            out.append((i, counts))
+    return out
+
+
+class Distribution(NamedTuple):
+    n: int
+    mean: float
+    stddev: float  # sample standard deviation, 0 when n == 1
+
+    def limits(self, k: float) -> tuple[float, float]:  # mean -/+ k·stddev
+        return self.mean - k * self.stddev, self.mean + k * self.stddev
+
+
+def distribution(values: list[int]) -> Distribution:
+    """Mean and sample standard deviation of integer values, each the
+    float nearest to the exact result (as statistics.fmean and, from
+    Python 3.11, statistics.stdev give them)."""
+    n = len(values)
+    if not n:
+        raise ValueError("distribution of an empty value list is undefined")
+    total = sum(values)
+    if n == 1:
+        return Distribution(1, total / n, 0.0)
+    # The sample variance is exactly num / den.
+    num = n * sum(v * v for v in values) - total * total
+    den = n * (n - 1)
+    return Distribution(n, total / n, _sqrt_of_fraction(num, den))
+
+
+def _sqrt_of_fraction(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for integers num >= 0, den > 0.
+
+    The integer root keeps at least 2·53 + 3 = 109 bits and is rounded to
+    odd (its last bit is set when it is inexact), so the one rounding to a
+    53-bit float that follows is the correct one. This is how CPython 3.11+
+    computes statistics.stdev.
+    """
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return math.ldexp(root, shift)
 
 
 def normalize_reason(text: str) -> str:

@@ -181,7 +181,7 @@ class Token(NamedTuple):
 # read, one tag code per word (the first letter of its PosTag's value) and
 # the nouns, lowercased; an exact tuple, which the collector stops tracking.
 _UNANALYZED = ("", 0, 0, "", ())
-_TEXT, _TAGS, _NOUNS = 0, 3, 4  # the fields the metrics and the rules read
+_TEXT, _TAGS, _NOUNS = 0, 3, 4  # the fields the metrics read
 
 
 class _Spanned(_Record):
@@ -202,10 +202,10 @@ class Sentence(_Spanned):
     """One sentence of a document.
 
     Only the analyzer writes _tagged, the record of its last analysis (see
-    _UNANALYZED). The metrics and the rules count from it, words_tagged
-    quotes from it and tokens are built from it on each read, so all are
-    what an eager analysis would have built even if text, span or line
-    change later. A sentence never analyzed has no tokens.
+    _UNANALYZED). The metrics count from it, words_tagged quotes from it
+    and tokens are built from it on each read: what an eager analysis would
+    have built, even if text, span or line change later. A sentence never
+    analyzed has no tokens.
     """
 
     __slots__ = ("text", "line", "_tagged")

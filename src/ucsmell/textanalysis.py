@@ -12,11 +12,10 @@ state for each of 8 states, then the word lowercased; tagging a word is
 one step through its row. One loop, behind analyze_sentence and
 analyze_document, is the only writer of a sentence's tagging record: an
 exact tuple of its text, span start and line, its tags as a string of
-one-letter codes, and its nouns, which the metrics count and the rules
-read. analyze_document walks the document once and returns the section
-kinds and the sentences it tagged, as two lists, from which the engine
-builds its rules' context. One offset loop finds each word from the end
-of the one before, for words_tagged (one tag's words, up to the last)
+one-letter codes, and its nouns, which the metrics read. analyze_document
+walks the document once and returns the section kinds and the sentences
+it tagged, as two lists. One offset loop finds each word from the end of
+the one before, for words_tagged (one tag's words, up to the last)
 and for the read-only Sentence.tokens (every word, rebuilt on each read
 by tagged_tokens); a word's span counts characters, as the sentence's
 does, so it slices the source to the word.
@@ -282,9 +281,8 @@ def _row_of(surface: str, lex: Lexicon) -> tuple:
 def _analyze(
     pairs: Iterable[tuple[object, Sentence]], lex: Lexicon
 ) -> tuple[list, list[Sentence]]:
-    """Tag the sentence of each (section kind, sentence) pair: keep the
-    record the metrics and the rules read. Return the kinds and the
-    sentences, in two lists in pair order."""
+    """Tag the sentence of each (section kind, sentence) pair and keep the
+    record the metrics read. Return the kinds and the sentences, in order."""
     rows = lex._rows
     kinds: list = []
     sentences: list[Sentence] = []
@@ -309,9 +307,7 @@ def _analyze(
 
 
 def analyze_sentence(sentence: Sentence, lex: Lexicon) -> None:
-    """Tag sentence and keep the record the metrics and the rules read.
-    Its tokens are rebuilt from the kept tags, by tagged_tokens, on each
-    read; words_tagged reads the same tags without building them."""
+    """Tag sentence and keep the record the metrics read."""
     _analyze(((None, sentence),), lex)
 
 

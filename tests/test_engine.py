@@ -1,5 +1,8 @@
+import ast
+import functools
 import re
 import unicodedata
+from pathlib import Path
 from collections import Counter
 
 import largedoc
@@ -462,6 +465,29 @@ def test_repeated_noun(lexicon):
     assert found[0].metric == 'NON("code")'
 
 
+def test_detect_counts_repeated_nouns_through_metrics(lexicon, monkeypatch):
+    """The repeated-noun rule counts with the function NON counts with,
+    looked up on the metrics module, so a wrapper there sees the call."""
+    calls = []
+    count = metrics.noun_counts
+
+    @functools.wraps(count)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "noun_counts", counted)
+    text = base_doc("1. System sends the code of the code reader to the host.\n")
+    found = [f.metric for f in findings_for(text, lexicon)]
+    assert 'NON("code")' in found
+    assert len(calls) == 1  # one call for the whole document
+    sentences, repeated_only = calls[0]
+    assert repeated_only  # the default threshold, 2, needs a repeat
+    step = next(s for s in sentences if s.text.startswith("System sends the code"))
+    calls.clear()
+    assert metrics.NON(step, "CODE") == 2 and calls
+
+
 def test_suppress_actor_word_when_single_actor(lexicon):
     text = base_doc("1. Actor opens the page of the service.\n")
     assert any(f.smell_id == "actor-actor" for f in findings_for(text, lexicon))
@@ -814,6 +840,27 @@ def test_count_los_in_tokens_measures_sentences_in_words(lexicon):
 
 
 # --- one rule per smell, one implementation per predicate ----------------
+
+
+def test_engine_reads_no_analysis_record():
+    """The engine maps metric values to findings: the layout of the
+    analysis record, and the distribution, belong to metrics."""
+    tree = ast.parse(Path(metrics.__file__).with_name("engine.py").read_text("utf-8"))
+    private = {"_tagged", "_TAGS", "_NOUNS", "_TEXT", "_NOUN", "_PRONOUN", "_spans"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+            named.add(node.name)
+    assert not named & private
+    defined = {n.name for n in tree.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    assert not defined & {"Distribution", "distribution", "_sqrt_of_fraction"}
+    assert not any(isinstance(n, ast.ClassDef) and n.name == "Distribution" for n in ast.walk(tree))
+    assert distribution is metrics.distribution
 
 
 def test_rule_table_has_one_rule_per_detectable_smell():

@@ -58,6 +58,38 @@ def test_counting_metrics(lexicon):
     assert NON(s, "stores") == 0
 
 
+def test_per_document_forms_count_what_the_sentence_metrics_count(lexicon):
+    """The forms the rules call, one call per document, agree with NOP, NON,
+    NOV and LOS sentence by sentence, and quote the words they count."""
+    texts = (
+        "It stores it in the wallet of the Actor.",
+        "The system shows the page.",
+        "The actor reads the page and the page of the actor.",
+    )
+    sents = [sent(t, lexicon) for t in texts]
+    pronouns = metrics.counted_words(sents)
+    assert [(i, len(w)) for i, w in pronouns] == [(0, 2)] == [
+        (i, NOP(s)) for i, s in enumerate(sents) if NOP(s)
+    ]
+    actors = metrics.counted_words(sents, "actor")
+    assert [(i, [w for w, _ in ws]) for i, ws in actors] == [
+        (0, ["Actor"]),
+        (2, ["actor", "actor"]),
+    ]
+    for i, words in pronouns + actors:
+        for word, span in words:
+            assert texts[i][span.start:span.end] == word
+    assert metrics.noun_counts(sents, repeated_only=True) == [(2, {"actor": 2, "page": 2})]
+    counts = metrics.noun_counts(sents)
+    assert [list(c) for _, c in counts] == [["wallet", "actor"], ["system", "page"], ["actor", "page"]]
+    for i, c in counts:
+        assert all(NON(sents[i], noun.upper()) == n for noun, n in c.items())
+    assert metrics.sentence_values("NOV", sents) == [NOV(s) for s in sents]
+    assert metrics.sentence_values("LOS", sents) == [len(t) for t in texts]
+    in_words = metrics.sentence_values("LOS", sents, in_words=True)
+    assert in_words == [len(t.split()) for t in texts] == [9, 5, 11]
+
+
 def test_now_is_case_insensitive(lexicon):
     s = sent("Actor gives the card to the actor.", lexicon)
     assert NOW(s, "Actor") == 2

@@ -392,6 +392,10 @@ _STEPS = [{"label": "A1.1", "text": "B happens."}]
          "step 'label' must be a string"),
         ({"id": "A1", "steps": [{"label": "A1.1"}]},
          "steps must be objects with a 'text' string"),
+        ({"id": "A1", "steps": [{"label": "A1.1", "text": "   "}]},
+         "step 'text' must not be blank"),
+        ({"id": "A1", "steps": [{"text": ""}]}, "step 'text' must not be blank"),
+        ({"id": "A1", "steps": [{"text": "\t\n"}]}, "step 'text' must not be blank"),
     ],
 )
 def test_parse_json_names_each_flow_field_of_the_wrong_type(flow, message):
@@ -399,6 +403,18 @@ def test_parse_json_names_each_flow_field_of_the_wrong_type(flow, message):
         doc, diags = parse_json(json.dumps({key: [flow]}))
         assert doc is None
         assert diags == [(Severity.ERROR, message, 0)]
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\u00a0\n"])
+def test_parse_json_rejects_a_blank_basic_flow_step(text):
+    """A blank step is no step: parse_text reads a blank line after
+    "Basic Flow:" as no step at all, and the JSON form refuses one."""
+    doc, diags = parse_json(json.dumps({"basic_flow": [{"text": "A does B."}, {"text": text}]}))
+    assert doc is None
+    assert diags == [(Severity.ERROR, "step 'text' must not be blank", 0)]
+    doc, diags = parse_text("Basic Flow:\n" + text + "\n")
+    assert not doc.section_present(SectionKind.BASIC_FLOW)
+    assert [d.message for d in diags if "basic flow" in d.message] == ["no basic flow section"]
 
 
 def test_parse_json_wrong_field_type():
