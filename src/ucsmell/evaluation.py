@@ -138,32 +138,57 @@ def _group_matching(candidates, entries) -> list[Optional[int]]:
     # The entry each candidate is matched to, and the candidate each entry holds.
     owner, held = [None] * len(candidates), [None] * len(entries)
     dead: set[int] = set()  # candidates that no augmenting path can free
+    # A matched candidate stays matched and a dead one stays dead, so from
+    # each window start lo on, the candidates before free[lo] are matched
+    # and those before live[lo] dead, and both indices only move forward.
+    free = list(range(len(candidates) + 1))
+    live = free.copy()
     for i, e in enumerate(entries):
         lo = bisect_left(lines, e.line - LINE_TOLERANCE)
-        window = range(lo, bisect_right(lines, e.line + LINE_TOLERANCE))
+        hi = bisect_right(lines, e.line + LINE_TOLERANCE)
         hint = e.evidence_hint
-        if hint is not None:
-            window = [j for j in window if hint in _evidence_text(candidates[j])]
+        if hint is None:
+            window = range(lo, hi)
+            j = free[lo]
+            while j < hi and owner[j] is not None:
+                j += 1
+            free[lo] = j
+            if j == hi:  # no free candidate: search unless all are dead
+                k = live[lo]
+                while k < hi and k in dead:
+                    k += 1
+                live[lo] = k
+                window = range(k, hi)  # the dead ones before k are skipped
+        else:
+            window = tuple(
+                j for j in range(lo, hi) if hint in _evidence_text(candidates[j])
+            )
+            j = next((j for j in window if owner[j] is None), hi)
         edges.append(window)
-        _augment(i, edges, owner, held, dead)
+        if j < hi:
+            owner[j], held[i] = i, j
+        elif window:
+            _augment(i, edges, owner, held, dead)
     return held
 
 
 def _augment(root: int, edges: list, owner: list, held: list, dead: set) -> None:
-    """Match the unmatched entry root, if it can be: to its earliest free
-    candidate (a path of one edge), or else along an augmenting path
-    searched breadth first, on which every entry moves to the next
-    candidate. A failed search adds the candidates it reached to dead:
-    the edges of the entries it reached all lead to dead candidates, and
-    an entry gains no edges after it is added, so later searches skip them."""
-    for j in edges[root]:
-        if owner[j] is None:
-            owner[j], held[root] = root, j
-            return
+    """Match the entry root, none of whose candidates is free, if it can
+    be: along an augmenting path searched breadth first, on which every
+    entry moves to the next candidate. A window equal to one already
+    scanned in the search reaches nothing new, so it is skipped. A failed
+    search adds the candidates it reached to dead: the edges of the
+    entries it reached all lead to dead candidates, and an entry gains no
+    edges after it is added, so later searches skip them."""
     reached_from: dict[int, int] = {}  # candidate -> the entry that reached it
+    scanned = set()  # the windows scanned so far
     queue = [root]
     for i in queue:  # the queue grows while it is read
-        for j in edges[i]:
+        window = edges[i]
+        if window in scanned:
+            continue
+        scanned.add(window)
+        for j in window:
             if j in reached_from or j in dead:
                 continue
             reached_from[j] = i

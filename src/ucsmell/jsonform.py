@@ -31,6 +31,7 @@ from .parser import (
     Severity,
     _checked,
     _note_return,
+    _one_sentence,
     _read_condition,
     _trailing_number,
     split_sentences,
@@ -167,16 +168,17 @@ def _step_from_obj(obj) -> Step:
         isinstance(obj, dict) and isinstance(obj.get("text"), str),
         "steps must be objects with a 'text' string",
     )
-    _expect(obj["text"].strip(), "step 'text' must not be blank")
+    text = obj["text"].strip()
+    _expect(text, "step 'text' must not be blank")
     label = obj.get("label")
     _expect(
         label is None or isinstance(label, str), "step 'label' must be a string"
     )
-    return Step(
-        label=label,
-        number=_trailing_number(label) if label else None,
-        sentences=[Sentence(text=t) for t, _ in split_sentences(obj["text"])],
-    )
+    if _one_sentence(text):  # as split_sentences would give it
+        sentences = [Sentence(text)]
+    else:
+        sentences = [Sentence(t) for t, _ in split_sentences(obj["text"])]
+    return Step(label, _trailing_number(label) if label else None, sentences)
 
 
 def _branch_from_obj(obj, ids: set[str], warn) -> BranchFlow:

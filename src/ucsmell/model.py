@@ -20,11 +20,12 @@ Evidence is a frozen __slots__ class of one field, its text. No record
 is a dataclass: importing dataclasses and generating each class's
 methods would cost a cold lint process more than the rest of this module.
 
-SectionKind keys the dicts every document is read through, so it hashes
-by identity (object.__hash__, in C) rather than through Enum.__hash__, a
-Python function on 3.10-3.13: its members are singletons that compare by
+SectionKind keys the dicts every document is read through, and PosTag the
+tag-code table every quoted word is looked up in, so both hash by identity
+(object.__hash__, in C) rather than through Enum.__hash__, a Python
+function on 3.10-3.13: their members are singletons that compare by
 identity, and copy and pickle return the member itself, so equal members
-hash equal. Its title reads _value_ directly, not through enum's
+hash equal. SectionKind.title reads _value_ directly, not through enum's
 Python-level value descriptor. Neither change defines an enum base class,
 whose creation would cost a cold start more than it saves.
 """
@@ -41,6 +42,8 @@ class PosTag(Enum):
     MODIFIER = "modifier"
     PRONOUN = "pronoun"
     OTHER = "other"
+
+    __hash__ = object.__hash__
 
 
 class Characteristic(Enum):

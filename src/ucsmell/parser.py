@@ -112,7 +112,13 @@ def _step(start: int, lineno: int, line: str, label, number, text) -> Step:
     """The step written as line, which starts at index start of the source
     on line lineno, and whose text ends it."""
     end = start + len(line)
-    sentences = _sentences(text, end - len(text), lineno)
+    # _one_sentence's test, inline (a line holds no "\n"): most steps are
+    # one sentence, built here.
+    body = text.rstrip(".!?")
+    if "." in body or "!" in body or "?" in body:
+        sentences = _sentences(text, end - len(text), lineno)
+    else:
+        sentences = [Sentence(text, lineno, (end - len(text), end, lineno))]
     return Step(label, number, sentences, (start, end, lineno))
 
 
@@ -135,7 +141,8 @@ def parse_text(source: str) -> tuple[Optional[UseCaseDescription], list[ParseDia
         stripped = raw.strip()
         if not stripped:
             continue
-        start += len(raw) - len(raw.lstrip())  # where stripped starts
+        if stripped is not raw:  # strip gives raw itself when it strips nothing
+            start += len(raw) - len(raw.lstrip())  # where stripped starts
 
         m = _HEADER_RE.match(stripped) if ":" in stripped else None
         if m:

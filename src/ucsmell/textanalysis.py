@@ -149,23 +149,31 @@ def _spans(record: tuple, code: Optional[str]) -> list[tuple[str, SourceSpan]]:
     """The surface and span of each word of an analysis record's text
     tagged code (every word when code is None), in order, on its line.
 
-    Each word is found with text.find from the end of the one before: no
-    letter or digit lies between two words, so the first match is the
-    word itself. The words after the last one wanted are never read.
-    Offsets are character indices into text, shifted by the record's span
-    start: for a parsed sentence, indices into the source.
+    tags.find gives the index of each wanted word. Each word up to it is
+    found with text.find from the end of the one before: no letter or
+    digit lies between two words, so the first match is the word itself
+    (a wanted word may occur inside an earlier word, so none is skipped).
+    The words after the last one wanted are never read. Offsets are
+    character indices into text, shifted by the record's span start: for
+    a parsed sentence, indices into the source.
     """
     text, base, line, tags, _ = record
-    wanted = len(tags) if code is None else tags.rfind(code) + 1
-    if not wanted:
+    if code is None:  # every word is wanted
+        code = "*"
+        tags = code * len(tags)
+    k = tags.find(code)  # the index of the next wanted word
+    if k < 0:
         return []
+    words = split_words(text)
     out = []
-    end = 0  # of the word before
-    for surface, tag in zip(split_words(text), tags[:wanted]):
-        start = text.find(surface, end)
-        end = start + len(surface)
-        if tag == code or code is None:
-            out.append((surface, _span(SourceSpan, (base + start, base + end, line))))
+    end = i = 0  # the end of the word before, and the index of the next
+    while k >= 0:
+        for surface in words[i : k + 1]:  # up to the wanted word, which ends it
+            start = text.find(surface, end)
+            end = start + len(surface)
+        out.append((surface, _span(SourceSpan, (base + start, base + end, line))))
+        i = k + 1
+        k = tags.find(code, i)
     return out
 
 

@@ -443,20 +443,29 @@ def test_match_rejects_an_unknown_smell_id_in_the_oracle():
         match([finding()], [entry(), entry(smell_id="nope")])
 
 
-def test_match_grows_with_the_group_not_its_cube():
-    # Twice as many entries as findings, all on one line: every entry is
-    # compatible with every finding, so the window scans alone take four
-    # times as long at twice the size. A search that walks the whole
-    # group again for each unmatched entry takes eight times or more.
-    # The best of five timings keeps a busy machine's pauses out.
-    def best(n):
-        findings, oracle = [finding() for _ in range(n)], [entry() for _ in range(2 * n)]
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            report = match(findings, oracle)
-            times.append(time.perf_counter() - start)
-        assert report.totals == Tally(tp=n, fp=0, fn=n)
-        return min(times)
+def _best_one_line_match(n):
+    """The best of five timings of n findings against 2n entries, all on
+    one line; a busy machine's pauses stay out of the best."""
+    findings, oracle = [finding() for _ in range(n)], [entry() for _ in range(2 * n)]
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        report = match(findings, oracle)
+        times.append(time.perf_counter() - start)
+    assert report.totals == Tally(tp=n, fp=0, fn=n)
+    return min(times)
 
-    assert best(400) / best(200) <= 7
+
+def test_match_grows_with_the_group_not_its_cube():
+    # Every entry is compatible with every finding. A search that walks
+    # the whole group again for each unmatched entry takes eight times or
+    # more at twice the size.
+    assert _best_one_line_match(400) / _best_one_line_match(200) <= 7
+
+
+def test_match_grows_linearly_in_a_one_line_group():
+    # Each window start keeps its first candidate that may be free and
+    # its first that may be live, and a search scans equal windows once,
+    # so four times the group takes about four times as long; scanning
+    # the window for each entry takes about sixteen.
+    assert _best_one_line_match(1200) / _best_one_line_match(300) <= 8

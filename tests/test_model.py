@@ -21,7 +21,7 @@ from ucsmell.model import (
     UseCaseDescription,
 )
 from ucsmell.metrics import NOM, NON, NOP, NOV
-from ucsmell.textanalysis import analyze_document, load_lexicon, words_tagged
+from ucsmell.textanalysis import _CODE_OF_TAG, analyze_document, load_lexicon, words_tagged
 
 
 def test_span_rejects_start_after_end():
@@ -94,18 +94,33 @@ def test_frozen_records_copy_and_pickle():
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def _assert_copies_are_the_member(member):
+    copies = (
+        copy.copy(member), copy.deepcopy(member), pickle.loads(pickle.dumps(member))
+    )
+    assert all(other is member for other in copies)
+    assert {hash(member)} == {hash(k) for k in copies}
+    for other in copies:
+        assert {member: 1, other: 2} == {member: 2}
+        assert {member, other} == {member}
+        assert other in {member} and member in {other: 0}
+
+
 def test_section_kinds_hash_alike_after_copy_and_pickle():
     # SectionKind hashes by identity; a member's copies are the member.
     for kind in SectionKind:
-        copies = (
-            copy.copy(kind), copy.deepcopy(kind), pickle.loads(pickle.dumps(kind))
-        )
-        assert {hash(kind)} == {hash(k) for k in copies}
+        _assert_copies_are_the_member(kind)
         assert kind.title == kind.value
-        for other in copies:
-            assert {kind: 1, other: 2} == {kind: 2}
-            assert {kind, other} == {kind}
-            assert other in {kind} and kind in {other: 0}
+
+
+def test_pos_tags_hash_alike_after_copy_and_pickle():
+    # PosTag hashes by identity, as SectionKind does; the tag-code table,
+    # keyed by PosTag, finds each member through its copies.
+    for tag in PosTag:
+        assert hash(tag) == object.__hash__(tag)
+        _assert_copies_are_the_member(tag)
+        for other in (copy.deepcopy(tag), pickle.loads(pickle.dumps(tag))):
+            assert _CODE_OF_TAG[other] == tag.value[0]
 
 
 def test_document_equality_ignores_positions_and_tokens():

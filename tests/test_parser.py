@@ -1,12 +1,15 @@
 import json
 import time
 
+import largedoc
 import pytest
+import seeding
 
 from ucsmell.engine import DetectorConfig, detect
-from ucsmell.model import ActorDecl, SectionKind
+from ucsmell.model import EMPTY_SPAN, ActorDecl, SectionKind
 from ucsmell.parser import (
     Severity,
+    _sentences,
     parse_json,
     parse_text,
     serialize,
@@ -162,6 +165,93 @@ def test_multi_sentence_step():
         "Basic Flow:\n1. System saves the data. System shows a message.\n"
     )
     assert len(doc.basic_flow.steps[0].sentences) == 2
+
+
+# Steps around the one-sentence step both front-ends build in place:
+# trailing terminator runs, a numeral or a label before a dot, tab and
+# space indents, trailing spaces, an accent as a combining mark (NFD), and
+# steps of two sentences, labeled, unlabeled and after a branch header.
+_STEP_CASES = "\n".join([
+    "Basic Flow:",
+    "1. Does the user ask why?!",
+    "\t2. The system waits...",
+    "  3. The user goes back to step 2.",
+    "4. The system shows the page.   ",
+    "5) The clerk prints the cafe\u0301 menu",
+    "6. The user logs in. The system greets the user!",
+    "\t The system saves the order  ",
+    "Alternate Flows:",
+    "A1. If the card is invalid at step 2",
+    "\tA1.1 The system ejects the card.",
+    "  A1.2. The system reads A1.1 again?",
+    "A2 The system beeps twice. It waits.",
+    "\tThe system returns to step 1",
+    "",
+])
+
+
+def _steps(doc):
+    flows = [doc.basic_flow] if doc.basic_flow else []
+    flows += [*doc.alternate_flows, *doc.exception_flows]
+    return [step for flow in flows for step in flow.steps]
+
+
+def _positions(sentences):
+    return [(s.text, s.line, s.span) for s in sentences]
+
+
+def _step_sources():
+    texts = [_STEP_CASES, _STEP_CASES.replace("\n", "\r\n")]
+    texts += [p.read_text("utf-8") for p in sorted(FIXTURES.glob("*.ucd"))]
+    texts += [d.text for d in seeding.seeded_documents() + seeding.clean_documents()]
+    return texts + [largedoc.generate(1, 300).text]
+
+
+def test_steps_built_in_place_equal_the_sentence_splitter():
+    # Each step's sentences equal what _sentences gives for its text, which
+    # is its line less the label, and split_sentences for the text that
+    # serialize writes: the same texts, lines and spans. Each span is read
+    # from the source alone: a line stripped of its indent, and sentences
+    # that slice the source.
+    for source in _step_sources():
+        doc, _ = parse_text(source)
+        json_doc, _ = parse_json(serialize(doc))
+        lines = source.split("\n")
+        assert len(_steps(doc)) == len(_steps(json_doc))
+        for step, json_step in zip(_steps(doc), _steps(json_doc)):
+            start, end, lineno = step.span
+            line = source[start:end]
+            assert line and line == line.strip()
+            assert line in lines[lineno - 1]
+            text = line
+            if step.label is not None:
+                text = line[len(step.label):]
+                text = text[1:] if text[0] in ".)" else text
+                text = text.lstrip()
+            want = _sentences(text, end - len(text), lineno)
+            assert _positions(step.sentences) == _positions(want)
+            for s in step.sentences:
+                assert source[s.span.start : s.span.end] == s.text
+            text = " ".join(s.text for s in step.sentences)
+            assert (json_step.label, json_step.number) == (step.label, step.number)
+            want = [(t, 0, EMPTY_SPAN) for t, _ in split_sentences(text)]
+            assert _positions(json_step.sentences) == want
+
+
+@pytest.mark.parametrize("pad", ["", " ", "\t  ", "\n"])
+def test_json_steps_built_in_place_equal_the_sentence_splitter(pad):
+    texts = [
+        "Does the user ask why?!", "The system waits...", "The user goes to step 2.",
+        "The system shows the page.   ", "The clerk prints the cafe\u0301 menu",
+        "The user logs in. The system greets the user!", "It reads A1.1 again?",
+        "A. B", "It ends.\nThen it starts", "It ends!\n",
+    ]
+    obj = {"basic_flow": [{"label": "A1.1", "text": pad + t + pad} for t in texts]}
+    steps = parse_json(json.dumps(obj))[0].basic_flow.steps
+    for step, t in zip(steps, texts, strict=True):
+        assert (step.label, step.number) == ("A1.1", 1)
+        want = [(s, 0, EMPTY_SPAN) for s, _ in split_sentences(pad + t + pad)]
+        assert _positions(step.sentences) == want
 
 
 def test_sentence_spans_point_into_source(atm_doc):

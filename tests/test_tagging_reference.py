@@ -15,6 +15,7 @@ its sentences alone."""
 
 import re
 
+import pytest
 import seeding
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,11 +24,13 @@ from ucsmell.model import PosTag, Sentence, SourceSpan
 from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import (
     _AFTER_SUBJECT,
+    _CODE_OF_TAG,
     _IN_PHRASE,
     _TAG_OF_CODE,
     _VERB_SEEN,
     Lexicon,
     _row_of,
+    _spans,
     _verb_stems,
     analyze_document,
     analyze_sentence,
@@ -228,6 +231,29 @@ def test_words_tagged_agree_with_tokens(text, base, line, lex):
         assert all(type(span) is SourceSpan for _, span in before[pos])
         assert [(t.surface, t.span) for t in s.tokens if t.pos is pos] == want
         assert words_tagged(s, pos) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a wanted word inside an earlier word
+        "Thistle this", "thistle this", "hehe he", "The heater heats he.",
+        "It edits it, then it stops it", "He sees it, it, it!",  # repeated
+        "it", "It shows the page", "The system shows it",  # first, last, alone
+        "The system shows the page.", "", " , ...",  # no wanted word
+    ],
+)
+def test_spans_equal_the_reference(text):
+    # Every tag code, and None for every word, on sentences whose wanted
+    # words a scan that skipped the words before them would misplace.
+    for lex in (BUNDLED, CUSTOM):
+        s = Sentence(text, 4, SourceSpan(7, 7 + len(text), 4))
+        analyze_sentence(s, lex)
+        ref = ref_analyze(text, 7, 4, lex)
+        assert _spans(s._tagged, None) == [(w, SourceSpan(a, b, ln)) for w, _, a, b, ln in ref]
+        for pos in PosTag:
+            want = [(w, SourceSpan(a, b, ln)) for w, p, a, b, ln in ref if p is pos]
+            assert _spans(s._tagged, _CODE_OF_TAG[pos]) == want
 
 
 def _surfaces():
