@@ -2,7 +2,8 @@
 
 # The engine first: it is the largest module a lint loads, and compiling it
 # before the others are loaded lowers a cold process's peak memory.
-from .engine import DetectorConfig, detect, distribution
+from .engine import DetectorConfig, detect
+from .metrics import distribution
 from .parser import parse_json, parse_text, serialize, split_sentences
 from .model import Finding, SectionKind, UseCaseDescription
 from .textanalysis import Lexicon, load_lexicon

@@ -15,7 +15,6 @@ import math
 from typing import NamedTuple, Optional
 
 from . import metrics
-from .metrics import distribution  # noqa: F401  (ucsmell.engine.distribution)
 from .model import (
     EMPTY_SPAN,
     BranchFlow,
@@ -30,7 +29,7 @@ from .textanalysis import Lexicon, analyze_document
 
 class _ConfigFields(NamedTuple):
     stddev_k: float = 2.0
-    min_sentences_for_distribution: int = 5
+    min_sentences_for_distribution: int = 5  # distribution rules need >= this many sentences
     multi_action_verb_threshold: int = 2
     repeated_noun_threshold: int = 2
     same_reason_threshold: int = 2

@@ -1,15 +1,25 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
+import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import largedoc
 import ucsmell
 from ucsmell import cli, textanalysis
 from ucsmell.cli import run
+from ucsmell.parser import parse_text, serialize
+
+# Each fixture and the exit code a lint of it gives.
+FIXTURE_CODES = {"atm": 1, "clean": 0, "nonascii": 1, "search": 1}
+FOUR_FIXTURES = [f"fixtures/{name}.ucd" for name in FIXTURE_CODES]
 
 
 def test_lint_clean_exit_zero(capsys, fixtures_dir):
@@ -27,12 +37,104 @@ def test_lint_atm_exit_one(capsys, fixtures_dir):
     assert "[pronoun]" in out
 
 
-def test_lint_json_matches_golden(capsys, fixtures_dir):
-    code = run(["lint", str(fixtures_dir / "atm.ucd"), "--format", "json"])
+def _indented_crlf(text: str) -> str:
+    """Every non-blank line indented by a tab and two spaces, every line
+    ended by CRLF. lint reads files in text mode, so the CRLF reaches the
+    parser as LF; the indent reaches it as written."""
+    return "".join(("\t  " + line if line.strip() else line) + "\r\n"
+                   for line in text.splitlines())
+
+
+# How a variant rewrites the fixture's text, and the options it adds.
+_VARIANTS = {
+    "as-written": (None, []),
+    # Accents spelled as combining marks give the same findings, quoted as
+    # written: in composed form (NFC) they are the golden.
+    "nfd": (lambda text: unicodedata.normalize("NFD", text), []),
+    # Findings name section-relative lines and quote text without its indent.
+    "indented-crlf": (_indented_crlf, []),
+    # --lexicon reads the bundled lexicon through load_lexicon(path).
+    "lexicon": (None, ["--lexicon",
+                       str(Path(ucsmell.__file__).parent / "data" / "lexicon.txt")]),
+}
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+@pytest.mark.parametrize("name", FIXTURE_CODES)
+def test_lint_json_matches_golden(capsys, fixtures_dir, tmp_path, name, variant):
+    rewrite, options = _VARIANTS[variant]
+    path = fixtures_dir / f"{name}.ucd"
+    if rewrite:
+        text = rewrite(path.read_text("utf-8"))
+        path = tmp_path / path.name
+        path.write_bytes(text.encode("utf-8"))
+    code = run(["lint", "--format", "json", *options, str(path)])
     out = capsys.readouterr().out
-    assert code == 1
-    golden = (fixtures_dir / "atm_findings.golden.json").read_text("utf-8")
-    assert out == golden
+    if variant == "nfd":
+        out = unicodedata.normalize("NFC", out)
+    assert code == FIXTURE_CODES[name]
+    golden = (fixtures_dir / f"{name}_findings.golden.json").read_bytes()
+    assert out.encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("name", FIXTURE_CODES)
+def test_first_version_config_gives_the_goldens_less_noafr_and_noefr(
+    capsys, fixtures_dir, name
+):
+    # fixtures/first_version.cfg enables the 22 smells of the tool's first
+    # version: every golden record but the NOAFR and NOEFR ones.
+    golden = json.loads((fixtures_dir / f"{name}_findings.golden.json").read_bytes())
+    want = [r for r in golden if r["metric"] not in ("NOAFR", "NOEFR")]
+    code = run(["lint", "--format", "json", "--config",
+                str(fixtures_dir / "first_version.cfg"), str(fixtures_dir / f"{name}.ucd")])
+    out = capsys.readouterr().out
+    assert code == (1 if want else 0)
+    assert out == json.dumps(want, indent=2, ensure_ascii=False) + "\n"
+
+
+def _lint_records(argv: list[str], capsys) -> tuple[int, Counter]:
+    """A JSON lint's exit code and its records less their lines, as a multiset."""
+    code = run(["lint", "--format", "json", *argv])
+    records = json.loads(capsys.readouterr().out)
+    return code, Counter(
+        json.dumps({k: v for k, v in r.items() if k != "line"}, sort_keys=True)
+        for r in records
+    )
+
+
+# Steps of several sentences, which neither the fixtures nor a generated
+# document have, in the basic flow and in a branch flow.
+_MULTI_SENTENCE = (
+    "Name: File\nBasic Flow:\n"
+    "1. The clerk opens the form. Then it stores it! Done?\n"
+    "2. The clerk checks the form. The system stores it.\n"
+    "Alternate Flows:\n"
+    "A1 If the form is invalid at step 2\n"
+    "A1.1 The system shows it. The clerk fixes it.\n"
+    "A1.2 The use case returns to step 2.\n"
+)
+
+
+@pytest.mark.parametrize("config", [None, "thresholds.cfg"], ids=["default", "thresholds"])
+@pytest.mark.parametrize("name", [*FIXTURE_CODES, "large-1000-s1", "multi-sentence"])
+def test_json_front_end_gives_the_text_records(capsys, fixtures_dir, tmp_path,
+                                               name, config):
+    # A document written as canonical JSON gives the text front-end's
+    # records and exit code. JSON carries no positions, so lines are left
+    # out. The fixtures have few branch steps; a generated document has
+    # hundreds, and thousands of one-sentence steps.
+    if name in FIXTURE_CODES:
+        text = (fixtures_dir / f"{name}.ucd").read_text("utf-8")
+    elif name == "multi-sentence":
+        text = _MULTI_SENTENCE
+    else:
+        text = largedoc.generate(1, 1000).text
+    ucd, doc = tmp_path / "doc.ucd", tmp_path / "doc.json"
+    ucd.write_text(text, "utf-8")
+    doc.write_text(serialize(parse_text(text)[0]), "utf-8")
+    options = ["--config", str(fixtures_dir / config)] if config else []
+    want = _lint_records([*options, str(ucd)], capsys)
+    assert _lint_records([*options, str(doc)], capsys) == want
 
 
 def test_lint_under_every_threshold_matches_golden(capsys, fixtures_dir, monkeypatch):
@@ -40,8 +142,7 @@ def test_lint_under_every_threshold_matches_golden(capsys, fixtures_dir, monkeyp
     # default, so a rule that reads one from the wrong place, or ignores
     # it, changes these records.
     monkeypatch.chdir(fixtures_dir.parent)
-    paths = [f"fixtures/{name}.ucd" for name in ("atm", "clean", "nonascii", "search")]
-    code = run(["lint", "--format", "json", "--config", "fixtures/thresholds.cfg", *paths])
+    code = run(["lint", "--format", "json", "--config", "fixtures/thresholds.cfg", *FOUR_FIXTURES])
     out = capsys.readouterr().out
     assert code == 1
     golden = (fixtures_dir / "thresholds_findings.golden.json").read_bytes()
@@ -52,8 +153,7 @@ def test_lint_pretty_matches_golden(capsys, fixtures_dir, monkeypatch):
     # pretty is the default format: each finding's line, smell and
     # excerpt of its evidence, then the grid of counts, file by file.
     monkeypatch.chdir(fixtures_dir.parent)
-    paths = [f"fixtures/{name}.ucd" for name in ("atm", "clean", "nonascii", "search")]
-    code = run(["lint", *paths])
+    code = run(["lint", *FOUR_FIXTURES])
     out = capsys.readouterr().out
     assert code == 1
     assert out.encode("utf-8") == (fixtures_dir / "pretty.golden.txt").read_bytes()
@@ -77,19 +177,21 @@ def test_lint_output_is_stable(capsys, fixtures_dir):
     assert capsys.readouterr().out == first
 
 
-def test_lint_multiple_files_json_keyed_by_path(capsys, fixtures_dir):
-    atm = str(fixtures_dir / "atm.ucd")
-    clean = str(fixtures_dir / "clean.ucd")
-    run(["lint", atm, clean, "--format", "json"])
-    obj = json.loads(capsys.readouterr().out)
-    assert list(obj) == [atm, clean]
-    assert obj[clean] == []
-    assert len(obj[atm]) == 12
+def test_lint_multiple_files_json_keyed_by_path(capsys, fixtures_dir, monkeypatch):
+    # One object maps each path, as given, to its golden records, byte for
+    # byte: order, whitespace and string escaping included.
+    monkeypatch.chdir(fixtures_dir.parent)
+    names = ("atm", "clean", "search")
+    code = run(["lint", "--format", "json", *(f"fixtures/{n}.ucd" for n in names)])
+    want = {
+        f"fixtures/{n}.ucd": json.loads((fixtures_dir / f"{n}_findings.golden.json").read_bytes())
+        for n in names
+    }
+    assert code == 1
+    assert capsys.readouterr().out == json.dumps(want, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_lint_json_file_input(tmp_path, capsys, fixtures_dir):
-    from ucsmell.parser import parse_text, serialize
-
     doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
     p = tmp_path / "atm.json"
     p.write_text(serialize(doc))
@@ -115,8 +217,6 @@ def test_lint_reads_a_ucd_file_with_a_byte_order_mark(tmp_path, capsys, fixtures
 
 
 def test_lint_reads_a_json_file_with_a_byte_order_mark(tmp_path, capsys, fixtures_dir):
-    from ucsmell.parser import parse_text, serialize
-
     doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
     plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
     plain.write_text(serialize(doc), "utf-8")
@@ -167,6 +267,44 @@ def test_lint_parse_error_exit_two(tmp_path, capsys):
     bad.write_text("no structure at all\n")
     assert run(["lint", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"basic_flow": [{"text": "   "}]}', "step 'text' must not be blank"),
+        ('{"basic_flow": [{"label": 3, "text": "A does B."}]}',
+         "step 'label' must be a string"),
+        ('["Basic Flow"]', "top level must be an object"),
+    ],
+    ids=["blank-text", "label-type", "top-level"],
+)
+def test_lint_malformed_json_exit_two(tmp_path, capsys, document, message):
+    # Each document breaks the JSON schema in one field: no findings, and
+    # one error line that names the field.
+    p = tmp_path / "doc.json"
+    p.write_text(document + "\n")
+    assert run(["lint", "--format", "json", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f": error: {message}" in err
+
+
+@pytest.mark.parametrize("steps", [1000, 3000])
+def test_lint_and_eval_on_generated_large_documents(tmp_path, capsys, steps):
+    # eval recalls every outcome the generator planted. lint reports every
+    # pronoun it planted, and no other, with its section, section-relative
+    # line and word.
+    ucd = largedoc.write(largedoc.generate(1, steps), tmp_path)
+    assert run(["eval", str(ucd), "--oracle", str(ucd.with_suffix(".oracle.json"))]) == 0
+    table = capsys.readouterr().out
+    assert any(re.match(r"Total +[^ ]+ +1\.000 ", line) for line in table.splitlines()), table
+    assert run(["lint", "--format", "json", str(ucd)]) == 1
+    got = Counter((r["item_name"], r["line"], r["word"])
+                  for r in json.loads(capsys.readouterr().out) if r["metric"] == "NOP")
+    planted = json.loads(ucd.with_suffix(".expected.json").read_bytes())["pronouns"]
+    assert got == Counter(tuple(p) for p in planted)
 
 
 def test_lint_missing_file_exit_two(capsys):
@@ -402,6 +540,10 @@ def test_unknown_smell_ids_exit_two_naming_them(tmp_path, capsys, fixtures_dir):
     assert capsys.readouterr() == (
         "", "ucsmell: unknown smell id in --disable: 'no-such-smell', 'pronon'\n"
     )
+    assert run(["lint", atm, "--disable", "no-such-smell"]) == 2
+    assert capsys.readouterr() == (
+        "", "ucsmell: unknown smell id in --disable: 'no-such-smell'\n"
+    )
     cfg = tmp_path / "unknown.cfg"
     cfg.write_text("enabled_smells = pronon, long-sentence\n")
     assert run(["lint", atm, "--config", str(cfg), "--format", "json"]) == 2
@@ -417,8 +559,6 @@ def test_negative_fail_threshold_exits_two_with_a_message(capsys, fixtures_dir):
 
 
 def test_eval_rejects_json_input(tmp_path, capsys, fixtures_dir):
-    from ucsmell.parser import parse_text, serialize
-
     doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
     p = tmp_path / "atm.json"
     p.write_text(serialize(doc))
@@ -442,12 +582,51 @@ def test_eval_on_json_input_with_a_bad_option_reports_the_option(
     )
 
 
-def _fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with args, importing the ucsmell under test."""
+def _fresh(*args: str, cwd=None, text=True, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, importing the ucsmell under test,
+    with env added to this process's environment."""
     src = str(Path(ucsmell.__file__).parent.parent)
     return subprocess.run([sys.executable, *args], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, encoding="utf-8")
+                          env={**os.environ, **env, "PYTHONPATH": src},
+                          capture_output=True, text=text,
+                          encoding="utf-8" if text else None)
+
+
+# What each run is compared with, and the exit code it gives.
+_HASH_RUNS = {
+    **{name: (["lint", "--format", "json", f"fixtures/{name}.ucd"],
+              f"{name}_findings.golden.json", code)
+       for name, code in FIXTURE_CODES.items()},
+    "thresholds": (["lint", "--format", "json", "--config", "fixtures/thresholds.cfg",
+                    *FOUR_FIXTURES], "thresholds_findings.golden.json", 1),
+    "pretty": (["lint", *FOUR_FIXTURES], "pretty.golden.txt", 1),
+    "eval": (["eval", "fixtures/atm.ucd", "--oracle", "fixtures/atm_oracle.json"],
+             "atm_eval.golden.txt", 0),
+}
+
+
+@pytest.mark.parametrize("what", _HASH_RUNS)
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_output_does_not_depend_on_hashing(fixtures_dir, seed, what):
+    # A SectionKind hashes by its address and a str by the hash seed:
+    # output that followed hash order would differ between these seeds.
+    argv, golden, code = _HASH_RUNS[what]
+    proc = _fresh("-m", "ucsmell.cli", *argv, cwd=fixtures_dir.parent, text=False,
+                  PYTHONHASHSEED=seed)
+    assert (proc.returncode, proc.stdout) == (code, (fixtures_dir / golden).read_bytes())
+
+
+@pytest.mark.parametrize("path", sorted(Path(ucsmell.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_stays_below_the_parsers_token_array_step(path):
+    # CPython's parser doubles its token array at 4 096 tokens, which adds
+    # about 0.3 MB to compiling a module on a cold start. Tokens are counted
+    # as tokenize gives them, less comments, NL and the encoding token;
+    # 4 094 is the largest count measured below the step.
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(path, "rb") as fh:
+        n = sum(1 for t in tokenize.tokenize(fh.readline) if t.type not in skip)
+    assert n <= 4094
 
 
 def _modules_loaded_by(code: str) -> set[str]:
@@ -506,8 +685,6 @@ def test_lazily_loaded_paths_work_in_a_fresh_process(argv, tmp_path, capsys,
                                                      fixtures_dir, monkeypatch):
     # Each of these loads the catalogue or the JSON front-end on first
     # use; a fresh process must give what this one, with both loaded, does.
-    from ucsmell.parser import parse_text, serialize
-
     doc, _ = parse_text((fixtures_dir / "atm.ucd").read_text("utf-8"))
     argv = [str(tmp_path / a) if a == "atm.json" else a for a in argv]
     (tmp_path / "atm.json").write_text(serialize(doc), encoding="utf-8")

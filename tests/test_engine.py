@@ -16,10 +16,10 @@ from ucsmell.engine import (
     RULES,
     DetectorConfig,
     detect,
-    distribution,
     load_config,
     parse_config,
 )
+from ucsmell.metrics import distribution
 from ucsmell.model import (
     Evidence,
     Finding,
@@ -215,6 +215,43 @@ def test_distribution_single_value():
 def test_distribution_empty_raises():
     with pytest.raises(ValueError):
         distribution([])
+
+
+_DISTRIBUTION_ROWS = {smell for smell, rule in RULES.items() if rule.threshold == "stddev_k"}
+
+
+def _steps_document(size: int) -> str:
+    """A basic flow of size one-sentence steps: an over-qualified, a long
+    and a short one, then plain ones."""
+    steps = ["The clerk checks the valid new large small order.",
+             "The clerk checks the valid order and the receipt and the ticket "
+             "at the desk of the branch.",
+             "Stop."]
+    steps += ["The clerk checks the valid order."] * (size - len(steps))
+    return "Name: Check\nBasic Flow:\n" + "".join(f"{i}. {s}\n" for i, s in enumerate(steps, 1))
+
+
+@pytest.mark.parametrize("config", [None, "thresholds.cfg"], ids=["default", "thresholds"])
+def test_distribution_rows_judge_documents_of_at_least_min_sentences(
+    lexicon, monkeypatch, config
+):
+    # A live row takes its bound from Distribution.limits. Of 5 values none
+    # lies beyond their mean ± 2·stddev, so under the default config only
+    # the calls show the rows live; under thresholds.cfg (k = 1) each row
+    # also reports a sentence.
+    cfg = load_config(str(FIXTURES / config)) if config else DetectorConfig()
+    n = cfg.min_sentences_for_distribution
+    bounds = []
+    limits = metrics.Distribution.limits
+    monkeypatch.setattr(metrics.Distribution, "limits",
+                        lambda d, k: bounds.append(k) or limits(d, k))
+    for size in (n - 1, n, n + 1):
+        bounds.clear()
+        findings = findings_for(_steps_document(size), lexicon, cfg)
+        found = {f.smell_id for f in findings} & _DISTRIBUTION_ROWS
+        live = size >= n
+        assert len(bounds) == (len(_DISTRIBUTION_ROWS) if live else 0), size
+        assert found == (_DISTRIBUTION_ROWS if live and config else set()), size
 
 
 # --- fixture regressions --------------------------------------------------

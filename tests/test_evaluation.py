@@ -443,17 +443,22 @@ def test_match_rejects_an_unknown_smell_id_in_the_oracle():
         match([finding()], [entry(), entry(smell_id="nope")])
 
 
-def _best_one_line_match(n):
-    """The best of five timings of n findings against 2n entries, all on
-    one line; a busy machine's pauses stay out of the best."""
-    findings, oracle = [finding() for _ in range(n)], [entry() for _ in range(2 * n)]
+def _best_match(findings, oracle):
+    """The best of five timings of n findings against 2n entries, every
+    finding matched; a busy machine's pauses stay out of the best."""
     times = []
     for _ in range(5):
         start = time.perf_counter()
         report = match(findings, oracle)
         times.append(time.perf_counter() - start)
+    n = len(findings)
     assert report.totals == Tally(tp=n, fp=0, fn=n)
     return min(times)
+
+
+def _best_one_line_match(n):
+    """n findings against 2n entries, all on one line."""
+    return _best_match([finding() for _ in range(n)], [entry() for _ in range(2 * n)])
 
 
 def test_match_grows_with_the_group_not_its_cube():
@@ -469,3 +474,19 @@ def test_match_grows_linearly_in_a_one_line_group():
     # so four times the group takes about four times as long; scanning
     # the window for each entry takes about sixteen.
     assert _best_one_line_match(1200) / _best_one_line_match(300) <= 8
+
+
+def _best_spread_match(n, hint):
+    """n findings, one on each of lines 1..n, against 2n entries, two on
+    each of those lines."""
+    findings = [finding(line=i) for i in range(1, n + 1)]
+    return _best_match(findings, [entry(line=i, hint=hint) for i in range(1, n + 1)
+                                  for _ in range(2)])
+
+
+@pytest.mark.parametrize("hint", [None, "it"])
+def test_match_grows_linearly_over_many_overlapping_windows(hint):
+    # Each entry's window of lines overlaps its neighbours', so the windows
+    # are many and distinct; four times as many take about four times as
+    # long.
+    assert _best_spread_match(4000, hint) / _best_spread_match(1000, hint) <= 8

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ucsmell.engine import distribution
-from ucsmell.metrics import LOS, NOAFR, NON, NOW, normalize_reason
+from ucsmell.metrics import LOS, NOAFR, NON, NOW, distribution, normalize_reason
 from ucsmell.model import (
     BranchFlow,
     Flow,

@@ -2,6 +2,7 @@
 json.dumps(obj, indent=2, ensure_ascii=False) plus a newline."""
 
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from ucsmell.model import (
     Step,
     UseCaseDescription,
 )
-from ucsmell.parser import parse_text, serialize
+from ucsmell.parser import parse_json, parse_text, serialize
 
 
 def reference(doc: UseCaseDescription) -> str:
@@ -74,10 +75,20 @@ def _parsed(text: str) -> UseCaseDescription:
 _SUITE = seeding.seeded_documents() + seeding.clean_documents()
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ucd")), ids=lambda p: p.name)
-def test_serialize_equals_reference_on_fixtures(path):
-    doc = _parsed(path.read_text("utf-8"))
-    assert serialize(doc) == reference(doc)
+@pytest.mark.parametrize(
+    "path, form",
+    [pytest.param(p, "NFC", id=p.name) for p in sorted(FIXTURES.glob("*.ucd"))]
+    + [pytest.param(p, "NFD", id=f"{p.name}-NFD") for p in sorted(FIXTURES.glob("*.ucd"))],
+)
+def test_serialize_equals_reference_on_fixtures(path, form):
+    # The text is canonical: json.dumps of its own data. Read back through
+    # the JSON front-end, the document (its step labels, origins and
+    # return targets included) serializes to the same text.
+    doc = _parsed(unicodedata.normalize(form, path.read_text("utf-8")))
+    s = serialize(doc)
+    assert s == reference(doc)
+    assert json.dumps(json.loads(s), indent=2, ensure_ascii=False) + "\n" == s
+    assert serialize(parse_json(s)[0]) == s
 
 
 def test_serialize_equals_reference_on_the_seeded_and_clean_suite():
