@@ -10,6 +10,8 @@ group, so the tallies do not depend on the order of the oracle. Oracle
 entries are matched one at a time in line order: each takes the earliest
 free compatible finding in (line, span start) order, or else an
 augmenting path (Kuhn's algorithm) frees one for it when there is one.
+Entries of one line and hint share one window of compatible findings,
+built once, so a one-line group is matched in linear time, hint or not.
 """
 
 from __future__ import annotations
@@ -126,69 +128,65 @@ def _category(smell_id: str) -> Category:
 
 
 def _group_matching(candidates, entries) -> list[Optional[int]]:
-    """A maximum matching of one group: each entry's candidate index, or None.
-
-    Only candidates within LINE_TOLERANCE of an entry can match it, and
-    they form one contiguous window of the line-sorted candidates. Entries
-    are matched one by one, in line order, as each window is built, so
-    each step keeps the matching of the entries so far maximum.
-    """
+    """A maximum matching of one group: each entry's candidate index, or
+    None. Entries are matched in line order, each step keeping it maximum.
+    An entry's window is the candidates it can match, in line order: those
+    within LINE_TOLERANCE of its line that hold its hint."""
     lines = [f.line for f in candidates]
-    edges: list = []  # each entry's compatible candidates, in order
+    every = list(range(len(candidates)))
+    # Each (line, evidence_hint) key's window, [ids, free, live, end]: its
+    # candidates are ids[start:end], a run of every candidate if there is
+    # no hint; those before position free are matched and those before live
+    # dead, and as both stay so, the two positions only move forward.
+    windows: dict[tuple, list] = {}
+    keys = list(map(attrgetter("line", "evidence_hint"), entries))
     # The entry each candidate is matched to, and the candidate each entry holds.
     owner, held = [None] * len(candidates), [None] * len(entries)
     dead: set[int] = set()  # candidates that no augmenting path can free
-    # A matched candidate stays matched and a dead one stays dead, so from
-    # each window start lo on, the candidates before free[lo] are matched
-    # and those before live[lo] dead, and both indices only move forward.
-    free = list(range(len(candidates) + 1))
-    live = free.copy()
-    for i, e in enumerate(entries):
-        lo = bisect_left(lines, e.line - LINE_TOLERANCE)
-        hi = bisect_right(lines, e.line + LINE_TOLERANCE)
-        hint = e.evidence_hint
-        if hint is None:
-            window = range(lo, hi)
-            j = free[lo]
-            while j < hi and owner[j] is not None:
-                j += 1
-            free[lo] = j
-            if j == hi:  # no free candidate: search unless all are dead
-                k = live[lo]
-                while k < hi and k in dead:
-                    k += 1
-                live[lo] = k
-                window = range(k, hi)  # the dead ones before k are skipped
-        else:
-            window = tuple(
-                j for j in range(lo, hi) if hint in _evidence_text(candidates[j])
-            )
-            j = next((j for j in window if owner[j] is None), hi)
-        edges.append(window)
-        if j < hi:
-            owner[j], held[i] = i, j
-        elif window:
-            _augment(i, edges, owner, held, dead)
+    for i, key in enumerate(keys):
+        w = windows.get(key)
+        if w is None:
+            line, hint = key
+            lo = bisect_left(lines, line - LINE_TOLERANCE)
+            hi = bisect_right(lines, line + LINE_TOLERANCE)
+            if hint is None:
+                w = [every, lo, lo, hi]
+            else:
+                ids = [j for j in range(lo, hi) if hint in _evidence_text(candidates[j])]
+                w = [ids, 0, 0, len(ids)]
+            windows[key] = w
+        ids, free, live, end = w
+        while free < end and owner[ids[free]] is not None:
+            free += 1
+        w[1] = free
+        if free < end:
+            owner[ids[free]], held[i] = i, ids[free]
+            continue
+        while live < end and ids[live] in dead:  # no free candidate:
+            live += 1  # search unless all are dead
+        w[2] = live
+        if live < end:
+            _augment(i, keys, windows, owner, held, dead)
     return held
 
 
-def _augment(root: int, edges: list, owner: list, held: list, dead: set) -> None:
+def _augment(root: int, keys: list, windows: dict, owner: list, held: list, dead: set):
     """Match the entry root, none of whose candidates is free, if it can
     be: along an augmenting path searched breadth first, on which every
-    entry moves to the next candidate. A window equal to one already
-    scanned in the search reaches nothing new, so it is skipped. A failed
-    search adds the candidates it reached to dead: the edges of the
-    entries it reached all lead to dead candidates, and an entry gains no
-    edges after it is added, so later searches skip them."""
+    entry moves to the next candidate. A window already scanned in the
+    search reaches nothing new, so it is skipped by its key. A failed
+    search adds the candidates it reached to dead: their owners' windows
+    lead only to them and to dead ones, and no window gains a candidate."""
     reached_from: dict[int, int] = {}  # candidate -> the entry that reached it
-    scanned = set()  # the windows scanned so far
+    scanned = set()  # the keys of the windows scanned so far
     queue = [root]
     for i in queue:  # the queue grows while it is read
-        window = edges[i]
-        if window in scanned:
+        if keys[i] in scanned:
             continue
-        scanned.add(window)
-        for j in window:
+        scanned.add(keys[i])
+        ids, _, live, end = windows[keys[i]]
+        for p in range(live, end):  # the dead before live are skipped
+            j = ids[p]
             if j in reached_from or j in dead:
                 continue
             reached_from[j] = i

@@ -60,9 +60,16 @@ _RETURN_RE = re.compile(
     re.IGNORECASE,
 )
 
-# A sentence terminator splits unless it sits in a digit context, as in
-# step labels ("A1.1") or trailing numerals ("step 2.").
-_SENT_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
+# A run of sentence terminators ends a sentence, unless it sits in a digit
+# context, as in step labels ("A1.1") or trailing numerals ("step 2. 20"),
+# or is a "." directly before a letter ("e.g", "audit.txt"), or the "." of
+# a listed abbreviation. "etc." ends a sentence before a capital A-Z only.
+_ABBREVIATIONS = ("e.g", "i.e", "etc", "mr", "mrs", "dr", "vs", "approx")
+_SENT_SPLIT_RE = re.compile(
+    "(?i:" + "".join(rf"(?<!\b{re.escape(a)})" for a in _ABBREVIATIONS) + ")"
+    r"(?:(?<!\d)[.!?]+(?![.!?\d]|(?<=\.)[^\W\d_])|[.!?]+(?=\s|$)(?!\s*\d))"
+    r"|(?<=\b(?i:etc))\.(?=\s+[A-Z])|\n"
+)
 
 
 def _one_sentence(text: str) -> bool:

@@ -113,10 +113,24 @@ _MULTI_SENTENCE = (
     "A1.1 The system shows it. The clerk fixes it.\n"
     "A1.2 The use case returns to step 2.\n"
 )
+# Abbreviations and dotted words, which end no sentence, in steps, a
+# condition and a precondition, and an "etc." before a capital, which does.
+_ABBREVIATED = (
+    "Name: Export\nPreconditions:\nThe clerk is logged in, i.e. the session is open.\n"
+    "Basic Flow:\n"
+    "1. The clerk enters the amount, e.g. 20 dollars, and confirms.\n"
+    "2. The system writes audit.txt for Mr. Smith, etc. The clerk waits.\n"
+    "3. Dr. Lee checks the export vs. the archive of approx. 20 files.\n"
+    "Alternate Flows:\n"
+    "A1 If the file is locked, e.g. by the archive, at step 2\n"
+    "A1.1 The system retries, i.e. it waits.\n"
+    "A1.2 The use case returns to step 2.\n"
+)
+_TEXTS = {"multi-sentence": _MULTI_SENTENCE, "abbreviations": _ABBREVIATED}
 
 
 @pytest.mark.parametrize("config", [None, "thresholds.cfg"], ids=["default", "thresholds"])
-@pytest.mark.parametrize("name", [*FIXTURE_CODES, "large-1000-s1", "multi-sentence"])
+@pytest.mark.parametrize("name", [*FIXTURE_CODES, "large-1000-s1", *_TEXTS])
 def test_json_front_end_gives_the_text_records(capsys, fixtures_dir, tmp_path,
                                                name, config):
     # A document written as canonical JSON gives the text front-end's
@@ -125,8 +139,8 @@ def test_json_front_end_gives_the_text_records(capsys, fixtures_dir, tmp_path,
     # hundreds, and thousands of one-sentence steps.
     if name in FIXTURE_CODES:
         text = (fixtures_dir / f"{name}.ucd").read_text("utf-8")
-    elif name == "multi-sentence":
-        text = _MULTI_SENTENCE
+    elif name in _TEXTS:
+        text = _TEXTS[name]
     else:
         text = largedoc.generate(1, 1000).text
     ucd, doc = tmp_path / "doc.ucd", tmp_path / "doc.json"

@@ -456,24 +456,29 @@ def _best_match(findings, oracle):
     return min(times)
 
 
-def _best_one_line_match(n):
+def _best_one_line_match(n, hint):
     """n findings against 2n entries, all on one line."""
-    return _best_match([finding() for _ in range(n)], [entry() for _ in range(2 * n)])
+    return _best_match(
+        [finding() for _ in range(n)], [entry(hint=hint) for _ in range(2 * n)]
+    )
 
 
-def test_match_grows_with_the_group_not_its_cube():
+@pytest.mark.parametrize("hint", [None, "it"])
+def test_match_grows_with_the_group_not_its_cube(hint):
     # Every entry is compatible with every finding. A search that walks
     # the whole group again for each unmatched entry takes eight times or
     # more at twice the size.
-    assert _best_one_line_match(400) / _best_one_line_match(200) <= 7
+    assert _best_one_line_match(400, hint) / _best_one_line_match(200, hint) <= 7
 
 
-def test_match_grows_linearly_in_a_one_line_group():
-    # Each window start keeps its first candidate that may be free and
-    # its first that may be live, and a search scans equal windows once,
-    # so four times the group takes about four times as long; scanning
-    # the window for each entry takes about sixteen.
-    assert _best_one_line_match(1200) / _best_one_line_match(300) <= 8
+@pytest.mark.parametrize("hint", [None, "it"])
+def test_match_grows_linearly_in_a_one_line_group(hint):
+    # All entries share one window, built once, hint or not. It keeps its
+    # first candidate that may be free and its first that may be live,
+    # and a search scans it once, so four times the group takes about
+    # four times as long; filtering or scanning the window for each entry
+    # takes about sixteen.
+    assert _best_one_line_match(1200, hint) / _best_one_line_match(300, hint) <= 8
 
 
 def _best_spread_match(n, hint):

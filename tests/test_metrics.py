@@ -1,9 +1,12 @@
+import math
 import re
 
 import largedoc
+import pytest
 import seeding
 
 from ucsmell import metrics, textanalysis
+from ucsmell.engine import DetectorConfig
 from ucsmell.metrics import (
     LOS,
     NOAFR,
@@ -341,3 +344,16 @@ def test_failing_predicate_carries_witnesses():
     result = PREDICATES["BasicFlowOrdered?"](doc)
     assert not result.holds
     assert len(result.witnesses) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_no_value_of_n_lies_beyond_n_minus_1_over_root_n_stddevs(n):
+    # One value against n - 1 equal ones lies the furthest from the mean
+    # that any value of n can: (n - 1)/sqrt(n) sample stddevs, 1.79 at
+    # n = 5 and 2.04 at n = 6. So under k = 2 the default minimum of 5
+    # sentences acts as "at least 6".
+    d = metrics.distribution([1] + [0] * (n - 1))
+    z = (1 - d.mean) / d.stddev
+    assert z == pytest.approx((n - 1) / math.sqrt(n))
+    cfg = DetectorConfig()
+    assert (z > cfg.stddev_k) == (n > cfg.min_sentences_for_distribution)

@@ -160,6 +160,72 @@ def test_split_sentences_offsets():
         assert block[off : off + len(text)] == text
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "The clerk enters the amount, e.g. 20 dollars, and confirms.",
+        "The system pays the sum (i.e. the total) to Mr. Smith.",
+        "The system writes the log to audit.txt on the disk.",
+        "The browser opens www.example.com and v2.1.3 of the form.",
+        "Mrs. Jones meets Dr. Lee, i.e., the vet of the town.",
+        "The clerk sorts letters vs. parcels of approx. 20 kilos.",
+        "The clerk files the forms, the letters, etc. and then leaves.",
+        "The clerk files the forms, the letters, etc., and then leaves.",
+        "E.g. the clerk, I.E. the person at the desk, leaves.",
+    ],
+)
+def test_split_sentences_keeps_dotted_words_and_abbreviations_whole(block):
+    assert split_sentences(block) == [(block, 0)]
+
+
+@pytest.mark.parametrize(
+    "block, sentences",
+    [
+        ("The user pays. 20 notes remain.", ["The user pays.", "20 notes remain."]),
+        # "etc." ends a sentence before a capitalized word only.
+        ("The user enters the name, the date, etc. The system saves them.",
+         ["The user enters the name, the date, etc.", "The system saves them."]),
+        ("The user enters the name, the date, etc.\tSo it goes.",
+         ["The user enters the name, the date, etc.", "So it goes."]),
+    ],
+)
+def test_split_sentences_still_ends_sentences_before_a_blank(block, sentences):
+    assert [t for t, _ in split_sentences(block)] == sentences
+
+
+def test_a_condition_with_an_abbreviation_keeps_its_origin(lexicon):
+    # The conditions of A1 and A2, which share one branch reason, rewritten
+    # with "e.g.": the "at step 6" after it names the origin, and the two
+    # flows still share a reason.
+    source = (FIXTURES / "atm.ucd").read_text("utf-8")
+    rewritten = source.replace(
+        "If the account lacks the funds for the payment at step 6",
+        "If the account lacks the funds, e.g. for the payment, at step 6",
+    )
+    assert rewritten.count("e.g.") == 2
+    doc, diags = parse_text(rewritten)
+    assert diags == []
+    assert [f.origin for f in doc.alternate_flows] == ["6", "6"]
+    found = sorted(f.smell_id for f in detect(doc, DetectorConfig(), lexicon))
+    atm_doc, _ = parse_text(source)
+    assert found == sorted(f.smell_id for f in detect(atm_doc, DetectorConfig(), lexicon))
+    assert "origin-free-alternate-flow" not in found
+    assert "multiple-alternate-flows-at-an-alternate-branch-condition" in found
+
+
+def test_a_step_with_an_abbreviation_is_one_sentence(lexicon):
+    # atm.ucd's step 5 with "e.g." in it: the splitter cut out "g.", which
+    # was reported as a short sentence.
+    step = "Actor enters the amount of money, e.g. 20 dollars, on the keypad."
+    source = (FIXTURES / "atm.ucd").read_text("utf-8").replace(
+        "Actor enters the amount of money on the keypad.", step
+    )
+    doc, _ = parse_text(source)
+    assert [s.text for s in doc.basic_flow.steps[4].sentences] == [step]
+    found = {f.smell_id for f in detect(doc, DetectorConfig(), lexicon)}
+    assert "short-sentence" not in found
+
+
 def test_multi_sentence_step():
     doc, _ = parse_text(
         "Basic Flow:\n1. System saves the data. System shows a message.\n"

@@ -19,7 +19,13 @@ from ucsmell.model import (
     Step,
     UseCaseDescription,
 )
-from ucsmell.parser import parse_json, parse_text, serialize, split_sentences
+from ucsmell.parser import (
+    _SENT_SPLIT_RE,
+    parse_json,
+    parse_text,
+    serialize,
+    split_sentences,
+)
 from ucsmell.textanalysis import analyze_sentence, load_lexicon
 
 LEXICON = load_lexicon()
@@ -180,13 +186,10 @@ def test_split_sentences_offsets_and_substrings(block):
 
 
 # The sentence splitter before its one-sentence shortcut: the pattern alone.
-_REFERENCE_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
-
-
 def _split_by_pattern(block):
     out = []
     pos = 0
-    for m in _REFERENCE_SPLIT_RE.finditer(block):
+    for m in _SENT_SPLIT_RE.finditer(block):
         piece = block[pos : m.end()]
         if piece.strip():
             lead = len(piece) - len(piece.lstrip())
@@ -217,6 +220,57 @@ _split_block_st = st.one_of(
 @given(block=_split_block_st)
 def test_split_sentences_equals_the_pattern_alone(block):
     assert split_sentences(block) == _split_by_pattern(block)
+
+
+# The splitter's pattern before it knew dotted words and abbreviations.
+_EARLIER_SPLIT_RE = re.compile(r"(?<!\d)[.!?]+(?!\d)|[.!?]+(?=\s|$)(?!\s*\d)|\n")
+_ABBREVIATION_END_RE = re.compile(r"\b(?:e\.g|i\.e|etc|mrs?|dr|vs|approx)$", re.IGNORECASE)
+_DOTTED = ["e.g.", "i.e.", "etc.", "Mr.", "Mrs.", "Dr.", "vs.", "approx.", "E.G.",
+           "e.g.,", "(i.e.", "audit.txt", "www.example.com", "v2.1.3", "a.b"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(block=st.lists(
+    st.tuples(  # a word, a run of terminators, a blank; the last two may be empty
+        st.sampled_from(["a", "1", "A", "\u00fc", *_DOTTED]),
+        st.sampled_from(["", ".", "!", "?", "..", "?!"]),
+        st.sampled_from(["", " ", "\t", "\n"]),
+    ).map("".join),
+    max_size=12,
+).map("".join))
+def test_split_sentences_keeps_every_earlier_split_before_a_blank(block):
+    # Each sentence the earlier pattern ended at a terminator before a
+    # blank or the end still ends there, unless the terminator closes a
+    # listed abbreviation.
+    ends = {off + len(text) for text, off in split_sentences(block)}
+    for m in _EARLIER_SPLIT_RE.finditer(block):
+        if block[m.end() - 1] == "\n" or block[m.end():m.end() + 1].strip():
+            continue
+        if not _ABBREVIATION_END_RE.search(block, 0, m.start()):
+            assert m.end() in ends
+
+
+_lower_word_st = st.one_of(
+    st.sampled_from(["the", "clerk", "pays", "20", "\u00fcber", "it"]),
+    st.text(alphabet="abcxyz", min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    words=st.lists(_lower_word_st, min_size=1, max_size=8),
+    end=st.sampled_from(["", ".", "!", "?", "..."]),
+    dotted=st.sampled_from(_DOTTED),
+    data=st.data(),
+)
+def test_an_abbreviation_or_dotted_word_adds_no_sentence(words, end, dotted, data):
+    # Inserted anywhere before the last word of a sentence of lowercase
+    # words, so an "etc." is never followed by a capital.
+    i = data.draw(st.integers(min_value=0, max_value=len(words) - 1))
+    sentence = " ".join(words) + end
+    inserted = " ".join([*words[:i], dotted, *words[i:]]) + end
+    assert len(split_sentences(sentence)) == 1
+    assert split_sentences(inserted) == [(inserted, 0)]
 
 
 @st.composite
