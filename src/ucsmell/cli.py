@@ -130,10 +130,11 @@ def _cmd_lint(args, cfg, lex) -> int:
             per_file.append((path, findings))
 
     if args.format == "json":
+        # print writes the report and its newline without joining them.
         if len(args.inputs) > 1:
-            sys.stdout.write(report.emit_json_files(per_file) + "\n")
+            print(report.emit_json_files(per_file))
         elif per_file:
-            sys.stdout.write(report.emit_json(per_file[0][1]) + "\n")
+            print(report.emit_json(per_file[0][1]))
     else:
         for path, findings in per_file:
             sys.stdout.write(report.emit_pretty(findings, source_name=path))

@@ -152,6 +152,9 @@ class _Context:
             for kind in SectionKind
         }
         self._measured: dict[str, tuple[list[int], metrics.Distribution]] = {}
+        # One Evidence per quoted text: findings that quote equal text share
+        # it (it is frozen), and its string.
+        self._evidence: dict = {}
 
     def finding(
         self, smell_id, kind: SectionKind, metric, line: int, text, span=EMPTY_SPAN
@@ -161,7 +164,10 @@ class _Context:
         title, header, _, _ = self._places[kind]
         if header and line > header:
             line -= header
-        return _finding(Finding, (smell_id, title, metric, line, Evidence(text), span))
+        evidence = self._evidence.get(text)
+        if evidence is None:
+            evidence = self._evidence[text] = Evidence(text)
+        return _finding(Finding, (smell_id, title, metric, line, evidence, span))
 
     def values(self, name: str) -> list[int]:
         """Each sentence's value of the sentence measure called name."""

@@ -87,16 +87,16 @@ def sentence_values(name: str, sentences: list[Sentence], in_words=False) -> lis
 def counted_words(sentences: list[Sentence], noun=None) -> list[tuple[int, list]]:
     """The words NOP counts, or given a lowercased noun the words NON(s,
     noun) counts, as (i, words) for each sentences[i] that holds one: the
-    surface and span of each, in order, as words_tagged quotes them."""
+    surface and span of each, in order, as words_tagged quotes them (a
+    span only for each word counted)."""
     pos, field, needle = PosTag.PRONOUN, _TAGS, _PRONOUN
-    if noun:
+    if noun is not None:
         pos, field, needle = PosTag.NOUN, _NOUNS, noun
-    out = []
-    for i, s in enumerate(sentences):
-        if needle in s._tagged[field]:  # else it holds no such word
-            words = words_tagged(s, pos)
-            out.append((i, [w for w in words if w[0].lower() == noun] if noun else words))
-    return out
+    return [
+        (i, words_tagged(s, pos, noun))
+        for i, s in enumerate(sentences)
+        if needle in s._tagged[field]  # else it holds no such word
+    ]
 
 
 def noun_counts(sentences: list[Sentence], repeated_only=False) -> list[tuple[int, dict]]:

@@ -387,7 +387,8 @@ class SmellType(NamedTuple):
 class Evidence(_FrozenRecord):
     """What a finding quotes: a word or a sentence as a str, or a flow's id
     and sentences as a tuple of str. The finding's engine.RULES row names
-    the JSON key it is written under."""
+    the JSON key it is written under. Frozen, so findings may share one:
+    detect builds one per distinct quoted text."""
 
     __slots__ = ("text",)
     _fields = _compared = ("text",)

@@ -64,6 +64,7 @@ _RETURN_RE = re.compile(
 # context, as in step labels ("A1.1") or trailing numerals ("step 2. 20"),
 # or is a "." directly before a letter ("e.g", "audit.txt"), or the "." of
 # a listed abbreviation. "etc." ends a sentence before a capital A-Z only.
+# The one list: textanalysis makes each dotted entry one word.
 _ABBREVIATIONS = ("e.g", "i.e", "etc", "mr", "mrs", "dr", "vs", "approx")
 _SENT_SPLIT_RE = re.compile(
     "(?i:" + "".join(rf"(?<!\b{re.escape(a)})" for a in _ABBREVIATIONS) + ")"

@@ -49,14 +49,20 @@ def emit_json_files(per_file: list[tuple[str, list[Finding]]]) -> str:
     by_path = dict(per_file)  # a repeated path keeps its first place, last findings
     if not by_path:
         return "{}"
-    return "{\n" + ",\n".join(
-        f"  {_quote(path)}: {_records(findings, '  ')}"
-        for path, findings in by_path.items()
-    ) + "\n}"
+    # Each file's records, then one join with the braces and keys: only
+    # one file's pieces are ever held at once.
+    parts = []
+    sep = "{\n"
+    for path, findings in by_path.items():
+        parts += (f"{sep}  {_quote(path)}: ", _records(findings, "  "))
+        sep = ",\n"
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _records(findings: list[Finding], pad: str) -> str:
-    """The findings' records as json.dumps(..., indent=2) lays them out at pad.
+    """The findings' records as json.dumps(..., indent=2) lays them out at
+    pad, built in one join, brackets and all.
 
     Writing them directly is several times faster than json.dumps, whose
     indented output never uses the C encoder.
@@ -65,6 +71,7 @@ def _records(findings: list[Finding], pad: str) -> str:
         return "[]"
     keys = pad + "    "
     parts = []
+    sep = "[\n"
     for f in findings:
         key, text = RULES[f.smell_id].evidence, f.evidence.text
         if key != "flow":
@@ -73,11 +80,13 @@ def _records(findings: list[Finding], pad: str) -> str:
             items = f",\n{keys}  ".join(map(_quote, text))
             tail = f'"flow": [\n{keys}  {items}\n{keys}]' if items else '"flow": []'
         parts.append(
-            f'{pad}  {{\n{keys}"item_name": {_quote(f.item_name)},\n'
+            f'{sep}{pad}  {{\n{keys}"item_name": {_quote(f.item_name)},\n'
             f'{keys}"metric": {_quote(f.metric)},\n{keys}"line": {f.line},\n'
             f"{keys}{tail}\n{pad}  }}"
         )
-    return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        sep = ",\n"
+    parts.append(f"\n{pad}]")
+    return "".join(parts)
 
 
 def parse_report(text: str) -> list[dict]:

@@ -6,7 +6,8 @@ noun counts the metrics need. split_words is the one word splitter: it
 splits a plain ASCII sentence (letters, digits, whitespace and commas,
 then its closing '.', '!' or '?') at its whitespace and commas, any other
 text with the word pattern, whose words are runs of letters and digits
-of any script with the combining marks that follow them.
+of any script with the combining marks that follow them, and the dotted
+abbreviations the sentence splitter keeps whole (tagged other).
 A lexicon keeps one row per distinct surface: the tag and next tagger
 state for each of 8 states, then the word lowercased; tagging a word is
 one step through its row. One loop, behind analyze_sentence and
@@ -29,15 +30,19 @@ import re
 from typing import Iterable, Optional
 
 from .model import PosTag, Sentence, SourceSpan, Token, _FrozenRecord
+from .parser import _ABBREVIATIONS
 
 # Letters and digits of any script ([^\W_] is what str.isalnum accepts)
 # and the combining diacritical marks (U+0300-U+036F) that follow them, as
 # text in decomposed form (NFD) spells accents, joined by hyphens and
 # straight or typographic (U+2019) apostrophes. A part is written as a run
 # of letters, then marks and letters, which matches faster than a run of
-# letters each with its marks.
+# letters each with its marks. A dotted abbreviation that the sentence
+# splitter keeps whole ("e.g.", "i.e.", any case) is one word, with its
+# closing '.' when it has one.
 _PART = r"[^\W_]+(?:[\u0300-\u036f]+[^\W_]*)*"
-_WORD_RE = re.compile(rf"{_PART}(?:['\u2019-]{_PART})*")
+_DOTTED = "|".join(re.escape(a) for a in _ABBREVIATIONS if "." in a)
+_WORD_RE = re.compile(rf"(?i:\b(?:{_DOTTED})\b\.?)|{_PART}(?:['\u2019-]{_PART})*")
 
 # Suffixes that mark an inflected verb when the token follows a noun or
 # pronoun (the subject position). "-ing" is deliberately absent: in this
@@ -126,7 +131,7 @@ def load_lexicon(path: Optional[str] = None) -> Lexicon:
 def split_words(text: str) -> list[str]:
     """The words of text, in order: runs of letters and digits, keeping
     the combining marks that follow them and intra-word hyphens and
-    apostrophes.
+    apostrophes, and each "e.g." or "i.e." (any case) whole.
 
     Equal to _WORD_RE.findall(text). An ASCII text whose body (the text
     less its trailing run of '.', '!' and '?') holds only letters, digits,
@@ -145,35 +150,45 @@ def split_words(text: str) -> list[str]:
 _span = tuple.__new__
 
 
-def _spans(record: tuple, code: Optional[str]) -> list[tuple[str, SourceSpan]]:
+def _spans(
+    record: tuple, code: Optional[str], noun: Optional[str] = None
+) -> list[tuple[str, SourceSpan]]:
     """The surface and span of each word of an analysis record's text
-    tagged code (every word when code is None), in order, on its line.
+    tagged code (every word when code is None), in order, on its line;
+    given a lowercased noun as well, only the noun-tagged words that
+    lowercase to it.
 
-    tags.find gives the index of each wanted word. Each word up to it is
-    found with text.find from the end of the one before: no letter or
-    digit lies between two words, so the first match is the word itself
-    (a wanted word may occur inside an earlier word, so none is skipped).
+    tags.find gives the index of each word tagged code; the record's nouns
+    line up with its noun codes. Each word up to a wanted one is found
+    with text.find from the end of the one before: no letter or digit
+    lies between two words, so the first match is the word itself (a
+    wanted word may occur inside an earlier word, so none is skipped).
     The words after the last one wanted are never read. Offsets are
     character indices into text, shifted by the record's span start: for
     a parsed sentence, indices into the source.
     """
-    text, base, line, tags, _ = record
+    text, base, line, tags, nouns = record
     if code is None:  # every word is wanted
-        code = "*"
-        tags = code * len(tags)
-    k = tags.find(code)  # the index of the next wanted word
-    if k < 0:
+        wanted = range(len(tags))
+    else:
+        wanted = []
+        k = tags.find(code)
+        while k >= 0:
+            wanted.append(k)
+            k = tags.find(code, k + 1)
+        if noun is not None:
+            wanted = [k for k, n in zip(wanted, nouns) if n == noun]
+    if not wanted:
         return []
     words = split_words(text)
     out = []
     end = i = 0  # the end of the word before, and the index of the next
-    while k >= 0:
+    for k in wanted:
         for surface in words[i : k + 1]:  # up to the wanted word, which ends it
             start = text.find(surface, end)
             end = start + len(surface)
         out.append((surface, _span(SourceSpan, (base + start, base + end, line))))
         i = k + 1
-        k = tags.find(code, i)
     return out
 
 
@@ -186,15 +201,18 @@ def tagged_tokens(record: tuple) -> list[Token]:
     ]
 
 
-def words_tagged(sentence: Sentence, pos: PosTag) -> list[tuple[str, SourceSpan]]:
+def words_tagged(
+    sentence: Sentence, pos: PosTag, noun: Optional[str] = None
+) -> list[tuple[str, SourceSpan]]:
     """The surface and span of each word of sentence tagged pos, in order,
-    as its last analysis tagged it; [] for a sentence never analyzed.
+    as its last analysis tagged it; [] for a sentence never analyzed. Given
+    a lowercased noun (pos NOUN), only the nouns that lowercase to it.
 
     Reads the analysis record, not Sentence.tokens, so it builds a span
     only for the words it returns; the spans are the ones those tokens
     carry, since both come from _spans.
     """
-    return _spans(sentence._tagged, _CODE_OF_TAG[pos])
+    return _spans(sentence._tagged, _CODE_OF_TAG[pos], noun)
 
 
 def _verb_stems(word: str) -> Iterable[str]:
@@ -216,7 +234,10 @@ def _facts_of(word: str, lex: Lexicon) -> tuple[bool, bool, str]:
     """What lex says about a lowercased word by itself: whether it is a
     known verb (through _verb_stems), whether its suffix marks a verb, and
     its tag code when it is not read as a verb. A pronoun's facts are
-    (False, False, _PRONOUN), so it is never a verb."""
+    (False, False, _PRONOUN), so it is never a verb. A dotted abbreviation,
+    the only word with a '.', is tagged other."""
+    if "." in word:
+        return False, False, _OTHER
     if word in lex.pronouns:
         return False, False, _PRONOUN
     known_verb = any(stem in lex.verbs for stem in _verb_stems(word))

@@ -6,13 +6,19 @@ Spans are kept as ints and built on read, and what an analysis keeps of a
 sentence is one exact tuple of strings and ints, which the collector stops
 tracking. Every value read from the compact form must equal a fresh
 reference analysis, on both front-ends and on ASCII and non-ASCII text.
+
+A document's findings share one Evidence per quoted text, and a JSON
+report is built in one copy: its pieces, then their one join.
 """
 
 import gc
+import tracemalloc
 from collections import Counter
 
+import largedoc
 import pytest
 
+from ucsmell import report
 from ucsmell.engine import DetectorConfig, detect
 from ucsmell.metrics import NOM, NON, NOP, NOV, NOW
 from ucsmell.model import PosTag, SourceSpan, Token
@@ -160,3 +166,57 @@ def test_compact_reads_equal_a_fresh_reference_analysis(lexicon, front_end, non_
             assert text == lines[step.span.line - 1].strip()
         else:
             assert step.span == (0, 0, 0)
+
+
+def _large_findings(lexicon):
+    return detect(parse_text(largedoc.generate(1, 1000).text)[0], DetectorConfig(), lexicon)
+
+
+def _peak_above_start(emit, arg):
+    """The tracemalloc peak of emit(arg) above the level it starts at, and
+    the length of the text it returns."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = emit(arg)
+        return tracemalloc.get_traced_memory()[1] - start, len(out)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# The pieces of a report take about as much as the report, so building it
+# in one copy peaks near twice its length; a second copy of the whole
+# report (a join, then brackets added to it) peaks near three times.
+_EMIT_PEAK_PER_CHAR = 2.5
+
+
+def test_emit_json_builds_the_report_in_one_copy(lexicon):
+    findings = _large_findings(lexicon)
+    peak, length = _peak_above_start(report.emit_json, findings)
+    assert length > 50_000 and peak <= _EMIT_PEAK_PER_CHAR * length
+
+
+def test_emit_json_files_builds_the_report_in_one_copy(lexicon):
+    findings = _large_findings(lexicon)
+    per_file = [(f"doc{i}.ucd", findings) for i in range(3)]
+    peak, length = _peak_above_start(report.emit_json_files, per_file)
+    assert length > 150_000 and peak <= _EMIT_PEAK_PER_CHAR * length
+
+
+def test_findings_quoting_equal_text_share_one_evidence(lexicon):
+    doc = parse_text(largedoc.generate(1, 1000).text)[0]
+    first = detect(doc, DetectorConfig(), lexicon)
+    held: dict = {}
+    for f in first:
+        held.setdefault(f.evidence.text, set()).add(id(f.evidence))
+    assert len(held) < len(first) / 2  # most findings quote a text again
+    assert all(len(ids) == 1 for ids in held.values())
+    # A second call builds its own: nothing is kept across calls.
+    second = detect(doc, DetectorConfig(), lexicon)
+    assert second == first
+    assert not {id(f.evidence) for f in first} & {id(f.evidence) for f in second}

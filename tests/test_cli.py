@@ -127,6 +127,29 @@ _ABBREVIATED = (
     "A1.2 The use case returns to step 2.\n"
 )
 _TEXTS = {"multi-sentence": _MULTI_SENTENCE, "abbreviations": _ABBREVIATED}
+# The abbreviations document in capitals, and with "e.g." twice in a step.
+_DOTTED = {
+    "abbreviations": _ABBREVIATED,
+    "upper-case": _ABBREVIATED.replace("i.e.", "I.E.").replace("e.g.", "E.G."),
+    "repeated": _ABBREVIATED.replace("e.g. 20 dollars,", "e.g. 20, e.g. 30,"),
+}
+
+
+@pytest.mark.parametrize("front_end", ["text", "json"])
+@pytest.mark.parametrize("name", _DOTTED)
+def test_dotted_abbreviations_give_no_pronoun_or_noun(capsys, tmp_path, name, front_end):
+    # "i.e." and "e.g." are one word each, tagged other: "i.e." once gave a
+    # pronoun record quoting "i" (or "I"), and "e.g." twice in a sentence
+    # the repeated nouns "e" and "g".
+    text = _DOTTED[name]
+    path = tmp_path / ("doc.ucd" if front_end == "text" else "doc.json")
+    path.write_text(text if front_end == "text" else serialize(parse_text(text)[0]), "utf-8")
+    assert run(["lint", "--format", "json", str(path)]) == 1
+    records = json.loads(capsys.readouterr().out)
+    assert [(r["item_name"], r["word"]) for r in records if r["metric"] == "NOP"] == [
+        ("Alternate Flows", "it")
+    ]
+    assert [r["metric"] for r in records if r["metric"].startswith("NON(")] == []
 
 
 @pytest.mark.parametrize("config", [None, "thresholds.cfg"], ids=["default", "thresholds"])

@@ -19,7 +19,7 @@ import pytest
 import seeding
 from hypothesis import example, given, settings, strategies as st
 
-from ucsmell.metrics import NOM, NON, NOP, NOV
+from ucsmell.metrics import NOM, NON, NOP, NOV, counted_words
 from ucsmell.model import PosTag, Sentence, SourceSpan
 from ucsmell.parser import parse_json, parse_text, serialize
 from ucsmell.textanalysis import (
@@ -39,13 +39,15 @@ from ucsmell.textanalysis import (
     words_tagged,
 )
 
-# Words: letters and digits of any script, each with the combining
+# Words: "e.g." and "i.e." in any case, with or without the closing '.',
+# else letters and digits of any script, each with the combining
 # diacritical marks (U+0300-U+036F) after it, joined by hyphens and
 # straight or typographic apostrophes. The ASCII-only pattern it replaced
 # finds the same words in ASCII text.
+_DOTTED = r"(?i:\b(?:e\.g|i\.e)\b\.?)"
 _LETTER = r"[^\W_][\u0300-\u036f]*"
-_WORD_RE = re.compile(rf"(?:{_LETTER})+(?:['\u2019-](?:{_LETTER})+)*")
-_ASCII_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
+_WORD_RE = re.compile(rf"{_DOTTED}|(?:{_LETTER})+(?:['\u2019-](?:{_LETTER})+)*")
+_ASCII_WORD_RE = re.compile(rf"{_DOTTED}|[A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*")
 _DETERMINERS = {"the", "a", "an"}
 
 
@@ -58,6 +60,8 @@ def ref_tokenize(text, base_offset):
 
 
 def ref_classify(word, after_determiner, prev_tag, verb_seen, lex):
+    if word in ("e.g.", "e.g", "i.e.", "i.e"):
+        return PosTag.OTHER
     if word in lex.pronouns:
         return PosTag.PRONOUN
     if not after_determiner and any(s in lex.verbs for s in _verb_stems(word)):
@@ -129,6 +133,7 @@ _word = st.one_of(
     st.integers(min_value=0, max_value=9999).map(str),
     st.sampled_from(
         ["log-in", "user's", "café", "naïve", "straße", "日本", "ÉTÉ", "clerk’s", "o’clock",
+         "e.g.", "I.E.", "i.e", "E.g",
          # decomposed (NFD) accents
          "cafe\u0301", "nai\u0308ve", "E\u0301TE\u0301", "l'e\u0301cole", "2\u0300"]
     ),
@@ -259,7 +264,7 @@ def test_spans_equal_the_reference(text):
 def _surfaces():
     """Every vocabulary word with each test suffix, as written and capitalized."""
     words = {w + suffix for w in _VOCAB for suffix in _SUFFIXES}
-    words |= {"42", "2\u0300", "café", "straße"}
+    words |= {"42", "2\u0300", "café", "straße", "e.g.", "i.e."}
     return sorted(words | {w.capitalize() for w in words})
 
 
@@ -325,6 +330,40 @@ def test_document_analysis_equals_each_sentence_analyzed_alone(fixtures_dir):
             assert [s._tagged for _, s in doc.iter_sentences()] == whole
 
 
+def _filter_after(sentences, noun):
+    """counted_words(sentences, noun) as it was first written: every noun
+    of a sentence holding noun quoted, then all but noun dropped."""
+    return [
+        (i, [w for w in words_tagged(s, PosTag.NOUN) if w[0].lower() == noun])
+        for i, s in enumerate(sentences)
+        if noun in s._tagged[4]
+    ]
+
+
+_MIXED_CASE = [
+    "The Actor tells the ACTOR and the actor's actor.",
+    "An actor, the Actors and the actor-actor meet the aCtOr.",
+    "Actor actor ACTOR",
+    "The clerk, i.e. the actor, files the actor list of the Actor.",
+    "The system shows the page.",
+]
+
+
+def test_counted_nouns_equal_the_filter_after_reference(fixtures_dir):
+    # The actor-actor rule quotes only the words it reports; what it
+    # quotes must equal quoting every noun and keeping those.
+    mixed = [Sentence(text, 3, SourceSpan(5, 5 + len(text), 3)) for text in _MIXED_CASE]
+    for lex in (BUNDLED, CUSTOM):
+        for s in mixed:
+            analyze_sentence(s, lex)
+        docs = [mixed] + [analyze_document(doc, lex)[1] for doc in _documents(fixtures_dir)]
+        for sentences in docs:
+            nouns = {"actor", "zzz"} | {n for s in sentences for n in s._tagged[4]}
+            for noun in nouns:
+                assert counted_words(sentences, noun) == _filter_after(sentences, noun)
+        assert [len(words) for _, words in counted_words(mixed, "actor")] == [3, 2, 3, 3]
+
+
 # Pieces of text around the splitter's fast path: words joined by spaces,
 # tabs and commas with a trailing run of '.', '!' and '?' take it;
 # apostrophes, hyphens (leading, trailing, doubled), inner punctuation and
@@ -334,7 +373,7 @@ _split_piece = st.one_of(
     st.text(alphabet="aZ9,'-. \t!?é’ü—\u0301\u036f\u0370", max_size=4),
     st.sampled_from(
         ["--", "-a", "a-", "a--b", "'s", "o'", "''", "3-4", "x'-y", "...", "?!",
-         ".!?", "  ", "\t", ", ", ",,", "log-in", "user's", "café", "日本",
+         ".!?", "  ", "\t", ", ", ",,", "log-in", "user's", "café", "日本", "i.e.", "E.g",
          "cafe\u0301", "\u0301", "a\u0301\u0300b"]
     ),
 )

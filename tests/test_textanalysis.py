@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ucsmell.metrics import NOM, NON, NOP, NOV
 from ucsmell.model import PosTag, Sentence, SourceSpan
+from ucsmell.parser import _ABBREVIATIONS
 from ucsmell.textanalysis import (
     Lexicon,
     analyze_sentence,
@@ -172,6 +173,36 @@ def test_stopwords_and_digits_are_other(lexicon):
 
 def test_unknown_words_default_to_noun(lexicon):
     assert pos_of("The frobnicator hums.", "frobnicator", lexicon) is PosTag.NOUN
+
+
+@pytest.mark.parametrize(
+    "abbreviation", ["i.e.", "I.E.", "I.e.", "e.g.", "E.G.", "E.g.", "i.e", "e.g"]
+)
+def test_dotted_abbreviations_are_one_word_tagged_other(lexicon, abbreviation):
+    # The dotted abbreviations the sentence splitter keeps whole are one
+    # word each, tagged other: "i.e." gives no pronoun "i", and "e.g." no
+    # nouns "e" and "g".
+    text = f"The clerk pays, {abbreviation} the sum, {abbreviation}, it stops."
+    words = ["The", "clerk", "pays", abbreviation, "the", "sum", abbreviation, "it", "stops"]
+    assert split_words(text) == words
+    s = Sentence(text, span=SourceSpan(3, 3 + len(text)))
+    analyze_sentence(s, lexicon)
+    assert [(t.surface, t.pos) for t in s.tokens if t.surface == abbreviation] == [
+        (abbreviation, PosTag.OTHER)
+    ] * 2
+    assert [text[t.span.start - 3 : t.span.end - 3] for t in s.tokens] == words
+    assert NOP(s) == 1 and _nouns(s) == ["clerk", "sum"]
+    assert NON(s, "e") == NON(s, "g") == 0
+
+
+def test_every_dotted_abbreviation_of_the_splitter_is_one_word():
+    dotted = [a for a in _ABBREVIATIONS if "." in a]
+    assert dotted
+    for a in dotted:
+        for written in (a, a.upper()):
+            assert split_words(f"x, {written}. y") == ["x", f"{written}.", "y"]
+    # Only a whole abbreviation is one word.
+    assert split_words("taxi.e.g. ei.eg") == ["taxi", "e.g.", "ei", "eg"]
 
 
 def test_analyze_sentence_fills_tokens(lexicon):
