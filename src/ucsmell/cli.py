@@ -130,11 +130,13 @@ def _cmd_lint(args, cfg, lex) -> int:
             per_file.append((path, findings))
 
     if args.format == "json":
-        # print writes the report and its newline without joining them.
+        # Written piece by piece: the report is never held whole.
         if len(args.inputs) > 1:
-            print(report.emit_json_files(per_file))
+            sys.stdout.writelines(report.json_files_pieces(per_file))
+            sys.stdout.write("\n")
         elif per_file:
-            print(report.emit_json(per_file[0][1]))
+            sys.stdout.writelines(report.json_pieces(per_file[0][1]))
+            sys.stdout.write("\n")
     else:
         for path, findings in per_file:
             sys.stdout.write(report.emit_pretty(findings, source_name=path))

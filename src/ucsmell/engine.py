@@ -141,16 +141,12 @@ class _Context:
         self.sentences = sentences
         headers = d.section_header_lines
         # Each kind's title, header line, whether the section is present, and
-        # its flows (none for a section without flows).
-        self._places = {
-            kind: (
-                kind.title,
-                headers.get(kind, 0),
-                d.section_present(kind),
-                metrics.section_flows(d, kind) if kind in _FLOWS else (),
-            )
-            for kind in SectionKind
-        }
+        # its flows (none for an absent section or one without flows).
+        places = self._places = {}
+        for kind, title, has_flows in _PLACES:
+            present = d.section_present(kind)
+            flows = metrics.section_flows(d, kind) if present and has_flows else ()
+            places[kind] = (title, headers.get(kind, 0), present, flows)
         self._measured: dict[str, tuple[list[int], metrics.Distribution]] = {}
         # One Evidence per quoted text: findings that quote equal text share
         # it (it is frozen), and its string.
@@ -204,6 +200,9 @@ _ALT = SectionKind.ALTERNATE_FLOWS
 _EXC = SectionKind.EXCEPTION_FLOWS
 _ANY = tuple(SectionKind)  # the sentence rules read every sentence
 _FLOWS = (SectionKind.BASIC_FLOW, _ALT, _EXC)
+# Each kind, its title and whether it has flows, in canonical order: built
+# once, as iterating SectionKind runs a Python generator and .title a property.
+_PLACES = tuple((kind, kind.title, kind in _FLOWS) for kind in SectionKind)
 _STDDEV = "stddev_k"  # the threshold of a rule judged by the distribution
 _HIGH, _LOW = True, False  # the side of its bound a value is flagged on
 
@@ -212,11 +211,13 @@ def detect(d: UseCaseDescription, cfg: DetectorConfig, lex: Lexicon) -> list[Fin
     """Tag d with lex, then run every enabled detection rule and return
     the ordered findings. Tags from an earlier analysis are replaced."""
     ctx = _Context(d, cfg, *analyze_document(d, lex))
-    enabled = cfg.enabled_ids()
+    rows = RULES.items()
+    if cfg.enabled_smells is not None:
+        rows = [(i, rule) for i, rule in rows if i in cfg.enabled_smells]
     findings: list[Finding] = []
-    for smell_id, rule in RULES.items():
-        if smell_id in enabled:
-            rule.scan(ctx, smell_id, rule, findings.append)
+    add = findings.append
+    for smell_id, rule in rows:
+        rule.scan(ctx, smell_id, rule, add)
     del ctx  # freed before the sort allocates its keys
     findings.sort(
         key=lambda f: (_ITEM_ORDER[f.item_name], f.line, f.smell_id, f.span.start)

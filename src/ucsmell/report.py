@@ -41,52 +41,61 @@ except ImportError:  # an interpreter without the C accelerator
 
 def emit_json(findings: list[Finding]) -> str:
     """The records, as json.dumps(records, indent=2, ensure_ascii=False) writes them."""
-    return _records(findings, "")
+    return "".join(json_pieces(findings, True))
 
 
 def emit_json_files(per_file: list[tuple[str, list[Finding]]]) -> str:
     """One JSON object mapping each path to its findings' records."""
+    return "".join(json_files_pieces(per_file, True))
+
+
+def json_files_pieces(per_file, whole_flows=False):
+    """The pieces of emit_json_files(per_file), as json_pieces cuts them."""
     by_path = dict(per_file)  # a repeated path keeps its first place, last findings
-    if not by_path:
-        return "{}"
-    # Each file's records, then one join with the braces and keys: only
-    # one file's pieces are ever held at once.
-    parts = []
     sep = "{\n"
     for path, findings in by_path.items():
-        parts += (f"{sep}  {_quote(path)}: ", _records(findings, "  "))
+        yield f"{sep}  {_quote(path)}: "
+        yield from json_pieces(findings, whole_flows, "  ")
         sep = ",\n"
-    parts.append("\n}")
-    return "".join(parts)
+    yield "\n}" if by_path else "{}"
 
 
-def _records(findings: list[Finding], pad: str) -> str:
-    """The findings' records as json.dumps(..., indent=2) lays them out at
-    pad, built in one join, brackets and all.
+def json_pieces(findings, whole_flows=False, pad=""):
+    """The pieces of emit_json(findings), brackets and all, as json.dumps
+    (..., indent=2) lays them out at pad, small enough to write to a
+    stream one at a time: a record a piece, and a flow's sentences one
+    piece each, as a flow may quote thousands. With whole_flows, for a
+    join, a flow is one piece, as each piece held for the join costs a
+    str header.
 
     Writing them directly is several times faster than json.dumps, whose
     indented output never uses the C encoder.
     """
-    if not findings:
-        return "[]"
     keys = pad + "    "
-    parts = []
+    item_sep = f",\n{keys}  "
+    close = f"\n{pad}  }}"
     sep = "[\n"
     for f in findings:
         key, text = RULES[f.smell_id].evidence, f.evidence.text
-        if key != "flow":
-            tail = f'"{key}": {_quote(text)}'
-        else:
-            items = f",\n{keys}  ".join(map(_quote, text))
-            tail = f'"flow": [\n{keys}  {items}\n{keys}]' if items else '"flow": []'
-        parts.append(
+        head = (
             f'{sep}{pad}  {{\n{keys}"item_name": {_quote(f.item_name)},\n'
-            f'{keys}"metric": {_quote(f.metric)},\n{keys}"line": {f.line},\n'
-            f"{keys}{tail}\n{pad}  }}"
+            f'{keys}"metric": {_quote(f.metric)},\n{keys}"line": {f.line},\n{keys}'
         )
         sep = ",\n"
-    parts.append(f"\n{pad}]")
-    return "".join(parts)
+        if key != "flow":
+            yield f'{head}"{key}": {_quote(text)}{close}'
+        elif not text:
+            yield f'{head}"flow": []{close}'
+        elif whole_flows:
+            items = item_sep.join(map(_quote, text))
+            yield f'{head}"flow": [\n{keys}  {items}\n{keys}]{close}'
+        else:
+            items = iter(text)
+            yield f'{head}"flow": [\n{keys}  {_quote(next(items))}'
+            for item in items:
+                yield f"{item_sep}{_quote(item)}"
+            yield f"\n{keys}]{close}"
+    yield f"\n{pad}]" if findings else "[]"
 
 
 def parse_report(text: str) -> list[dict]:
@@ -114,8 +123,8 @@ def _excerpt(f: Finding, limit: int = 60) -> str:
 def emit_pretty(findings: list[Finding], source_name: str = "") -> str:
     from .catalogue import by_id  # imported here: lint --format json never reads it
 
-    lines: list[str] = []
-    counts: dict[tuple[Characteristic, Scope], int] = {}
+    lines = []
+    counts = {}  # smell-space cell -> findings
     for f in findings:
         smell = by_id(f.smell_id)
         lines.append(
@@ -157,5 +166,7 @@ __all__ = [
     "emit_pretty",
     "exit_code",
     "finding_record",
+    "json_files_pieces",
+    "json_pieces",
     "parse_report",
 ]

@@ -13,9 +13,13 @@ state for each of 8 states, then the word lowercased; tagging a word is
 one step through its row. One loop, behind analyze_sentence and
 analyze_document, is the only writer of a sentence's tagging record: an
 exact tuple of its text, span start and line, its tags as a string of
-one-letter codes, and its nouns, which the metrics read. analyze_document
-walks the document once and returns the section kinds and the sentences
-it tagged, as two lists. One offset loop finds each word from the end of
+one-letter codes, and its nouns, which the metrics read. The records of
+one call share what repeats: equal tag strings are one object, and so
+are equal noun tuples, through a dict dropped when the call returns, so
+nothing of a document's tags or nouns outlives its records.
+analyze_document walks the document once and returns the section kinds
+and the sentences it tagged, as two lists. One offset loop finds each
+word from the end of
 the one before, for words_tagged (one tag's words, up to the last)
 and for the read-only Sentence.tokens (every word, rebuilt on each read
 by tagged_tokens); a word's span counts characters, as the sentence's
@@ -311,11 +315,17 @@ def _analyze(
     pairs: Iterable[tuple[object, Sentence]], lex: Lexicon
 ) -> tuple[list, list[Sentence]]:
     """Tag the sentence of each (section kind, sentence) pair and keep the
-    record the metrics read. Return the kinds and the sentences, in order."""
+    record the metrics read. Return the kinds and the sentences, in order.
+
+    Records of this call with equal tags hold one string, and with equal
+    nouns one tuple: the first, which a dict dropped on return maps each
+    tag string and noun tuple to.
+    """
     rows = lex._rows
     kinds: list = []
     sentences: list[Sentence] = []
     add_kind, add_sentence = kinds.append, sentences.append
+    share = {}.setdefault
     for kind, sentence in pairs:
         add_kind(kind)
         add_sentence(sentence)
@@ -331,7 +341,10 @@ def _analyze(
             tags.append(pos)
             if pos == _NOUN:
                 nouns.append(row[8])  # the word, lowercased
-        sentence._tagged = (text, sentence._start, sentence.line, "".join(tags), tuple(nouns))
+        joined, found = "".join(tags), tuple(nouns)
+        sentence._tagged = (
+            text, sentence._start, sentence.line, share(joined, joined), share(found, found)
+        )
     return kinds, sentences
 
 

@@ -6,12 +6,17 @@ Spans are kept as ints and built on read, and what an analysis keeps of a
 sentence is one exact tuple of strings and ints, which the collector stops
 tracking. Every value read from the compact form must equal a fresh
 reference analysis, on both front-ends and on ASCII and non-ASCII text.
+Records of one analysis with equal tags hold one string and with equal
+nouns one tuple, and nothing of them is kept across analyses, so an
+analysis keeps little more than the record tuple per sentence.
 
-A document's findings share one Evidence per quoted text, and a JSON
-report is built in one copy: its pieces, then their one join.
+A document's findings share one Evidence per quoted text. A JSON report
+is built in one copy, its pieces then their one join, and written to a
+stream it is held about one record at a time.
 """
 
 import gc
+import io
 import tracemalloc
 from collections import Counter
 
@@ -23,7 +28,7 @@ from ucsmell.engine import DetectorConfig, detect
 from ucsmell.metrics import NOM, NON, NOP, NOV, NOW
 from ucsmell.model import PosTag, SourceSpan, Token
 from ucsmell.parser import parse_json, parse_text, serialize
-from ucsmell.textanalysis import words_tagged
+from ucsmell.textanalysis import analyze_document, words_tagged
 
 from test_tagging_reference import ref_analyze
 
@@ -220,3 +225,88 @@ def test_findings_quoting_equal_text_share_one_evidence(lexicon):
     second = detect(doc, DetectorConfig(), lexicon)
     assert second == first
     assert not {id(f.evidence) for f in first} & {id(f.evidence) for f in second}
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what it is written."""
+
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("by_path", [False, True], ids=["one-file", "by-path"])
+def test_writing_the_report_holds_about_one_record(lexicon, by_path):
+    findings = _large_findings(lexicon)
+    if by_path:
+        pieces, arg = report.json_files_pieces, [(f"doc{i}.ucd", findings) for i in range(3)]
+        emitted = report.emit_json_files(arg)
+    else:
+        pieces, arg = report.json_pieces, findings
+        emitted = report.emit_json(findings)
+    # One flow finding quotes all 1 000 steps: a record can be most of the
+    # report, so a flow is written a sentence at a time.
+    assert max(len(f.evidence.text) for f in findings) == 1000
+    assert "".join(pieces(arg)) == emitted
+    _Discard().writelines(pieces(arg))  # a first call sets up its frame (3.10)
+    out = _Discard()
+    peak, _ = _peak_above_start(lambda arg: out.writelines(pieces(arg)) or "", arg)
+    assert out.length == len(emitted) > 50_000
+    assert peak < 0.02 * out.length
+
+
+def _records(doc):
+    return [s._tagged for _, s in doc.iter_sentences()]
+
+
+@pytest.mark.parametrize("non_ascii", [False, True], ids=["ascii", "non-ascii"])
+@pytest.mark.parametrize("front_end", FRONT_ENDS)
+def test_equal_tags_and_nouns_are_one_object(lexicon, front_end, non_ascii):
+    parse = FRONT_ENDS[front_end]
+    source = _document(40, non_ascii)
+    first, second = parse(source), parse(source)
+    analyze_document(first, lexicon)
+    analyze_document(second, lexicon)
+    for doc in (first, second):
+        held: dict = {}
+        for _, _, _, tags, nouns in _records(doc):
+            held.setdefault(tags, set()).add(id(tags))
+            if nouns:
+                held.setdefault(nouns, set()).add(id(nouns))
+        assert len(held) < len(_records(doc))  # tags and nouns repeat
+        assert all(len(ids) == 1 for ids in held.values())
+    # Shared within one analysis only: none is kept for the next. (CPython
+    # keeps one object per one-character string, so one code is exempt.)
+    pairs = list(zip(_records(first), _records(second)))
+    assert not any(a[3] is b[3] for a, b in pairs if len(a[3]) > 1)
+    assert not any(a[4] is b[4] for a, b in pairs if a[4])
+
+
+# What an analysis keeps of a large document's sentence: a record tuple
+# of five fields, with its tags and nouns shared (198 bytes when each
+# record held its own).
+_KEPT_PER_SENTENCE = 130
+
+
+def test_analysis_keeps_little_per_sentence(lexicon):
+    text = largedoc.generate(1, 1000).text
+    # Fills the lexicon's rows for this vocabulary, which every later
+    # analysis reuses; the sharing of tags and nouns holds nothing past a call.
+    analyze_document(parse_text(text)[0], lexicon)
+    doc = parse_text(text)[0]
+    sentences = sum(1 for _ in doc.iter_sentences())
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        analyze_document(doc, lexicon)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sentences > 1000 and kept <= _KEPT_PER_SENTENCE * sentences
