@@ -13,8 +13,6 @@ from .model import Characteristic, Finding, Scope
 from .parser import parse_json, parse_text
 from .textanalysis import load_lexicon
 
-_CELL_RE = re.compile(r"^C_?\{?(\d)[,_](\d)\}?$", re.IGNORECASE)
-
 
 class _HelpFormatter(argparse.HelpFormatter):
     """argparse's help formatter, set up only when it formats help.
@@ -57,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("json", "pretty"),
         default="pretty",
     )
-    lint.add_argument("--fail-threshold", type=int, default=None)
+    lint.add_argument("--fail-threshold", type=int, default=1)
 
     cat = add_parser("catalogue", help="browse the smell catalogue")
     cat.add_argument("--cell", help="smell-space cell, e.g. C_5_2 or C_{5,2}")
@@ -118,8 +116,8 @@ def _detect_file(path: str, cfg, lex) -> Optional[list[Finding]]:
 
 
 def _cmd_lint(args, cfg, lex) -> int:
-    if args.fail_threshold is not None and args.fail_threshold < 0:
-        return _usage_error("fail_threshold must be >= 0")
+    if args.fail_threshold < 1:  # 0 would fail a run with no findings
+        return _usage_error("fail_threshold must be >= 1")
 
     # A file that fails to parse is reported on stderr and skipped; the
     # others are still linted and reported, and the exit code becomes 2.
@@ -152,13 +150,14 @@ def _cmd_catalogue(args) -> int:
 
     entries = catalogue()
     if args.cell:
-        m = _CELL_RE.match(args.cell.strip())
+        # C_5_2, C5,2 or C_{5,2}: both braces or neither.
+        m = re.fullmatch(r"C_?(\{)?(\d)[,_](\d)(?(1)\})", args.cell.strip(), re.I)
         if not m:
             print(f"unrecognized cell: {args.cell}", file=sys.stderr)
             return 2
         try:
-            characteristic = Characteristic(int(m.group(1)))
-            scope = Scope(int(m.group(2)))
+            characteristic = Characteristic(int(m.group(2)))
+            scope = Scope(int(m.group(3)))
         except ValueError:
             print(f"cell out of range: {args.cell}", file=sys.stderr)
             return 2

@@ -12,6 +12,7 @@ and builds each finding with _Context.finding.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from . import metrics
@@ -218,10 +219,9 @@ def detect(d: UseCaseDescription, cfg: DetectorConfig, lex: Lexicon) -> list[Fin
     add = findings.append
     for smell_id, rule in rows:
         rule.scan(ctx, smell_id, rule, add)
-    del ctx  # freed before the sort allocates its keys
-    findings.sort(
-        key=lambda f: (_ITEM_ORDER[f.item_name], f.line, f.smell_id, f.span.start)
-    )
+    del ctx  # freed before the sort
+    for key in _SORT_KEYS:
+        findings.sort(key=key)
     return findings
 
 
@@ -392,5 +392,14 @@ def detectable_ids() -> frozenset[str]:
 # The thresholds a count is held against, each at least 1.
 _COUNT_THRESHOLDS = sorted({r.threshold for r in RULES.values()} - {None, _STDDEV})
 
-# Findings sort by section in canonical order.
+# Findings sort by (section in canonical order, line, smell_id, span.start),
+# one stable pass per key, the least significant first: no finding gets a
+# key tuple, as a list of them freed at once would stay in CPython's tuple
+# free list through the report.
 _ITEM_ORDER = {kind.title: i for i, kind in enumerate(SectionKind)}
+_SORT_KEYS = (
+    attrgetter("span.start"),
+    attrgetter("smell_id"),
+    attrgetter("line"),
+    lambda f: _ITEM_ORDER[f.item_name],
+)

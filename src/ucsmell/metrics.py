@@ -18,7 +18,7 @@ strings the report format uses.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .model import (
     _NOUNS,
@@ -84,33 +84,33 @@ def sentence_values(name: str, sentences: list[Sentence], in_words=False) -> lis
     return [measure(s) for s in sentences]
 
 
-def counted_words(sentences: list[Sentence], noun=None) -> list[tuple[int, list]]:
+def counted_words(sentences: list[Sentence], noun=None) -> Iterator[tuple[int, list]]:
     """The words NOP counts, or given a lowercased noun the words NON(s,
     noun) counts, as (i, words) for each sentences[i] that holds one: the
     surface and span of each, in order, as words_tagged quotes them (a
-    span only for each word counted)."""
+    span only for each word counted). Yielded, so each pair is freed
+    before the next is built."""
     pos, field, needle = PosTag.PRONOUN, _TAGS, _PRONOUN
     if noun is not None:
         pos, field, needle = PosTag.NOUN, _NOUNS, noun
-    return [
-        (i, words_tagged(s, pos, noun))
-        for i, s in enumerate(sentences)
-        if needle in s._tagged[field]  # else it holds no such word
-    ]
+    for i, s in enumerate(sentences):
+        if needle in s._tagged[field]:  # else it holds no such word
+            yield i, words_tagged(s, pos, noun)
 
 
-def noun_counts(sentences: list[Sentence], repeated_only=False) -> list[tuple[int, dict]]:
+def noun_counts(
+    sentences: list[Sentence], repeated_only=False
+) -> Iterator[tuple[int, dict]]:
     """(i, counts) for each sentences[i], or each that repeats a noun: how
-    often it holds each of its nouns, in order of first occurrence."""
-    out = []
+    often it holds each of its nouns, in order of first occurrence. Yielded,
+    as counted_words yields its pairs."""
     for i, s in enumerate(sentences):
         nouns = s._tagged[_NOUNS]
         if not repeated_only or len(set(nouns)) < len(nouns):
             counts = dict.fromkeys(nouns, 0)
             for noun in nouns:
                 counts[noun] += 1
-            out.append((i, counts))
-    return out
+            yield i, counts
 
 
 class Distribution(NamedTuple):

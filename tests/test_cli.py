@@ -412,6 +412,12 @@ def test_catalogue_bad_cell(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cell", ["C_{5,2", "C5,2}"])
+def test_catalogue_cell_with_one_brace_is_unrecognized(capsys, cell):
+    assert run(["catalogue", "--cell", cell]) == 2
+    assert capsys.readouterr() == ("", f"unrecognized cell: {cell}\n")
+
+
 def test_catalogue_full_listing(capsys):
     run(["catalogue"])
     assert capsys.readouterr().out.count("Name: ") == 60
@@ -589,10 +595,13 @@ def test_unknown_smell_ids_exit_two_naming_them(tmp_path, capsys, fixtures_dir):
     )
 
 
-def test_negative_fail_threshold_exits_two_with_a_message(capsys, fixtures_dir):
-    code = run(["lint", str(fixtures_dir / "atm.ucd"), "--fail-threshold", "-1"])
+@pytest.mark.parametrize("threshold", ["-1", "0"])
+def test_fail_threshold_below_one_exits_two_with_a_message(capsys, fixtures_dir,
+                                                          threshold):
+    # Exit 0 means no findings, so no threshold may fail a run without any.
+    code = run(["lint", str(fixtures_dir / "clean.ucd"), "--fail-threshold", threshold])
     assert code == 2
-    assert capsys.readouterr() == ("", "ucsmell: fail_threshold must be >= 0\n")
+    assert capsys.readouterr() == ("", "ucsmell: fail_threshold must be >= 1\n")
 
 
 def test_eval_rejects_json_input(tmp_path, capsys, fixtures_dir):

@@ -1,5 +1,6 @@
 import ast
 import functools
+import random
 import re
 import unicodedata
 from pathlib import Path
@@ -386,6 +387,57 @@ def test_findings_are_deterministically_ordered(atm_doc, lexicon, default_config
             "Basic Flow", "Alternate Flows", "Exception Flows",
         ].index(n),
     )
+
+
+# Each section's rank in canonical order, as detect sorts by it.
+_SECTION_RANK = {kind.title: i for i, kind in enumerate(SectionKind)}
+
+
+def _sort_key(f):
+    """The order detect gives, as one key tuple: the reference its sort
+    passes must match."""
+    return (_SECTION_RANK[f.item_name], f.line, f.smell_id, f.span.start)
+
+
+@pytest.mark.parametrize("config", [None, "thresholds.cfg"], ids=["default", "thresholds"])
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_finding_order_does_not_depend_on_the_rule_order(lexicon, monkeypatch,
+                                                         config, order):
+    """detect orders findings by section, line, smell id and span start,
+    one stable sort pass per key; findings that tie on all four (under the
+    thresholds config, the repeated nouns of one sentence) keep the order
+    their rule found them in, whatever order the rules run in."""
+    cfg = load_config(str(FIXTURES / config)) if config else DetectorConfig()
+    texts = [p.read_text("utf-8") for p in sorted(FIXTURES.glob("*.ucd"))]
+    texts += [d.text for d in seeding.seeded_documents() + seeding.clean_documents()]
+    texts.append(largedoc.generate(1, 1000).text)
+    docs = [parse_text(text)[0] for text in texts]
+    want = [detect(doc, cfg, lexicon) for doc in docs]
+    ties = 0
+    for found in want:
+        assert found == sorted(found, key=_sort_key)
+        ties += sum(_sort_key(a) == _sort_key(b) for a, b in zip(found, found[1:]))
+    assert sum(map(len, want)) > 400
+    assert ties > 100 if config else ties == 0
+    rows = list(RULES.items())
+    if order == "reversed":
+        rows.reverse()
+    else:
+        random.Random(1).shuffle(rows)
+    monkeypatch.setattr("ucsmell.engine.RULES", dict(rows))
+    assert [detect(doc, cfg, lexicon) for doc in docs] == want
+
+
+def test_findings_of_a_rule_on_one_line_follow_their_span_starts(lexicon):
+    """The last sort key: a rule's findings on one line are ordered by where
+    they start, even when the document lists the sentences otherwise."""
+    doc, _ = parse_text("Name: X\nBasic Flow:\n1. It pays. Then it leaves.\n")
+    step = doc.basic_flow.steps[0]
+    want = [f for f in detect(doc, DetectorConfig(), lexicon) if f.smell_id == "pronoun"]
+    assert [(f.line, f.evidence.text) for f in want] == [(1, "It"), (1, "it")]
+    step.sentences.reverse()
+    found = detect(doc, DetectorConfig(), lexicon)
+    assert [f for f in found if f.smell_id == "pronoun"] == want
 
 
 # --- individual rules -----------------------------------------------------

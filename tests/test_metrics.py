@@ -70,11 +70,11 @@ def test_per_document_forms_count_what_the_sentence_metrics_count(lexicon):
         "The actor reads the page and the page of the actor.",
     )
     sents = [sent(t, lexicon) for t in texts]
-    pronouns = metrics.counted_words(sents)
+    pronouns = list(metrics.counted_words(sents))
     assert [(i, len(w)) for i, w in pronouns] == [(0, 2)] == [
         (i, NOP(s)) for i, s in enumerate(sents) if NOP(s)
     ]
-    actors = metrics.counted_words(sents, "actor")
+    actors = list(metrics.counted_words(sents, "actor"))
     assert [(i, [w for w, _ in ws]) for i, ws in actors] == [
         (0, ["Actor"]),
         (2, ["actor", "actor"]),
@@ -82,8 +82,10 @@ def test_per_document_forms_count_what_the_sentence_metrics_count(lexicon):
     for i, words in pronouns + actors:
         for word, span in words:
             assert texts[i][span.start:span.end] == word
-    assert metrics.noun_counts(sents, repeated_only=True) == [(2, {"actor": 2, "page": 2})]
-    counts = metrics.noun_counts(sents)
+    assert list(metrics.noun_counts(sents, repeated_only=True)) == [
+        (2, {"actor": 2, "page": 2})
+    ]
+    counts = list(metrics.noun_counts(sents))
     assert [list(c) for _, c in counts] == [["wallet", "actor"], ["system", "page"], ["actor", "page"]]
     for i, c in counts:
         assert all(NON(sents[i], noun.upper()) == n for noun, n in c.items())

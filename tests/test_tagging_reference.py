@@ -360,7 +360,7 @@ def test_counted_nouns_equal_the_filter_after_reference(fixtures_dir):
         for sentences in docs:
             nouns = {"actor", "zzz"} | {n for s in sentences for n in s._tagged[4]}
             for noun in nouns:
-                assert counted_words(sentences, noun) == _filter_after(sentences, noun)
+                assert list(counted_words(sentences, noun)) == _filter_after(sentences, noun)
         assert [len(words) for _, words in counted_words(mixed, "actor")] == [3, 2, 3, 3]
 
 
